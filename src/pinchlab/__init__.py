@@ -16,7 +16,7 @@ from .errors import (DomainError, NonparabolicityError, NumericError,
 from .functionals import (BoundaryWillmore, FunctionalSample, FunctionalSeries,
                           GenusZeroResult, MonotonicityReport, boundary_willmore,
                           build_series, check_G_ode, check_monotonicity,
-                          explicit_dF, genus_zero_inequality_check, sample_at)
+                          genus_zero_inequality_check, sample_at)
 from .metrics import (CurvaturePoint, GrowthReport, PinchReport, WarpFunction,
                       build_metric, capped_cone, check_pinching, cone,
                       curvature_at, default_catalog,
@@ -25,7 +25,6 @@ from .metrics import (CurvaturePoint, GrowthReport, PinchReport, WarpFunction,
                       power_law, schwarzschild_slice, sphere_cap_blend,
                       volume_ball)
 from .potential import (ExteriorDomain, LevelSet, PotentialSolution,
-                        capacity_scaling_check, level_radius, solve_potential,
-                        tail_integral)
+                        capacity_scaling_check, solve_potential)
 
 __version__ = "0.1.0"

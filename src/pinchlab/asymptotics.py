@@ -73,8 +73,7 @@ def decay_check(series: FunctionalSeries, epsilon: float,
         raise UsageError("decay check needs a positive pinching constant")
     threshold = 8.0 * math.pi * epsilon / (2.0 + 2.0 * epsilon)
 
-    eps_star, ric_ok = metrics._pinch_margins(series.metric, series.s)
-    pinched = ric_ok & (eps_star >= epsilon - metrics.PINCH_SLACK)
+    pinched, _ = metrics.pinched(series.metric, series.s, epsilon)
     gate = pinched & (series.F < FOUR_PI)
     gate[[0, -1]] = False
     slack = series.dF_explicit - epsilon * (2.0 * series.F - 8.0 * math.pi)

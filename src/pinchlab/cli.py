@@ -15,379 +15,14 @@ import argparse
 import itertools
 import json
 import logging
-import math
 import os
 import sys
-import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Optional
-
-import numpy as np
 
 from . import asymptotics, functionals, metrics, potential
 from .config import SUITES, ScenarioConfig
 from .errors import DomainError, NonparabolicityError, NumericError, UsageError
-from .functionals import SIXTEEN_PI
-
-log = logging.getLogger(__name__)
-
-#: level-grid spacing needed for second-order differencing to resolve the
-#: C^2 blend profile (its third derivative reaches ~3e3 in the transition)
-SUITE_DT = 2.5e-4
-
-
-@dataclass(frozen=True)
-class SuiteResult:
-    """One verification check: name, verdict, and the measured number."""
-
-    name: str
-    status: str  # PASS / FAIL / UNMET / SKIP
-    measured: Optional[float]
-    tolerance: Optional[float]
-    runtime_s: float
-    note: str = ""
-
-    def line(self) -> str:
-        meas = "n/a" if self.measured is None else f"{self.measured:.3e}"
-        tol = "n/a" if self.tolerance is None else f"{self.tolerance:.0e}"
-        text = f"{self.status:<5} {self.name:<44} measured={meas:<10} tol={tol:<6} ({self.runtime_s:.2f}s)"
-        if self.note:
-            text += f"  [{self.note}]"
-        return text
-
-    def to_json_dict(self) -> dict:
-        # runtimes stay out of files so outputs are byte-reproducible
-        return {
-            "name": self.name, "status": self.status,
-            "measured": self.measured, "tolerance": self.tolerance,
-            "note": self.note,
-        }
-
-
-def _timed(fn):
-    start = time.perf_counter()
-    out = fn()
-    return out, time.perf_counter() - start
-
-
-# ---------------------------------------------------------------------------
-# Scenario bundles
-# ---------------------------------------------------------------------------
-
-class _Scenario:
-    """A metric plus its solved potential and densely sampled series."""
-
-    def __init__(self, name, metric, s0, t_max):
-        self.name = name
-        self.metric = metric
-        self.s0 = float(s0)
-        self.t_max = float(t_max)
-        self.domain = potential.ExteriorDomain(metric, self.s0)
-        self.sol = potential.solve_potential(self.domain, t_max=self.t_max)
-        n = max(2001, int(round(self.t_max / SUITE_DT)) + 1)
-        self.series = functionals.build_series(self.sol, n=n)
-        lo = self.s0 if self.s0 > metric.domain_start else float(self.sol.s_of_t(self.t_max / 400.0))
-        self.s_window = (lo, float(self.series.s[-1]))
-
-    def curvature_grid(self, n=200):
-        grid = np.geomspace(max(self.s_window[0] * 0.5, 1e-3), self.s_window[1], n)
-        return grid
-
-    def interior_levels(self, n=25):
-        return np.linspace(0.05, 0.95, n) * self.t_max
-
-
-def _catalog_scenarios(cfg: ScenarioConfig):
-    return [(name, metric, cfg.s0) for name, metric in metrics.default_catalog()]
-
-
-# ---------------------------------------------------------------------------
-# Identity checks
-# ---------------------------------------------------------------------------
-
-def _check_trace_identity(sc: _Scenario) -> SuiteResult:
-    def run():
-        grid = sc.curvature_grid()
-        _, _, _, ric_rad, ric_tan, scalar = metrics._curvature_arrays(sc.metric, grid)
-        resid = np.abs(scalar - (ric_rad + 2.0 * ric_tan)) / np.maximum(1.0, np.abs(scalar))
-        return float(resid.max())
-    measured, dt = _timed(run)
-    tol = 1e-12
-    return SuiteResult(f"{sc.name}/trace_identity", "PASS" if measured <= tol else "FAIL",
-                       measured, tol, dt)
-
-
-def _check_curvature_fd_oracle(sc: _Scenario) -> SuiteResult:
-    def run():
-        grid = sc.curvature_grid(60)
-        worst = 0.0
-        for s in grid:
-            h = max(1e-3, 1e-4 * s)
-            if any(abs(s - b) < 5 * h for b in sc.metric.breakpoints):
-                continue
-            if s - 2 * h <= sc.metric.domain_start:
-                continue
-            a = metrics.curvature_at(sc.metric, float(s))
-            b = metrics.finite_difference_curvature_oracle(sc.metric, float(s), h)
-            worst = max(worst, abs(a.k_rad - b.k_rad), abs(a.k_tan - b.k_tan),
-                        abs(a.ric_rad - b.ric_rad), abs(a.ric_tan - b.ric_tan),
-                        abs(a.scalar - b.scalar))
-        return worst
-    measured, dt = _timed(run)
-    tol = 1e-5
-    return SuiteResult(f"{sc.name}/curvature_fd_oracle", "PASS" if measured <= tol else "FAIL",
-                       measured, tol, dt)
-
-
-def _check_potential_identities(sc: _Scenario) -> SuiteResult:
-    def run():
-        from .stencils import five_point_first, five_point_second
-
-        sol = sc.sol
-        t_diag = sc.interior_levels(12)
-        s = np.atleast_1d(sol.s_of_t(t_diag))
-        f = sc.metric.f(s)
-        gw = np.atleast_1d(sol.grad_w(s))
-        subs = {}
-        # radial harmonic flux (f^2 u')' = 0
-        du = five_point_first(sol.u, s, 0.01 * s)
-        subs["harmonic_flux"] = (float(np.abs(f**2 * du * (1.0 / sol.ncap) + 1.0).max()), 1e-6)
-        # Delta w = |grad w|^2 in radial form
-        d2w = five_point_second(sol.w, s, 0.01 * s)
-        resid = d2w + (2.0 * sc.metric.df(s) / f) * gw - gw * gw
-        subs["w_equation"] = (float(np.abs(resid / (gw * gw)).max()), 1e-6)
-        # |grad w| = -u'/u  (h = 0.003 s keeps the O(h^4) truncation ~3e-10)
-        du2 = five_point_first(sol.u, s, 0.003 * s)
-        subs["gradw_consistency"] = (float(np.abs(-du2 / np.atleast_1d(sol.u(s)) / gw - 1.0).max()), 1e-9)
-        # u takes values in (0, 1]
-        uvals = np.atleast_1d(sol.u(np.concatenate([[sol.s0], s])))
-        subs["u_range"] = (float(max(uvals.max() - 1.0, -uvals.min(), 0.0)), 1e-12)
-        return subs
-    subs, dt = _timed(run)
-    name, (measured, tol) = max(subs.items(), key=lambda kv: kv[1][0] / kv[1][1])
-    ok = all(m <= t for m, t in subs.values())
-    return SuiteResult(f"{sc.name}/potential_identities", "PASS" if ok else "FAIL",
-                       measured, tol, dt, note=f"worst sub-check: {name}")
-
-
-def _check_capacity_scaling(sc: _Scenario) -> SuiteResult:
-    def run():
-        return potential.capacity_scaling_check(sc.sol, np.linspace(0.0, sc.t_max, 41))
-    measured, dt = _timed(run)
-    tol = 1e-6
-    return SuiteResult(f"{sc.name}/capacity_scaling", "PASS" if measured <= tol else "FAIL",
-                       measured, tol, dt)
-
-
-def _check_integral_geometry(sc: _Scenario) -> SuiteResult:
-    def run():
-        t = sc.interior_levels()
-        return {
-            "coarea": (asymptotics.coarea_check(sc.sol, t), 1e-4),
-            "holder_saturation": (asymptotics.holder_chain_check(sc.sol, t), 1e-6),
-        }
-    subs, dt = _timed(run)
-    name, (measured, tol) = max(subs.items(), key=lambda kv: kv[1][0] / kv[1][1])
-    ok = all(m <= t for m, t in subs.values())
-    return SuiteResult(f"{sc.name}/integral_geometry", "PASS" if ok else "FAIL",
-                       measured, tol, dt, note=f"worst sub-check: {name}")
-
-
-def _check_level_roundtrip(sc: _Scenario) -> SuiteResult:
-    def run():
-        t = sc.interior_levels(40)
-        s = np.atleast_1d(sc.sol.s_of_t(t))
-        t_back = np.atleast_1d(sc.sol.w(s))
-        s_back = np.atleast_1d(sc.sol.s_of_t(t_back))
-        return float(max(np.abs(t_back - t).max(), np.abs(s_back / s - 1.0).max()))
-    measured, dt = _timed(run)
-    tol = 1e-10
-    return SuiteResult(f"{sc.name}/level_roundtrip", "PASS" if measured <= tol else "FAIL",
-                       measured, tol, dt)
-
-
-def _check_functional_bounds(sc: _Scenario) -> SuiteResult:
-    def run():
-        from .stencils import five_point_first
-
-        subs = {}
-        ser = sc.series
-        subs["flux_le_willmore_quarter"] = (float((ser.F - ser.willmore / 4.0).max()), 1e-9)
-        s_chk = float(np.atleast_1d(sc.sol.s_of_t(0.05 * sc.t_max))[0])
-        flux = -sc.metric.f(s_chk) ** 2 * five_point_first(sc.sol.u, np.array([s_chk]), np.array([0.003 * s_chk]))[0]
-        subs["ncap_flux_agreement"] = (float(abs(flux / sc.sol.ncap - 1.0)), 1e-9)
-        return subs
-    subs, dt = _timed(run)
-    name, (measured, tol) = max(subs.items(), key=lambda kv: kv[1][0] / kv[1][1])
-    ok = all(m <= t for m, t in subs.values())
-    return SuiteResult(f"{sc.name}/functional_bounds", "PASS" if ok else "FAIL",
-                       measured, tol, dt, note=f"worst sub-check: {name}")
-
-
-def _check_scalar_flatness(sc: _Scenario) -> SuiteResult:
-    def run():
-        s = np.linspace(0.0, 100.0, 400)
-        _, _, _, _, _, scalar = metrics._curvature_arrays(sc.metric, s)
-        return float(np.abs(scalar).max())
-    measured, dt = _timed(run)
-    tol = 1e-8
-    return SuiteResult(f"{sc.name}/scalar_flatness", "PASS" if measured <= tol else "FAIL",
-                       measured, tol, dt)
-
-
-def _identities_suite(sc: _Scenario):
-    results = [
-        _check_trace_identity(sc),
-        _check_curvature_fd_oracle(sc),
-        _check_potential_identities(sc),
-        _check_capacity_scaling(sc),
-        _check_integral_geometry(sc),
-        _check_level_roundtrip(sc),
-        _check_functional_bounds(sc),
-    ]
-    if sc.metric.kind == "schwarzschild":
-        results.append(_check_scalar_flatness(sc))
-    return results
-
-
-# ---------------------------------------------------------------------------
-# Monotonicity / decay / chain suites
-# ---------------------------------------------------------------------------
-
-def _monotonicity_suite(sc: _Scenario, cfg: ScenarioConfig):
-    results = []
-    report, dt = _timed(lambda: functionals.check_monotonicity(sc.series))
-    if report.hypothesis_met:
-        status = "PASS" if report.monotone_ok else "FAIL"
-        note = ""
-    else:
-        status = "UNMET"
-        note = "Ric >= 0 fails on the window; monotonicity not implied"
-    results.append(SuiteResult(f"{sc.name}/F_monotone", status, report.max_increase, 1e-7, dt, note))
-    results.append(SuiteResult(
-        f"{sc.name}/dF_explicit_match", "PASS" if report.derivative_ok else "FAIL",
-        report.max_derivative_error, 1e-4, 0.0))
-
-    resid, dt = _timed(lambda: functionals.check_G_ode(sc.series))
-    results.append(SuiteResult(f"{sc.name}/G_ode", "PASS" if resid <= 1e-4 else "FAIL",
-                               resid, 1e-4, dt))
-
-    def g_bounds():
-        hyp = functionals._ric_nonneg_on_window(sc.metric, sc.series.s[0], sc.series.s[-1])
-        worst = float(np.maximum(-sc.series.G, sc.series.G - sc.series.F).max())
-        return hyp, worst
-    (hyp, worst), dt = _timed(g_bounds)
-    if hyp:
-        results.append(SuiteResult(f"{sc.name}/G_bounds", "PASS" if worst <= 1e-9 else "FAIL",
-                                   worst, 1e-9, dt))
-    else:
-        results.append(SuiteResult(f"{sc.name}/G_bounds", "UNMET", worst, 1e-9, dt,
-                                   "Ric >= 0 fails on the window; 0 <= G <= F not implied"))
-    return results
-
-
-def _decay_suite(sc: _Scenario, cfg: ScenarioConfig):
-    def run():
-        pinch = metrics.check_pinching(sc.metric, cfg.epsilon, sc.s_window, 400)
-        fit = asymptotics.decay_check(sc.series, cfg.epsilon, pinch)
-        return pinch, fit
-    (pinch, fit), dt = _timed(run)
-    results = []
-    if not fit.threshold_reached:
-        results.append(SuiteResult(f"{sc.name}/decay_estimate", "SKIP", None, None, dt,
-                                   "threshold not reached in the window"))
-    elif not fit.hypothesis_met:
-        results.append(SuiteResult(
-            f"{sc.name}/decay_estimate", "UNMET", fit.decay_rate, None, dt,
-            f"pinching fails on the window; bound held: {fit.passed}"))
-    else:
-        results.append(SuiteResult(
-            f"{sc.name}/decay_estimate", "PASS" if fit.passed else "FAIL",
-            fit.decay_rate, None, dt,
-            f"t_tilde={fit.t_tilde:.3g}, constant={fit.decay_constant:.3g}"))
-    if fit.n_pointwise_checked == 0:
-        results.append(SuiteResult(f"{sc.name}/genus_zero_pointwise", "SKIP", None, 1e-9, 0.0,
-                                   "no pinched levels in the window"))
-    else:
-        results.append(SuiteResult(
-            f"{sc.name}/genus_zero_pointwise", "PASS" if fit.pointwise_ok else "FAIL",
-            fit.max_pointwise_violation, 1e-9, 0.0,
-            f"{fit.n_pointwise_checked} levels checked"))
-    return results
-
-
-def _chain_suite(sc: _Scenario, cfg: ScenarioConfig):
-    rep, dt = _timed(lambda: asymptotics.refute(sc.domain, cfg))
-    bad = rep.conclusion.startswith("CONTRADICTION")
-    return [SuiteResult(f"{sc.name}/refutation_soundness", "FAIL" if bad else "PASS",
-                        None, None, dt, rep.conclusion)]
-
-
-def _chain_extras(cfg: ScenarioConfig):
-    results = []
-
-    def liyau(kind, params, expect):
-        metric = metrics.build_metric(kind, params)
-        sol = potential.solve_potential(potential.ExteriorDomain(metric, 1.0),
-                                        t_max=2.0, s_max=1000.0)
-        slope = asymptotics.li_yau_fit(sol, 10.0, 1000.0)
-        return abs(slope / expect - 1.0)
-
-    for kind, params, expect in (("power", {"beta": 0.8}, -0.6), ("flat", {}, -1.0)):
-        measured, dt = _timed(lambda k=kind, p=params, e=expect: liyau(k, p, e))
-        results.append(SuiteResult(f"{kind}/li_yau_exponent", "PASS" if measured <= 0.02 else "FAIL",
-                                   measured, 2e-2, dt, f"expected {expect}"))
-
-    def small_sphere():
-        cap = metrics.build_metric("sphere_cap_blend")
-        worst = 0.0
-        values = []
-        for s0 in (0.05, 0.1, 0.2):
-            sol = potential.solve_potential(potential.ExteriorDomain(cap, s0), t_max=1.0)
-            bw = functionals.boundary_willmore(sol)
-            values.append(bw.value)
-            worst = max(worst, abs(bw.value - SIXTEEN_PI * math.cos(s0) ** 2))
-            if not bw.below_threshold:
-                worst = max(worst, 1.0)
-        if not (values[0] > values[1] > values[2]):
-            worst = max(worst, 1.0)
-        return worst
-    measured, dt = _timed(small_sphere)
-    results.append(SuiteResult("sphere_cap_blend/small_sphere_willmore",
-                               "PASS" if measured <= 1e-7 else "FAIL", measured, 1e-7, dt))
-    return results
-
-
-def run_verify(cfg: ScenarioConfig, scenarios=None, stream=None):
-    """Run the selected verification suite; returns (results, exit_code)."""
-    if stream is None:
-        stream = sys.stdout
-    if scenarios is None:
-        if cfg.metric_kind != "flat" or cfg.metric_params:
-            scenarios = [(cfg.metric_kind, metrics.build_metric(cfg.metric_kind, cfg.metric_params), cfg.s0)]
-        else:
-            scenarios = _catalog_scenarios(cfg)
-    want = cfg.suite
-    results = []
-    t_suite = min(cfg.t_max, 5.0)
-    for name, metric, s0 in scenarios:
-        sc = _Scenario(name, metric, s0, t_suite)
-        if want in ("identities", "all"):
-            results.extend(_identities_suite(sc))
-        if want in ("monotonicity", "all"):
-            results.extend(_monotonicity_suite(sc, cfg))
-        if want in ("decay", "all"):
-            results.extend(_decay_suite(sc, cfg))
-        if want in ("chain", "all"):
-            results.extend(_chain_suite(sc, cfg))
-    if want in ("chain", "all"):
-        results.extend(_chain_extras(cfg))
-    for res in results:
-        print(res.line(), file=stream)
-    n_fail = sum(1 for r in results if r.status == "FAIL")
-    print(f"verify[{want}]: {len(results)} checks, {n_fail} failed", file=stream)
-    return results, (1 if n_fail else 0)
+from .verify import run_verify
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +126,7 @@ def cmd_sweep(cfg: ScenarioConfig) -> int:
 
     def one(item):
         kind, s0, eps = item
-        sub = cfg.with_overrides(metric_kind=kind, s0=s0, epsilon=eps)
+        sub = cfg.with_overrides(metric_kind=kind, s0=s0, epsilon=eps).validate()
         metric = metrics.build_metric(kind, sub.metric_params if kind == cfg.metric_kind else {})
         report = asymptotics.refute(potential.ExteriorDomain(metric, s0), sub)
         return report

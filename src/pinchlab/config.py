@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields as dc_fields, replace
 from typing import Optional
 
@@ -38,16 +39,19 @@ class ScenarioConfig:
     sweep: Optional[dict] = None
 
     def validate(self) -> "ScenarioConfig":
+        """Reject out-of-range values, including NaN and inf, as usage errors."""
+        if not math.isfinite(self.s0):
+            raise UsageError(f"s0 must be finite, got {self.s0}")
         if not 0.0 < self.epsilon <= 1.0 / 3.0 + 1e-12:
             raise UsageError(
                 f"epsilon must lie in (0, 1/3], got {self.epsilon}"
             )
-        if self.t_max <= 0:
-            raise UsageError(f"t_max must be positive, got {self.t_max}")
+        if not 0 < self.t_max < math.inf:
+            raise UsageError(f"t_max must be positive and finite, got {self.t_max}")
         if self.n_samples < 3:
             raise UsageError("n_samples must be at least 3")
         lo, hi = self.growth_window
-        if not 0 < lo < hi:
+        if not 0 < lo < hi < math.inf:
             raise UsageError(f"bad growth window {self.growth_window}")
         if self.suite not in SUITES:
             raise UsageError(

@@ -73,19 +73,12 @@ class FunctionalSeries:
     metric: metrics.WarpFunction
     s0: float
 
-    @property
-    def metric_label(self) -> str:
-        return self.metric.label
-
     def __len__(self):
         return len(self.t)
 
     @property
     def dt(self) -> float:
         return float(self.t[1] - self.t[0])
-
-    def sample(self, i: int) -> FunctionalSample:
-        return FunctionalSample(*(float(getattr(self, col)[i]) for col in CSV_COLUMNS))
 
     def to_csv(self, path_or_handle):
         """Write the series CSV (17 significant digits, fixed column order)."""
@@ -129,16 +122,6 @@ def sample_at(sol: PotentialSolution, t: float) -> FunctionalSample:
     return FunctionalSample(float(t), *(float(v[0]) for v in vals))
 
 
-def explicit_dF(sol: PotentialSolution, t: float) -> float:
-    """Closed-form derivative of F at level t.
-
-    -area * [ric_rad + (H - 2|grad w|)^2 / 2]; the tangential-gradient
-    and traceless-shear contributions vanish identically on round level
-    sets (see LevelSet) and are therefore not computed.
-    """
-    return float(_fields_at(sol, float(t))[7][0])
-
-
 def build_series(sol: PotentialSolution, t_max: Optional[float] = None,
                  n: int = 2001) -> FunctionalSeries:
     """Sample the functionals on a uniform level grid [0, t_max]."""
@@ -178,10 +161,8 @@ class MonotonicityReport:
 
 
 def _ric_nonneg_on_window(metric, s_lo, s_hi, n=2048):
-    grid = np.geomspace(max(s_lo, 1e-12), s_hi, n)
-    _, _, _, ric_rad, ric_tan, _ = metrics._curvature_arrays(metric, grid)
-    scale = np.abs(ric_rad) + 2.0 * np.abs(ric_tan) + 1e-300
-    return bool(np.all(np.minimum(ric_rad, ric_tan) >= -metrics.PINCH_SLACK * scale))
+    _, ric_ok = metrics._pinch_margins(metric, np.geomspace(max(s_lo, 1e-12), s_hi, n))
+    return bool(np.all(ric_ok))
 
 
 def check_monotonicity(series: FunctionalSeries,
@@ -236,8 +217,8 @@ class GenusZeroResult:
 def genus_zero_inequality_check(sol: PotentialSolution, t: float,
                                 epsilon: float) -> GenusZeroResult:
     s = float(sol.s_of_t(float(t)))
-    eps_star, ric_ok = metrics._pinch_margins(sol.metric, np.array([s]))
-    hypothesis = bool(ric_ok[0] and eps_star[0] >= epsilon - metrics.PINCH_SLACK)
+    ok, eps_star = metrics.pinched(sol.metric, np.array([s]), epsilon)
+    hypothesis = bool(ok[0])
     point = metrics.curvature_at(sol.metric, s)
     area = FOUR_PI * point.areal_radius**2
     willmore = area * (2.0 * sol.metric.df(s) / point.areal_radius) ** 2

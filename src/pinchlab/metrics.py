@@ -23,7 +23,6 @@ from __future__ import annotations
 import csv
 import logging
 import math
-import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Tuple
 
@@ -158,8 +157,8 @@ def power_law(coefficient: float, exponent: float) -> WarpFunction:
     """
     c = float(coefficient)
     b = float(exponent)
-    if c <= 0 or b <= 0:
-        raise UsageError("power-law warp needs positive coefficient and exponent")
+    if not (0 < c < math.inf and 0 < b < math.inf):
+        raise UsageError("power-law warp needs positive finite coefficient and exponent")
     return from_callables(
         "power",
         lambda s: c * s ** b,
@@ -187,8 +186,8 @@ def schwarzschild_slice(mass: float) -> WarpFunction:
     which makes the slice scalar-flat: R = -4m/r^3 + 4m/r^3 = 0.
     """
     m = float(mass)
-    if m <= 0:
-        raise UsageError(f"schwarzschild mass must be positive, got {m}")
+    if not 0 < m < math.inf:
+        raise UsageError(f"schwarzschild mass must be positive and finite, got {m}")
     sqrt2m = math.sqrt(2.0 * m)
 
     def s_of_xi(xi):
@@ -238,8 +237,8 @@ def sphere_cap_blend(cap_radius: float, blend_width: float) -> WarpFunction:
     w = float(blend_width)
     if not 0 < sc < math.pi / 2:
         raise UsageError(f"cap radius must lie in (0, pi/2), got {sc}")
-    if w <= 0:
-        raise UsageError(f"blend width must be positive, got {w}")
+    if not 0 < w < math.inf:
+        raise UsageError(f"blend width must be positive and finite, got {w}")
     sin_c, cos_c = math.sin(sc), math.cos(sc)
     slope = cos_c - (w / 3.0) * sin_c
     if slope <= 0:
@@ -314,8 +313,12 @@ def from_table(s_samples, f_samples, *, tail_coefficient=None, tail_exponent=Non
         raise UsageError("table needs matching 1-d s,f columns with at least 8 rows")
     if np.any(np.diff(s) <= 0):
         raise UsageError("table radii must be strictly increasing")
+    if not (np.all(np.isfinite(s)) and np.all(np.isfinite(fvals))):
+        raise UsageError("table values must be finite")
     if np.any(fvals <= 0) or s[0] < 0:
         raise UsageError("table must have f > 0 and s >= 0")
+    if not all(math.isfinite(v) for v in (tail_coefficient, tail_exponent) if v is not None):
+        raise UsageError("table tail overrides must be finite")
 
     spline = make_interp_spline(s, fvals, k=5)
     d1 = spline.derivative(1)
@@ -486,13 +489,23 @@ def _pinch_margins(metric: WarpFunction, s):
     return eps_star, ric_ok
 
 
+def pinched(metric: WarpFunction, s, epsilon: float):
+    """Where Ric >= 0 and Ric >= eps R g hold at the radii s, and the margins.
+
+    Returns (mask, eps_star) with eps_star as in ``PinchReport``.
+    """
+    eps_star, ric_ok = _pinch_margins(metric, s)
+    return ric_ok & (eps_star >= epsilon - PINCH_SLACK), eps_star
+
+
 def check_pinching(metric: WarpFunction, epsilon: float, s_range, n_samples: int) -> PinchReport:
     """Scan whether Ric >= 0 and Ric >= eps * R * g hold over a window.
 
     Samples a log-spaced grid, then refines the first failure radius by
-    bisection to 1e-6.  Passing means every sampled radius satisfies both
-    conditions; a smooth margin between sign changes makes the sampled
-    verdict reliable for the catalog profiles.
+    bisection to 1e-6, or to adjacent floats where 1e-6 is below one ulp.
+    Passing means every sampled radius satisfies both conditions; a
+    smooth margin between sign changes makes the sampled verdict reliable
+    for the catalog profiles.
     """
     epsilon = float(epsilon)
     if epsilon <= 0:
@@ -508,8 +521,7 @@ def check_pinching(metric: WarpFunction, epsilon: float, s_range, n_samples: int
         raise DomainError("pinching window must start at positive radius")
 
     grid = np.geomspace(s_lo, s_hi, int(n_samples))
-    eps_star, ric_ok = _pinch_margins(metric, grid)
-    ok = ric_ok & (eps_star >= epsilon - PINCH_SLACK)
+    ok, eps_star = pinched(metric, grid, epsilon)
     passed = bool(np.all(ok))
 
     first_failure = None
@@ -521,8 +533,9 @@ def check_pinching(metric: WarpFunction, epsilon: float, s_range, n_samples: int
             lo, hi = float(grid[i - 1]), float(grid[i])
             while hi - lo > 1e-6:
                 mid = 0.5 * (lo + hi)
-                e, r = _pinch_margins(metric, np.array([mid]))
-                if r[0] and e[0] >= epsilon - PINCH_SLACK:
+                if mid in (lo, hi):  # adjacent floats: 1e-6 is below one ulp
+                    break
+                if pinched(metric, np.array([mid]), epsilon)[0][0]:
                     lo = mid
                 else:
                     hi = mid
@@ -534,19 +547,6 @@ def check_pinching(metric: WarpFunction, epsilon: float, s_range, n_samples: int
 # Volumes and growth
 # ---------------------------------------------------------------------------
 
-_VOLUME_CACHE: "weakref.WeakKeyDictionary[WarpFunction, PanelQuadrature]" = weakref.WeakKeyDictionary()
-
-
-def _volume_quadrature(metric: WarpFunction, r_needed: float) -> PanelQuadrature:
-    quad = _VOLUME_CACHE.get(metric)
-    if quad is None or quad.hi < r_needed:
-        hi = min(max(4.0 * r_needed, 100.0), metric.domain_end)
-        edges = panel_edges(metric.domain_start, hi, metric.breakpoints)
-        quad = PanelQuadrature(lambda s: metric.f(s) ** 2, edges)
-        _VOLUME_CACHE[metric] = quad
-    return quad
-
-
 def volume_ball(metric: WarpFunction, r):
     """Volume of the centred ball of arclength radius r.
 
@@ -557,7 +557,9 @@ def volume_ball(metric: WarpFunction, r):
     r_arr = np.atleast_1d(np.asarray(r, float))
     if np.any(r_arr <= metric.domain_start) or np.any(r_arr > metric.domain_end):
         raise DomainError(f"ball radius outside domain of {metric.label}")
-    quad = _volume_quadrature(metric, float(np.max(r_arr)))
+    hi = min(max(4.0 * float(np.max(r_arr)), 100.0), metric.domain_end)
+    quad = PanelQuadrature(lambda s: metric.f(s) ** 2,
+                           panel_edges(metric.domain_start, hi, metric.breakpoints))
     vol = metric.core_volume + 4.0 * math.pi * quad.integral_from_start(r_arr)
     return float(vol[0]) if np.asarray(r).ndim == 0 else vol
 

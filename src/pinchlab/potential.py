@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import logging
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +29,7 @@ import numpy as np
 from .errors import DomainError, NonparabolicityError, NumericError
 from .metrics import WarpFunction
 from .quadrature import PanelQuadrature, panel_edges
+from .stencils import five_point_first
 
 log = logging.getLogger(__name__)
 
@@ -148,24 +148,6 @@ class TailIntegrator:
         return self.quad.edges, self._suffix_at_edges
 
 
-_TAIL_OP_CACHE: "weakref.WeakKeyDictionary[WarpFunction, TailIntegrator]" = weakref.WeakKeyDictionary()
-
-
-def tail_integral(metric: WarpFunction, s: float) -> float:
-    """Integral of f^-2 from s to infinity (the radial Green kernel)."""
-    s = float(s)
-    metric.require_contains(s)
-    integ = _TAIL_OP_CACHE.get(metric)
-    if integ is None or not (integ.quad.lo <= s <= integ.usable_hi):
-        s_lo = max(metric.domain_start, 0.5 * s)
-        s_hi = s
-        if integ is not None:
-            s_lo = min(s_lo, integ.quad.lo)
-        integ = TailIntegrator(metric, s_lo, s_hi)
-        _TAIL_OP_CACHE[metric] = integ
-    return float(integ.value(s))
-
-
 @dataclass(frozen=True)
 class LevelSet:
     """One level set {w = t}: a round sphere of areal radius f(s).
@@ -269,12 +251,10 @@ class PotentialSolution:
         s_arr = np.asarray(s, float)
         return self.metric.f(s_arr) ** -2.0 / self.tail(s_arr)
 
-    t_of_s = w
-
     # -- level-set parametrization -------------------------------------------
 
     def s_of_t(self, t):
-        """Radius of the level set {w = t}; inverse of t_of_s.
+        """Radius of the level set {w = t}; inverse of w.
 
         Monotone-interpolant seed polished by Newton iterations on the
         closed-form residual; the round trip |w(s(t)) - t| lands at
@@ -318,11 +298,7 @@ class PotentialSolution:
         """
         t_diag = np.linspace(0.2, 0.9 * min(self.t_max, 6.0), 12)
         s_diag = np.atleast_1d(self.s_of_t(t_diag))
-        h = 0.01 * s_diag
-        offsets = np.array([-2.0, -1.0, 1.0, 2.0])
-        pts = s_diag[:, None] + h[:, None] * offsets[None, :]
-        uvals = self.u(pts.ravel()).reshape(pts.shape)
-        du = (uvals[:, 0] - 8 * uvals[:, 1] + 8 * uvals[:, 2] - uvals[:, 3]) / (12 * h)
+        du = five_point_first(self.u, s_diag, 0.01 * s_diag)
         flux = self.metric.f(s_diag) ** 2 * du
         resid = np.abs(flux * self._i0 + 1.0)
         worst = float(resid.max())
@@ -342,11 +318,6 @@ def beta_law_const(metric: WarpFunction) -> float:
 def solve_potential(domain: ExteriorDomain, t_max: float = 8.0, s_max=None) -> PotentialSolution:
     """Solve the exterior problem Delta u = 0, u|_boundary = 1, u -> 0."""
     return PotentialSolution(domain, t_max=t_max, s_max=s_max)
-
-
-def level_radius(sol: PotentialSolution, t) -> float:
-    """Radius s of the level set {w = t} (t >= 0)."""
-    return sol.s_of_t(t)
 
 
 def capacity_scaling_check(sol: PotentialSolution, t_grid) -> float:

@@ -179,6 +179,14 @@ def test_sweep_grid_and_determinism(tmp_path):
     assert (tmp_path / "sweep.json").read_bytes() == json_bytes
 
 
+def test_sweep_non_finite_axis_is_usage_error(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"out_dir": str(tmp_path),
+                                    "sweep": {"kind": ["flat"], "s0": [1.0, math.nan]}}))
+    assert cli.main(["sweep", "--config", str(cfg_path)]) == 64
+    assert "usage error" in capsys.readouterr().err
+
+
 def test_sweep_without_section_is_usage_error(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"t_max": 4.0}))
@@ -193,6 +201,18 @@ def test_config_unknown_key_rejected(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"tmax": 4.0}))
     assert cli.main(["solve", "--config", str(cfg_path)]) == 64
+
+
+@pytest.mark.parametrize("flags", [
+    ["--t-max", "nan"], ["--t-max", "inf"], ["--s0", "nan"], ["--s0", "inf"],
+    ["--epsilon", "nan"], ["--param", "beta=nan"], ["--param", "c=inf"],
+    ["--kind", "schwarzschild", "--param", "m=inf"],
+    ["--kind", "sphere_cap_blend", "--param", "blend_width=nan"],
+])
+def test_non_finite_input_is_usage_error(tmp_path, capsys, flags):
+    argv = ["refute", "--kind", "power", "--out-dir", str(tmp_path)] + flags
+    assert cli.main(argv) == 64
+    assert "usage error" in capsys.readouterr().err
 
 
 def test_config_epsilon_range_enforced():

@@ -44,12 +44,12 @@ def test_explicit_dF_flat_and_cone(solve_cache):
     for kind in ("flat", "cone"):
         sol = solve_cache(kind, 1.0)
         for t in (0.0, 1.0, 4.0):
-            assert abs(pl.explicit_dF(sol, t)) < 1e-9
+            assert abs(pl.sample_at(sol, t).dF_explicit) < 1e-9
 
 
 def test_explicit_dF_power_at_boundary(solve_cache):
     sol = solve_cache("power", 1.0)
-    assert pl.explicit_dF(sol, 0.0) == pytest.approx(-1.6 * math.pi, abs=1e-9)
+    assert pl.sample_at(sol, 0.0).dF_explicit == pytest.approx(-1.6 * math.pi, abs=1e-9)
 
 
 def test_explicit_dF_matches_series_column(solve_cache):
@@ -57,7 +57,7 @@ def test_explicit_dF_matches_series_column(solve_cache):
     series = pl.build_series(sol, n=11)
     for i in (0, 5, 10):
         assert series.dF_explicit[i] == pytest.approx(
-            pl.explicit_dF(sol, float(series.t[i])), rel=1e-13)
+            pl.sample_at(sol, float(series.t[i])).dF_explicit, rel=1e-13)
 
 
 # ---------------------------------------------------------------------------

@@ -188,6 +188,18 @@ def test_pinching_witness_refined_by_bisection():
     assert report.first_failure_s == pytest.approx(s_target, abs=2e-6)
 
 
+@settings(max_examples=20, deadline=2000)
+@given(epsilon=st.floats(0.0085, 0.0099))
+def test_pinching_bisection_ends_where_ulp_exceeds_tolerance(epsilon):
+    # the first failure lies past 1e14, where adjacent floats are further
+    # apart than the 1e-6 bisection tolerance
+    metric = pl.power_law(1.0, 0.99)
+    report = pl.check_pinching(metric, epsilon, (1.0, 1e18), 400)
+    assert not report.passed
+    assert 1e14 < report.first_failure_s <= 1e18
+    assert not pl.metrics.pinched(metric, np.array([report.first_failure_s]), epsilon)[0][0]
+
+
 def test_pinching_usage_errors():
     with pytest.raises(UsageError):
         pl.check_pinching(pl.flat_space(), 0.1, (1.0, 2.0), 1)
@@ -226,6 +238,13 @@ def test_volume_power_closed_form():
     metric = pl.power_law(1.0, 0.8)
     for r in (10.0, 40.0, 100.0):
         assert pl.volume_ball(metric, r) == pytest.approx(4 * math.pi * r**2.6 / 2.6, rel=1e-10)
+
+
+def test_volume_ball_is_history_independent():
+    fresh = pl.power_law(1.0, 0.8)
+    used = pl.power_law(1.0, 0.8)
+    pl.volume_ball(used, 1e4)
+    assert pl.volume_ball(used, 10.0) == pl.volume_ball(fresh, 10.0)
 
 
 def test_volume_capped_cone_leading_order():

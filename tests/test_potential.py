@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import pinchlab as pl
 from pinchlab.errors import DomainError, NonparabolicityError
+from pinchlab.potential import TailIntegrator
 from pinchlab.stencils import five_point_first, five_point_second
 
 from test_metrics import schw_arclength
@@ -17,15 +18,15 @@ from test_metrics import schw_arclength
 # ---------------------------------------------------------------------------
 
 def test_tail_integral_flat():
-    assert pl.tail_integral(pl.flat_space(), 2.0) == pytest.approx(0.5, rel=1e-9)
+    assert TailIntegrator(pl.flat_space(), 2.0, 2.0).value(2.0) == pytest.approx(0.5, rel=1e-9)
 
 
 def test_tail_integral_cone():
-    assert pl.tail_integral(pl.cone(0.5), 1.0) == pytest.approx(4.0, rel=1e-9)
+    assert TailIntegrator(pl.cone(0.5), 1.0, 1.0).value(1.0) == pytest.approx(4.0, rel=1e-9)
 
 
 def test_tail_integral_power():
-    assert pl.tail_integral(pl.power_law(1.0, 0.8), 1.0) == pytest.approx(1.0 / 0.6, rel=1e-9)
+    assert TailIntegrator(pl.power_law(1.0, 0.8), 1.0, 1.0).value(1.0) == pytest.approx(1.0 / 0.6, rel=1e-9)
 
 
 def test_tail_integral_schwarzschild():
@@ -35,21 +36,21 @@ def test_tail_integral_schwarzschild():
     for r in (2.0, 3.0, 10.0):
         s = schw_arclength(r)
         expect = 1.0 - math.sqrt(1.0 - 2.0 / r)
-        assert pl.tail_integral(metric, s) == pytest.approx(expect, rel=1e-9)
+        assert TailIntegrator(metric, s, s).value(s) == pytest.approx(expect, rel=1e-9)
 
 
 @pytest.mark.parametrize("beta", [0.5, 0.4, 0.2])
 def test_nonparabolic_tail_rejected(beta):
     metric = pl.power_law(1.0, beta)
     with pytest.raises(NonparabolicityError):
-        pl.tail_integral(metric, 1.0)
+        TailIntegrator(metric, 1.0, 1.0)
     with pytest.raises(NonparabolicityError):
         pl.solve_potential(pl.ExteriorDomain(metric, 1.0))
 
 
 def test_superlinear_tail_rejected():
     with pytest.raises(DomainError):
-        pl.tail_integral(pl.power_law(1.0, 1.2), 1.0)
+        TailIntegrator(pl.power_law(1.0, 1.2), 1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -131,18 +132,18 @@ def test_grad_w_equals_minus_log_derivative(catalog_bundle):
 
 def test_level_radius_flat(solve_cache):
     sol = solve_cache("flat", 1.0)
-    assert pl.level_radius(sol, 1.0) == pytest.approx(math.e, abs=1e-10)
+    assert sol.s_of_t(1.0) == pytest.approx(math.e, abs=1e-10)
 
 
 def test_level_radius_boundary_is_exact(catalog_bundle):
     for name, (metric, sol, series) in catalog_bundle.items():
-        assert pl.level_radius(sol, 0.0) == sol.s0, name
+        assert sol.s_of_t(0.0) == sol.s0, name
 
 
 def test_level_radius_power(solve_cache):
     # t(s) = 0.6 log s for the beta = 0.8 profile from s0 = 1
     sol = solve_cache("power", 1.0)
-    assert pl.level_radius(sol, 0.6) == pytest.approx(math.e, abs=1e-10)
+    assert sol.s_of_t(0.6) == pytest.approx(math.e, abs=1e-10)
 
 
 def test_level_radius_monotone(catalog_bundle):
@@ -154,16 +155,16 @@ def test_level_radius_monotone(catalog_bundle):
 def test_level_radius_beyond_grid_raises(solve_cache):
     sol = solve_cache("flat", 1.0)
     with pytest.raises(DomainError):
-        pl.level_radius(sol, sol.t_usable + 1.0)
+        sol.s_of_t(sol.t_usable + 1.0)
     with pytest.raises(DomainError):
-        pl.level_radius(sol, -0.5)
+        sol.s_of_t(-0.5)
 
 
 @settings(max_examples=60, deadline=None)
 @given(t=st.floats(0.0, 5.0))
 def test_level_roundtrip_property(solve_cache, t):
     sol = solve_cache("power", 1.0)
-    s = pl.level_radius(sol, t)
+    s = sol.s_of_t(t)
     assert abs(float(sol.w(s)) - t) < 1e-10
 
 
