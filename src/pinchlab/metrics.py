@@ -24,6 +24,7 @@ import csv
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Mapping, Optional, Tuple
 
 import numpy as np
@@ -74,6 +75,17 @@ class WarpFunction:
 
     def d2f(self, s):
         return self.d2fn(np.asarray(s, float))
+
+    @cached_property
+    def law_mismatch(self):
+        """Probe radii out to the table end, 1e300 or the end of the float range,
+        each with the largest tail-law mismatch |f/(c s^beta) - 1| from there on."""
+        lo, hi = max(self.domain_start, 1e-6), min(self.domain_end, 1e300)
+        radii = np.geomspace(lo, hi, int(4 * math.log10(hi / lo)) + 2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = np.abs(self.f(radii) / (self.tail_coefficient * radii**self.tail_exponent) - 1.0)
+        finite = np.logical_and.accumulate(np.isfinite(m))
+        return radii[finite], np.maximum.accumulate(m[finite][::-1])[::-1]
 
     @property
     def label(self) -> str:
@@ -190,9 +202,7 @@ def schwarzschild_slice(mass: float) -> WarpFunction:
         raise UsageError(f"schwarzschild mass must be positive and finite, got {m}")
     sqrt2m = math.sqrt(2.0 * m)
 
-    def s_of_xi(xi):
-        r = 2.0 * m + xi * xi
-        return xi * np.sqrt(r) + 2.0 * m * np.log((np.sqrt(r) + xi) / sqrt2m)
+    two_m = 2.0 * m
 
     def r_of_s(s):
         s = np.asarray(s, float)
@@ -200,11 +210,21 @@ def schwarzschild_slice(mass: float) -> WarpFunction:
             raise DomainError("schwarzschild slice starts at the horizon s = 0")
         # s(xi) is convex with ds/dxi = 2 sqrt(r), and s(r) >= r - 2m gives
         # xi <= sqrt(s); Newton from that upper seed converges monotonically.
-        xi = np.sqrt(s)
+        # Each step xi -= (s(xi) - s) / (2 sqrt(r)) runs in place in two work
+        # arrays, so large grids allocate no temporaries per iteration.
+        xi = np.sqrt(s, out=np.empty_like(s))
+        a, b = np.empty_like(xi), np.empty_like(xi)
         for _ in range(12):
-            xi = xi - (s_of_xi(xi) - s) / (2.0 * np.sqrt(2.0 * m + xi * xi))
-            xi = np.maximum(xi, 0.0)
-        return 2.0 * m + xi * xi
+            np.sqrt(np.add(np.multiply(xi, xi, out=a), two_m, out=a), out=a)  # sqrt(r)
+            np.log(np.divide(np.add(a, xi, out=b), sqrt2m, out=b), out=b)
+            b *= two_m  # 2m log((sqrt(r) + xi) / sqrt(2m))
+            b += np.multiply(a, xi, out=a)  # s(xi)
+            b -= s
+            np.sqrt(np.add(np.multiply(xi, xi, out=a), two_m, out=a), out=a)
+            b /= np.multiply(a, 2.0, out=a)
+            xi -= b
+            np.maximum(xi, 0.0, out=xi)
+        return two_m + xi * xi
 
     return from_callables(
         "schwarzschild",
@@ -251,19 +271,19 @@ def sphere_cap_blend(cap_radius: float, blend_width: float) -> WarpFunction:
     intercept = f_b - slope * s_b
 
     def fn(s):
-        x = (s - sc) / w
+        x = (np.clip(s, sc, s_b) - sc) / w
         blend = sin_c + w * cos_c * x - w * w * sin_c * (x**2 / 2 - x**3 / 3 + x**4 / 12)
         return np.where(s <= sc, np.sin(np.minimum(s, sc)),
                         np.where(s >= s_b, slope * s + intercept, blend))
 
     def dfn(s):
-        x = (s - sc) / w
+        x = (np.clip(s, sc, s_b) - sc) / w
         blend = cos_c - w * sin_c * (x - x**2 + x**3 / 3)
         return np.where(s <= sc, np.cos(np.minimum(s, sc)),
                         np.where(s >= s_b, np.full_like(s, slope), blend))
 
     def d2fn(s):
-        x = (s - sc) / w
+        x = (np.clip(s, sc, s_b) - sc) / w
         blend = -sin_c * (1.0 - x) ** 2
         return np.where(s <= sc, -np.sin(np.minimum(s, sc)),
                         np.where(s >= s_b, np.zeros_like(s), blend))
@@ -363,12 +383,21 @@ def from_table(s_samples, f_samples, *, tail_coefficient=None, tail_exponent=Non
 
 def load_table_csv(path, **kwargs) -> WarpFunction:
     """Read a `s,f` CSV (header required) into a tabulated warp profile."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:2]] != ["s", "f"]:
-            raise UsageError(f"{path}: expected CSV header 's,f'")
-        rows = [(float(r[0]), float(r[1])) for r in reader if r]
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None or [h.strip() for h in header[:2]] != ["s", "f"]:
+                raise UsageError(f"{path}: expected CSV header 's,f'")
+            rows = []
+            for r in filter(None, reader):
+                try:
+                    rows.append((float(r[0]), float(r[1])))
+                except (ValueError, IndexError):
+                    raise UsageError(f"{path}, line {reader.line_num}: expected two "
+                                     f"numbers s,f, got {','.join(r)!r}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read table {path}: {getattr(exc, 'strerror', None) or exc}") from None
     if not rows:
         raise UsageError(f"{path}: empty table")
     s, fvals = zip(*rows)

@@ -33,12 +33,31 @@ from .stencils import five_point_first
 
 log = logging.getLogger(__name__)
 
-#: relative accuracy demanded of the fitted tail law at the truncation
-#: radius, and maximum fraction of any queried integral the analytic tail
-#: correction may contribute.  Together these keep the truncation error
-#: of the improper integral far below the 1e-9 budget.
-TAIL_LAW_RTOL = 1e-6
-TAIL_FRACTION = 1e-10
+#: largest error the analytic tail beyond the truncation radius may add to
+#: a queried I(s), relative to I at the top of the queried range
+TAIL_BUDGET = 1e-10
+
+
+def _tail_law(metric: WarpFunction):
+    """(c, beta) of the tail law f ~ c s^beta, with beta in (1/2, 1]."""
+    beta = metric.tail_exponent
+    if beta <= 0.5:
+        raise NonparabolicityError(
+            f"{metric.label}: tail exponent beta={beta:g} <= 1/2, the warp tail "
+            "decays too slowly for a decaying exterior potential"
+        )
+    if beta > 1.0 + 1e-12:
+        raise DomainError(
+            f"{metric.label}: tail exponent beta={beta:g} > 1 is outside the "
+            "supported range (1/2, 1]"
+        )
+    return metric.tail_coefficient, beta
+
+
+def _outward(radii, mismatch, s):
+    """s and the probe radii past it, each with the law mismatch from there on."""
+    at = np.concatenate([[s], radii[radii > s]])
+    return at, mismatch[np.searchsorted(radii, at, side="right") - 1]
 
 
 @dataclass(frozen=True)
@@ -55,85 +74,35 @@ class ExteriorDomain:
 class TailIntegrator:
     """Evaluates I(s) = integral of f^-2 over [s, infinity).
 
-    The improper integral is truncated at a radius s_cut chosen so that
-    (a) the fitted tail law c*s^beta matches f to TAIL_LAW_RTOL there and
-    (b) the analytic remainder c^-2 s_cut^(1-2 beta)/(2 beta - 1) is at
-    most TAIL_FRACTION of the integral at any queried radius up to
-    ``usable_hi``.  Both conditions are logged.  Tabulated profiles
-    cannot be extended past their last row; in that degraded mode the
-    achievable accuracy is logged as a warning.
+    Panel quadrature covers [s_lo, s_cut] and the pure tail law
+    c^-2 s_cut^(1-2 beta)/(2 beta - 1) stands in for the rest.  Where the
+    law mismatch |f/(c s^beta) - 1| stays below m from s_cut outward, that
+    stand-in errs by at most 3 m of the law's value at s_cut, so s_cut is
+    the first probe radius past ``usable_hi`` (the top of the queried
+    range) where this error is within TAIL_BUDGET of I there.  If no probe
+    radius meets the budget (a table ends first), the integrator stops at
+    the last one, is ``degraded`` and says so in a warning.
     """
 
     def __init__(self, metric: WarpFunction, s_lo: float, s_query_hi: float):
-        beta = metric.tail_exponent
-        c = metric.tail_coefficient
-        if beta <= 0.5:
-            raise NonparabolicityError(
-                f"{metric.label}: tail exponent beta={beta:g} <= 1/2, the warp tail "
-                "decays too slowly for a decaying exterior potential"
-            )
-        if beta > 1.0 + 1e-12:
-            raise DomainError(
-                f"{metric.label}: tail exponent beta={beta:g} > 1 is outside the "
-                "supported range (1/2, 1]"
-            )
-        self.metric = metric
-        self.beta = beta
-        self.c = c
+        c, beta = _tail_law(metric)
         s_lo = float(s_lo)
-        s_query_hi = max(float(s_query_hi), s_lo * 2.0, 1.0)
+        s_hi = min(max(float(s_query_hi), s_lo * 2.0, 1.0), metric.domain_end)
 
-        exp10 = min(-math.log10(TAIL_FRACTION) / (2.0 * beta - 1.0), 250.0)
-        self._fraction_decades = exp10
-        s_rule = s_query_hi * 10.0 ** exp10
-        if not math.isfinite(s_rule) or s_rule > 1e280:
-            s_rule = 1e280
-            log.warning("%s: tail fraction target clipped by float range", metric.label)
-
-        # first radius where the tail law matches f to TAIL_LAW_RTOL
-        probe_lo = max(s_lo, metric.domain_start, 1e-6)
-        probe_hi = min(s_rule, metric.domain_end)
-        probe = np.geomspace(max(probe_lo, 1e-6), probe_hi, 600)
-        mismatch = np.abs(metric.f(probe) / (c * probe**beta) - 1.0)
-        hit = np.nonzero(mismatch <= TAIL_LAW_RTOL)[0]
-        if len(hit):
-            s_law = float(probe[hit[0]])
-        else:
-            s_law = probe_hi
-            log.warning(
-                "%s: tail law never matches f to %.0e on the probe grid "
-                "(best %.2e); truncation error may exceed budget",
-                metric.label, TAIL_LAW_RTOL, float(mismatch.min()),
-            )
-        s_cut = max(s_rule, s_law, 10.0 * s_query_hi)
-
-        self.degraded = False
-        if s_cut > metric.domain_end:
-            s_cut = metric.domain_end
-            self.degraded = True
-
-        self.s_cut = s_cut
+        radii, mismatch = metric.law_mismatch
+        at, m = _outward(radii, mismatch, s_hi)
+        err = 3.0 * m * (at / s_hi) ** (1.0 - 2.0 * beta)  # relative to the law at s_hi
+        ok = err <= TAIL_BUDGET
+        self.degraded = not ok.any()
+        i = len(at) - 1 if self.degraded else int(np.argmax(ok))
+        s_cut = self.s_cut = float(at[i])
+        self.usable_hi = s_hi
         self.tail_const = s_cut ** (1.0 - 2.0 * beta) / (c * c * (2.0 * beta - 1.0))
         edges = panel_edges(s_lo, s_cut, metric.breakpoints)
         self.quad = PanelQuadrature(lambda s: metric.f(s) ** -2.0, edges)
-        self._suffix_at_edges = self.quad.total - self.quad.prefix + self.tail_const
-
-        if self.degraded:
-            self.usable_hi = metric.domain_end
-            frac = self.tail_const / self.value(min(s_query_hi, self.usable_hi))
-            law_err = float(mismatch[np.searchsorted(probe, s_cut) - 1]) if len(probe) else float("nan")
-            log.warning(
-                "%s: tail truncated at the table end s=%.6g; analytic tail is "
-                "%.2e of the integral there (law mismatch %.2e) -- tabulated "
-                "profiles carry this accuracy caveat", metric.label, s_cut, frac, law_err,
-            )
-        else:
-            self.usable_hi = s_cut * 10.0 ** (-self._fraction_decades)
-            log.debug(
-                "%s: s_cut=%.6g (law matched at %.6g, fraction rule %.6g); "
-                "usable query radius %.6g", metric.label, s_cut, s_law, s_rule,
-                self.usable_hi,
-            )
+        (log.warning if self.degraded else log.debug)(
+            "%s: tail cut at s=%.6g for queries up to %.6g; analytic tail error "
+            "bound %.2e (budget %.0e)", metric.label, s_cut, s_hi, err[i], TAIL_BUDGET)
 
     def value(self, s):
         """I(s); vectorized over s within [grid start, usable_hi]."""
@@ -143,9 +112,6 @@ class TailIntegrator:
                 f"tail integral queried beyond usable radius {self.usable_hi:g}"
             )
         return self.quad.integral_to_end(s_arr) + self.tail_const
-
-    def values_at_edges(self):
-        return self.quad.edges, self._suffix_at_edges
 
 
 @dataclass(frozen=True)
@@ -185,46 +151,47 @@ class PotentialSolution:
         if self.t_max <= 0:
             raise DomainError(f"t_max must be positive, got {t_max}")
 
-        beta = metric.tail_exponent
-        target_hi = max(s0 * 2.0, 1.0)
-        if s_max is not None:
-            target_hi = max(target_hi, float(s_max))
-        integ = None
-        for _ in range(6):
-            integ = TailIntegrator(metric, s0, target_hi)
-            i0 = float(integ.value(s0))
-            if integ.degraded:
-                break
-            t_usable = math.log(i0 / float(integ.value(integ.usable_hi)))
-            if t_usable >= self.t_max + 0.1:
-                break
-            # invert the pure tail law at the level t_max to size the grid
-            val = i0 * math.exp(-self.t_max) * beta_law_const(metric)
-            law_s = math.exp(math.log(val) / (1.0 - 2.0 * beta)) if val > 0 else target_hi * 10
-            target_hi = max(target_hi * 10.0, law_s * 4.0)
-        else:
+        # I(s0) >= I(p) >= (1 - 3 m(p)) I_law(p) at every probe radius p past
+        # s0; inverting the pure law I_law(s) = s^(1-2 beta)/(c^2 (2 beta - 1))
+        # at that bound times e^-(t_max + 0.1) bounds the radius of the level
+        # t_max from above, so one integrator sized there reaches it.
+        _, beta = _tail_law(metric)
+        radii, mismatch = metric.law_mismatch
+        p, m = _outward(radii, mismatch, max(s0, radii[0]))
+        trusted = m < 1.0 / 3.0
+        if not trusted.any():
+            raise NumericError(f"{metric.label}: the tail law never comes within 1/3 of f")
+        log_lower = np.log1p(-3.0 * m[trusted]) + (1.0 - 2.0 * beta) * np.log(p[trusted])
+        log_s = (float(log_lower.max()) - self.t_max - 0.1) / (1.0 - 2.0 * beta)
+        s_level = radii[-1]  # tabulated: levels end at the last row
+        if log_s <= math.log(radii[-1]):
+            s_level = math.exp(log_s)
+        elif radii[-1] < metric.domain_end:
             raise NumericError(
-                f"{metric.label}: could not extend the tail grid to reach t_max={t_max}"
+                f"{metric.label}: the level t={self.t_max:g} lies near s=1e{log_s / math.log(10):.0f}, "
+                f"outside the float range (the tail law is probed up to s={radii[-1]:.3g})"
             )
+        integ = TailIntegrator(metric, s0, max(s_level, float(s_max or 0.0)))
         self._integ = integ
-        self._i0 = i0
+        self._i0 = i0 = float(integ.value(s0))
         self.ncap = 1.0 / i0
         self.s_cut = integ.s_cut
 
-        edges, i_edges = integ.values_at_edges()
+        edges = integ.quad.edges
+        i_edges = integ.quad.total - integ.quad.prefix + integ.tail_const
         mask = (edges >= s0 * (1 - 1e-12)) & (edges <= integ.usable_hi * (1 + 1e-12))
-        s_seed = edges[mask]
-        t_seed = np.log(self._i0 / i_edges[mask])
+        t_seed = np.log(i0 / i_edges[mask])
         keep = np.concatenate([[True], np.diff(t_seed) > 1e-13])
         from scipy.interpolate import PchipInterpolator
 
-        self._seed = PchipInterpolator(t_seed[keep], s_seed[keep], extrapolate=True)
+        self._seed = PchipInterpolator(t_seed[keep], edges[mask][keep], extrapolate=True)
         self.t_usable = float(t_seed[keep][-1])
-        if integ.degraded and self.t_usable < self.t_max:
-            log.warning(
-                "%s: tabulated profile only reaches t=%.4g < requested t_max=%.4g",
-                metric.label, self.t_usable, self.t_max,
-            )
+        if self.t_usable < self.t_max:
+            if integ.usable_hi < metric.domain_end:
+                raise NumericError(f"{metric.label}: the tail grid reaches t={self.t_usable:.4g} "
+                                   f"only, short of t_max={self.t_max:g}")
+            log.warning("%s: tabulated profile only reaches t=%.4g < requested t_max=%.4g",
+                        metric.label, self.t_usable, self.t_max)
             self.t_max = self.t_usable
 
         self._verify_harmonic()
@@ -296,9 +263,11 @@ class PotentialSolution:
         -1/I(s0) everywhere; differencing quadrature-evaluated u values
         probes the consistency of the tail integrals to ~1e-8.
         """
-        t_diag = np.linspace(0.2, 0.9 * min(self.t_max, 6.0), 12)
+        t_diag = np.linspace(min(0.2, 0.5 * self.t_max), 0.9 * min(self.t_max, 6.0), 12)
         s_diag = np.atleast_1d(self.s_of_t(t_diag))
-        du = five_point_first(self.u, s_diag, 0.01 * s_diag)
+        # the stencil reaches 2 h either side and stays outside the boundary sphere
+        h = np.minimum(0.01 * s_diag, 0.5 * (s_diag - self.s0))
+        du = five_point_first(self.u, s_diag, h)
         flux = self.metric.f(s_diag) ** 2 * du
         resid = np.abs(flux * self._i0 + 1.0)
         worst = float(resid.max())
@@ -308,11 +277,6 @@ class PotentialSolution:
                 f"(flux residual {worst:.2e} > 1e-6)"
             )
         log.debug("%s: harmonic flux residual %.2e", self.metric.label, worst)
-
-
-def beta_law_const(metric: WarpFunction) -> float:
-    """c^2 (2 beta - 1), the constant in the pure tail law for I."""
-    return metric.tail_coefficient**2 * (2.0 * metric.tail_exponent - 1.0)
 
 
 def solve_potential(domain: ExteriorDomain, t_max: float = 8.0, s_max=None) -> PotentialSolution:

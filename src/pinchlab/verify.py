@@ -121,10 +121,6 @@ class _Scenario:
     def interior_levels(self, n=25):
         return np.linspace(0.05, 0.95, n) * self.t_max
 
-    @property
-    def ric_nonneg(self):
-        return functionals._ric_nonneg_on_window(self.metric, self.series.s[0], self.series.s[-1])
-
     @cached_property
     def monotonicity(self):
         return functionals.check_monotonicity(self.series)
@@ -280,7 +276,7 @@ SCENARIO_CHECKS = (
     Check("monotonicity", "G_ode", lambda sc: (functionals.check_G_ode(sc.series), 1e-4)),
     Check("monotonicity", "G_bounds",
           lambda sc: (float(np.maximum(-sc.series.G, sc.series.G - sc.series.F).max()), 1e-9),
-          lambda sc: _unless(sc.ric_nonneg, "UNMET",
+          lambda sc: _unless(sc.monotonicity.hypothesis_met, "UNMET",
                              "Ric >= 0 fails on the window; 0 <= G <= F not implied")),
     Check("decay", "decay_estimate", _decay_estimate, _decay_gate),
     Check("decay", "genus_zero_pointwise",

@@ -255,3 +255,47 @@ def test_user_table_through_cli(tmp_path):
 def test_help_exits_zero(capsys):
     assert cli.main(["--help"]) == 0
     assert cli.main(["verify", "--help"]) == 0
+
+
+@pytest.mark.parametrize("kind", ["flat", "cone", "power", "schwarzschild", "sphere_cap_blend"])
+@pytest.mark.parametrize("t_max", ["1e-4", "0.01", "0.3"])
+def test_small_t_max_exits_0(tmp_path, capsys, kind, t_max):
+    # the harmonic self-check's stencil must stay outside the boundary sphere
+    for command in ("refute", "solve"):
+        for s0 in ("0.5", "2"):
+            argv = [command, "--kind", kind, "--s0", s0, "--t-max", t_max,
+                    "--n-samples", "201", "--out-dir", str(tmp_path)]
+            assert cli.main(argv) == 0, (command, s0, capsys.readouterr().err)
+
+
+def test_power_level_beyond_float_range_exits_2(tmp_path, capsys):
+    # the level t_max = 8 lies near s = e^810, which no float represents
+    argv = ["refute", "--kind", "power", "--param", "beta=0.505", "--out-dir", str(tmp_path)]
+    assert cli.main(argv) == 2
+    assert "float range" in capsys.readouterr().err
+
+
+def _write(path, text):
+    path.write_text(text)
+    return path
+
+
+@pytest.mark.parametrize("case, expect", [
+    ("missing", "cannot read table"),
+    ("directory", "cannot read table"),
+    ("non_numeric", "line 3"),
+    ("one_column", "line 4"),
+])
+def test_user_table_csv_errors_are_usage_errors(tmp_path, capsys, case, expect):
+    rows = "".join(f"{s},{s}\n" for s in range(1, 12))
+    path = {
+        "missing": lambda: tmp_path / "absent.csv",
+        "directory": lambda: tmp_path,
+        "non_numeric": lambda: _write(tmp_path / "t.csv", "s,f\n1,1\n2,two\n" + rows),
+        "one_column": lambda: _write(tmp_path / "t.csv", "s,f\n1,1\n2,2\n3\n" + rows),
+    }[case]()
+    argv = ["solve", "--kind", "user_table", "--param", f"path={path}",
+            "--out-dir", str(tmp_path / "out")]
+    assert cli.main(argv) == 64
+    err = capsys.readouterr().err
+    assert "usage error" in err and str(path) in err and expect in err

@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -6,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pinchlab as pl
+from pinchlab.config import ScenarioConfig
 from pinchlab.functionals import FOUR_PI, SIXTEEN_PI, CSV_COLUMNS
+from pinchlab.verify import run_verify
 
 
 # ---------------------------------------------------------------------------
@@ -233,3 +236,12 @@ def test_flux_bound_property(solve_cache, t, kind):
     # equality exactly when H = 2 |grad w|
     if abs(smp.H - 2 * smp.grad_w) < 1e-12:
         assert smp.F == pytest.approx(smp.willmore / 4, abs=1e-9)
+
+
+def test_derivative_check_one_sided_at_blend_seam():
+    # with s0 = 0.5 inside the cap, a central difference of F straddles the
+    # C^2 seam at s_cap, where F'' jumps, and is only first order there
+    cfg = ScenarioConfig(s0=0.5, epsilon=0.01, t_max=3.0, suite="monotonicity")
+    results, code = run_verify(cfg, stream=io.StringIO())
+    assert code == 0
+    assert [r.name for r in results if r.status == "FAIL"] == []

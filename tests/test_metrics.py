@@ -62,6 +62,38 @@ def test_schwarzschild_arclength_matches_closed_form():
         assert metric.f(s) == pytest.approx(r, rel=1e-13)
 
 
+def _reference_r_of_s(m, s):
+    # the allocating form of the slice's Newton inversion; the in-place
+    # loop must reproduce it bit for bit
+    s = np.asarray(s, float)
+    sqrt2m = math.sqrt(2.0 * m)
+
+    def s_of_xi(xi):
+        r = 2.0 * m + xi * xi
+        return xi * np.sqrt(r) + 2.0 * m * np.log((np.sqrt(r) + xi) / sqrt2m)
+
+    xi = np.sqrt(s)
+    for _ in range(12):
+        xi = xi - (s_of_xi(xi) - s) / (2.0 * np.sqrt(2.0 * m + xi * xi))
+        xi = np.maximum(xi, 0.0)
+    return 2.0 * m + xi * xi
+
+
+@pytest.mark.parametrize("mass", [0.3, 1.0, 2.5])
+def test_schwarzschild_profile_is_bit_identical_to_reference(mass):
+    metric = pl.schwarzschild_slice(mass)
+    s = np.concatenate([[0.0], np.geomspace(1e-9, 1e9, 20001)])
+    r = _reference_r_of_s(mass, s)
+    assert np.array_equal(metric.f(s), r)
+    assert np.array_equal(metric.df(s), np.sqrt(1.0 - 2.0 * mass / r))
+    assert np.array_equal(metric.d2f(s), mass / r**2)
+    for point in (0.0, 3.7):
+        value = metric.f(np.float64(point))
+        assert np.ndim(value) == 0
+        assert value == _reference_r_of_s(mass, point)
+    assert metric.f(0.0) == 2.0 * mass
+
+
 @pytest.mark.parametrize("kind", ["flat", "cone", "power", "schwarzschild", "sphere_cap_blend"])
 def test_trace_identity_on_catalog(kind):
     metric = pl.build_metric(kind)

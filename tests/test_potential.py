@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pinchlab as pl
-from pinchlab.errors import DomainError, NonparabolicityError
+from pinchlab.errors import DomainError, NonparabolicityError, NumericError
 from pinchlab.potential import TailIntegrator
 from pinchlab.stencils import five_point_first, five_point_second
 
@@ -224,3 +224,50 @@ def test_table_metric_through_potential(tmp_path):
     assert sol.ncap == pytest.approx(1.0, rel=1e-6)
     probe = np.geomspace(1.0, 50.0, 20)
     assert np.abs(sol.u(probe) * probe - 1.0).max() < 1e-6
+
+
+@pytest.mark.parametrize("s_end", [521.0, 563.0, 2000.0])
+def test_table_levels_end_at_last_row(s_end):
+    # the level t_max = 8 of a flat profile lies at s = e^8 > s_end, so the
+    # levels stop at the table's last row, t = log(s_end), with a warning;
+    # exp(log(s_end)) equals s_end, exceeds it or falls short of it
+    s = np.geomspace(0.5, s_end, 900)
+    sol = pl.solve_potential(pl.ExteriorDomain(pl.from_table(s, s.copy()), 1.0), t_max=8.0)
+    assert sol.t_max == sol.t_usable
+    assert sol.t_max == pytest.approx(math.log(s_end), rel=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# tail truncation sized once
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=40, deadline=None)
+@given(beta=st.floats(0.505, 1.0), c=st.floats(0.25, 4.0), s0=st.floats(0.25, 4.0),
+       t_max=st.sampled_from([1.0, 5.0, 8.0]))
+def test_power_capacity_closed_form_over_beta_range(beta, c, s0, t_max):
+    metric = pl.power_law(c, beta)
+    # for an exact tail law the level t_max + 0.1 sits at s0 e^((t_max + 0.1)/(2 beta - 1))
+    if math.log(s0) + (t_max + 0.1) / (2.0 * beta - 1.0) > math.log(1e300):
+        with pytest.raises(NumericError, match="float range"):
+            pl.solve_potential(pl.ExteriorDomain(metric, s0), t_max=t_max)
+        return
+    sol = pl.solve_potential(pl.ExteriorDomain(metric, s0), t_max=t_max)
+    assert sol.ncap == pytest.approx(c * c * (2.0 * beta - 1.0) * s0 ** (2.0 * beta - 1.0), rel=1e-9)
+    assert sol.t_usable >= t_max
+
+
+def test_one_tail_integrator_per_solve(monkeypatch):
+    builds = []
+    init = TailIntegrator.__init__
+
+    def spy(self, *args):
+        builds.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(TailIntegrator, "__init__", spy)
+    for name, metric in pl.default_catalog():
+        for s0 in (0.5, 1.0, 2.0):
+            builds.clear()
+            pl.solve_potential(pl.ExteriorDomain(metric, s0), t_max=8.0)
+            assert len(builds) == 1, (name, s0)
+
