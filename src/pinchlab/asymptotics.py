@@ -45,7 +45,7 @@ class DecayFit:
     nothing to bound) and when it is reached the bound is checked
     directly on the samples.  ``pointwise_ok`` reports the genus-zero
     branch F' <= eps (2F - 8 pi), checked at every interior level where
-    the pinching condition holds at the level radius and F < 4 pi.
+    the pinching condition holds at the level radius and F <= 4 pi.
     """
 
     t_tilde: Optional[float]
@@ -74,7 +74,8 @@ def decay_check(series: FunctionalSeries, epsilon: float,
     threshold = 8.0 * math.pi * epsilon / (2.0 + 2.0 * epsilon)
 
     pinched, _ = metrics.pinched(series.metric, series.s, epsilon)
-    gate = pinched & (series.F < FOUR_PI)
+    # F = 4 pi exactly on flat space; the slack keeps rounding from picking levels
+    gate = pinched & (series.F <= FOUR_PI * (1.0 + 1e-12))
     gate[[0, -1]] = False
     slack = series.dF_explicit - epsilon * (2.0 * series.F - 8.0 * math.pi)
     violations = slack[gate] if gate.any() else np.array([0.0])
@@ -295,6 +296,11 @@ def refute(domain: ExteriorDomain, config=None) -> RefutationReport:
         else:
             hi = min(3.0 * t_max, 90.0)
         chain_t = np.geomspace(min(0.25, hi / 50.0), hi, int(chain_points))
+        # end the grid a factor e before e^(exponent t) or the right side
+        # overflows; there the right side exceeds min(kappa, 1) e^708 and the
+        # left stays below e^630 (t <= 90), so for kappa > e^-78 no crossing is lost
+        room = np.log(np.finfo(float).max) - 1.0 - math.log(max(kappa, 1.0))
+        chain_t = chain_t[exponent * chain_t < room]
         chain_lhs = np.expm1(7.0 * chain_t)
         chain_rhs = kappa * np.exp(exponent * chain_t)
         crossed = chain_lhs > chain_rhs

@@ -17,7 +17,6 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import asymptotics, functionals, metrics, potential
 from .config import SUITES, ScenarioConfig
@@ -124,15 +123,11 @@ def cmd_sweep(cfg: ScenarioConfig) -> int:
     epsilons = [float(v) for v in cfg.sweep.get("epsilon", [cfg.epsilon])]
     grid = list(itertools.product(kinds, s0s, epsilons))
 
-    def one(item):
-        kind, s0, eps = item
+    reports = []
+    for kind, s0, eps in grid:
         sub = cfg.with_overrides(metric_kind=kind, s0=s0, epsilon=eps).validate()
         metric = metrics.build_metric(kind, sub.metric_params if kind == cfg.metric_kind else {})
-        report = asymptotics.refute(potential.ExteriorDomain(metric, s0), sub)
-        return report
-
-    with ThreadPoolExecutor(max_workers=min(8, len(grid))) as pool:
-        reports = list(pool.map(one, grid))
+        reports.append(asymptotics.refute(potential.ExteriorDomain(metric, s0), sub))
 
     os.makedirs(cfg.out_dir, exist_ok=True)
     rows = []

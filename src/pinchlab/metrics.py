@@ -299,16 +299,14 @@ def sphere_cap_blend(cap_radius: float, blend_width: float) -> WarpFunction:
 def capped_cone(slope: float, blend_width: float = 0.3) -> WarpFunction:
     """Sphere-cap blend whose asymptotic cone slope is exactly ``slope``.
 
-    Solves cos(s_cap) - (w/3) sin(s_cap) = slope for the cap radius.
+    Solves cos(s_cap) - (w/3) sin(s_cap) = slope for the cap radius; the
+    left side is hypot(1, w/3) cos(s_cap + atan(w/3)).
     """
     a = float(slope)
     w = float(blend_width)
     if not 0 < a < 1:
         raise UsageError(f"capped cone slope must lie in (0, 1), got {a}")
-    from scipy.optimize import brentq
-
-    sc = brentq(lambda x: math.cos(x) - (w / 3.0) * math.sin(x) - a, 1e-9, math.pi / 2 - 1e-9)
-    return sphere_cap_blend(sc, w)
+    return sphere_cap_blend(math.acos(a / math.hypot(1.0, w / 3.0)) - math.atan(w / 3.0), w)
 
 
 def from_table(s_samples, f_samples, *, tail_coefficient=None, tail_exponent=None,

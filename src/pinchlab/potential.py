@@ -182,10 +182,8 @@ class PotentialSolution:
         mask = (edges >= s0 * (1 - 1e-12)) & (edges <= integ.usable_hi * (1 + 1e-12))
         t_seed = np.log(i0 / i_edges[mask])
         keep = np.concatenate([[True], np.diff(t_seed) > 1e-13])
-        from scipy.interpolate import PchipInterpolator
-
-        self._seed = PchipInterpolator(t_seed[keep], edges[mask][keep], extrapolate=True)
-        self.t_usable = float(t_seed[keep][-1])
+        self._t_seed, self._s_seed = t_seed[keep], edges[mask][keep]
+        self.t_usable = float(self._t_seed[-1])
         if self.t_usable < self.t_max:
             if integ.usable_hi < metric.domain_end:
                 raise NumericError(f"{metric.label}: the tail grid reaches t={self.t_usable:.4g} "
@@ -223,9 +221,10 @@ class PotentialSolution:
     def s_of_t(self, t):
         """Radius of the level set {w = t}; inverse of w.
 
-        Monotone-interpolant seed polished by Newton iterations on the
-        closed-form residual; the round trip |w(s(t)) - t| lands at
-        ~1e-13 for the catalog profiles.
+        Seeded by linear interpolation in the (t, s) pairs at the panel
+        edges and polished by four Newton steps on the closed-form
+        residual.  Raises NumericError when the last step starts more than
+        1e-10 from the level (the round-trip contract).
         """
         t_arr = np.asarray(t, float)
         scalar = t_arr.ndim == 0
@@ -235,13 +234,17 @@ class PotentialSolution:
                 f"level value outside [0, {self.t_usable:g}] (grid never extrapolates)"
             )
         tc = np.clip(t_arr, 0.0, self.t_usable)
-        s = np.clip(self._seed(tc), self.s0, self._integ.usable_hi)
+        s = np.clip(np.interp(tc, self._t_seed, self._s_seed), self.s0, self._integ.usable_hi)
         for _ in range(4):
             tail = self._integ.value(s)
             resid = np.log(self._i0 / tail) - tc
             # Newton step: dw/ds = |grad w| = f^-2 / I
             s = s - resid * tail * self.metric.f(s) ** 2
             s = np.clip(s, self.s0, self._integ.usable_hi)
+        worst = float(np.abs(resid).max(initial=0.0))
+        if not worst <= 1e-10:
+            raise NumericError(f"{self.metric.label}: the level map did not converge "
+                               f"(last Newton residual {worst:.2e} > 1e-10)")
         s = np.where(tc == 0.0, self.s0, s)
         return float(s[0]) if scalar else s.reshape(np.shape(t))
 
@@ -265,8 +268,11 @@ class PotentialSolution:
         """
         t_diag = np.linspace(min(0.2, 0.5 * self.t_max), 0.9 * min(self.t_max, 6.0), 12)
         s_diag = np.atleast_1d(self.s_of_t(t_diag))
-        # the stencil reaches 2 h either side and stays outside the boundary sphere
+        # the stencil reaches 2 h either side; it stays outside the boundary
+        # sphere and off the profile's breakpoints, where the derivatives of u jump
         h = np.minimum(0.01 * s_diag, 0.5 * (s_diag - self.s0))
+        for b in self.metric.breakpoints:
+            h = np.minimum(h, 0.5 * np.abs(s_diag - b))
         du = five_point_first(self.u, s_diag, h)
         flux = self.metric.f(s_diag) ** 2 * du
         resid = np.abs(flux * self._i0 + 1.0)

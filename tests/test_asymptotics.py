@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -27,6 +28,14 @@ def test_decay_flat_threshold_never_reached(catalog_bundle):
     assert not fit.threshold_reached
     assert fit.passed is None
     assert fit.hypothesis_met  # vacuously pinched (R = 0)
+    assert fit.pointwise_ok
+
+
+def test_decay_pointwise_checks_every_interior_flat_level(catalog_bundle):
+    # F = 4 pi at every level, so last-bit rounding must not pick the levels
+    _, _, series = catalog_bundle["flat"]
+    fit = asymptotics.decay_check(series, 1.0 / 3.0, _pinch_on_series(series, 1.0 / 3.0))
+    assert fit.n_pointwise_checked == len(series.t) - 2
     assert fit.pointwise_ok
 
 
@@ -218,3 +227,16 @@ def test_refute_soundness(kind, s0):
     report = asymptotics.refute(pl.ExteriorDomain(metric, s0), ScenarioConfig())
     assert not report.conclusion.startswith("CONTRADICTION")
     assert report.failed_hypotheses() or report.crossing_t is not None
+
+
+def test_parametric_kinds_solve_without_scipy(monkeypatch):
+    for name in ("scipy", "scipy.interpolate", "scipy.optimize"):
+        monkeypatch.setitem(sys.modules, name, None)
+    with pytest.raises(ImportError):
+        import scipy.interpolate  # noqa: F401
+    for kind in ("flat", "cone", "power", "schwarzschild", "sphere_cap_blend"):
+        report = asymptotics.refute(pl.ExteriorDomain(pl.build_metric(kind), 1.0),
+                                    ScenarioConfig())
+        assert report.failed_hypotheses() or report.crossing_t is not None, kind
+    sol = pl.solve_potential(pl.ExteriorDomain(pl.capped_cone(0.5, 0.3), 1.0))
+    assert sol.t_max == 8.0

@@ -6,6 +6,7 @@ import pytest
 
 import pinchlab.cli as cli
 import pinchlab.metrics as metrics
+import pinchlab.potential as potential
 from pinchlab.config import ScenarioConfig
 from pinchlab.errors import UsageError
 
@@ -266,6 +267,31 @@ def test_small_t_max_exits_0(tmp_path, capsys, kind, t_max):
             argv = [command, "--kind", kind, "--s0", s0, "--t-max", t_max,
                     "--n-samples", "201", "--out-dir", str(tmp_path)]
             assert cli.main(argv) == 0, (command, s0, capsys.readouterr().err)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_refute_chain_stays_in_float_range(tmp_path, capsys):
+    # kappa e^(exponent t) with exponent ~31 passed the float range at t = 24
+    argv = ["refute", "--kind", "power", "--param", "beta=0.533324462501481",
+            "--param", "c=0.415959320944788", "--s0", "1.2023716770750505",
+            "--epsilon", "0.09602681458240747", "--out-dir", str(tmp_path)]
+    assert cli.main(argv) == 0
+    doc = json.loads((tmp_path / "refutation.json").read_text())
+    assert doc["chain"]["rhs"] and all(math.isfinite(v) for v in doc["chain"]["rhs"])
+    assert doc["conclusion"] == ("pinching fails (margin min 8.027e-51, witness s = 1.20237); "
+                                 "growth fails (alpha = 1.067 <= 4/3)")
+
+
+def test_level_map_non_convergence_exits_2(tmp_path, capsys, monkeypatch):
+    harmonic_check = potential.PotentialSolution._verify_harmonic
+
+    def seed_at_boundary(sol):
+        sol._s_seed = np.full_like(sol._s_seed, sol.s0)
+        harmonic_check(sol)
+
+    monkeypatch.setattr(potential.PotentialSolution, "_verify_harmonic", seed_at_boundary)
+    assert cli.main(["refute", "--kind", "power", "--out-dir", str(tmp_path)]) == 2
+    assert "did not converge" in capsys.readouterr().err
 
 
 def test_power_level_beyond_float_range_exits_2(tmp_path, capsys):

@@ -279,6 +279,14 @@ def test_volume_ball_is_history_independent():
     assert pl.volume_ball(used, 10.0) == pl.volume_ball(fresh, 10.0)
 
 
+@pytest.mark.parametrize("blend_width", [0.01, 0.3, 1.0, 3.0])
+def test_capped_cone_solves_slope_equation(blend_width):
+    for slope in np.linspace(0.02, 0.98, 25):
+        s_cap = pl.capped_cone(slope, blend_width).params["s_cap"]
+        residual = math.cos(s_cap) - (blend_width / 3.0) * math.sin(s_cap) - slope
+        assert abs(residual) <= 1e-15, slope
+
+
 def test_volume_capped_cone_leading_order():
     metric = pl.capped_cone(0.5, 0.3)
     lead = lambda r: 4 * math.pi / 3 * 0.25 * r**3

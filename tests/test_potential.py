@@ -168,6 +168,22 @@ def test_level_roundtrip_property(solve_cache, t):
     assert abs(float(sol.w(s)) - t) < 1e-10
 
 
+def test_level_map_non_convergence_raises():
+    sol = pl.solve_potential(pl.ExteriorDomain(pl.power_law(1.0, 0.8), 1.0))
+    # every level seeded at the boundary: four Newton steps cannot reach t = 5
+    sol._s_seed = np.full_like(sol._s_seed, sol.s0)
+    with pytest.raises(NumericError, match="did not converge"):
+        sol.s_of_t(5.0)
+
+
+def test_harmonic_check_stencil_stays_off_blend_breakpoints():
+    # a level at s = 1.3438 whose stencil, 2% of s wide, would straddle
+    # both blend breakpoints 1.3573 and 1.3757 (flux residual 1.49e-6)
+    metric = pl.sphere_cap_blend(1.357313119594852, 0.01842796282132959)
+    sol = pl.solve_potential(pl.ExteriorDomain(metric, 0.6430607954720912))
+    assert sol.t_max == 8.0
+
+
 def test_levelset_fields(solve_cache):
     sol = solve_cache("flat", 1.0)
     lev = sol.level_set(1.0)
