@@ -24,7 +24,6 @@ from .metrics import (CurvaturePoint, GrowthReport, PinchReport, WarpFunction,
                       from_callables, from_table, growth_fit, load_table_csv,
                       power_law, schwarzschild_slice, sphere_cap_blend,
                       volume_ball)
-from .potential import (ExteriorDomain, LevelSet, PotentialSolution,
-                        capacity_scaling_check, solve_potential)
+from .potential import ExteriorDomain, PotentialSolution, capacity_scaling_check
 
 __version__ = "0.1.0"

@@ -21,11 +21,12 @@ from typing import Optional
 import numpy as np
 
 from . import metrics
+from .config import ScenarioConfig
 from .errors import DomainError, UsageError
 from .functionals import (FOUR_PI, SIXTEEN_PI, BoundaryWillmore,
                           FunctionalSeries, boundary_willmore, build_series)
 from .metrics import GrowthReport, PinchReport, check_pinching, growth_fit, volume_ball
-from .potential import ExteriorDomain, PotentialSolution, solve_potential
+from .potential import ExteriorDomain, PotentialSolution
 
 log = logging.getLogger(__name__)
 
@@ -107,28 +108,28 @@ def decay_check(series: FunctionalSeries, epsilon: float,
 # Asymptotic fits and identity checks
 # ---------------------------------------------------------------------------
 
-def li_yau_fit(sol: PotentialSolution, r_lo: float, r_hi: float,
-               n_points: int = 40) -> float:
-    """Least-squares decay exponent of the potential: slope of log u vs log s.
+def li_yau_fit(sol: PotentialSolution, r_lo: float, r_hi: float) -> float:
+    """Least-squares decay exponent of the potential: slope of log u vs log s
+    at 40 log-spaced radii.
 
     For a warp tail f ~ c s^beta the exact value is 1 - 2 beta, i.e.
     1 - alpha in terms of the volume-growth exponent alpha = 2 beta.
     """
-    if n_points < 3:
-        raise UsageError("decay-exponent fit needs at least 3 points")
     r_lo, r_hi = float(r_lo), float(r_hi)
     if not sol.s0 <= r_lo < r_hi:
         raise DomainError(f"bad fit window [{r_lo}, {r_hi}]")
-    s = np.geomspace(max(r_lo, sol.s0 if sol.s0 > 0 else r_lo), r_hi, int(n_points))
+    s = np.geomspace(r_lo, r_hi, 40)
     return float(np.polyfit(np.log(s), np.log(sol.u(s)), 1)[0])
 
 
-def coarea_check(sol: PotentialSolution, t_grid, delta: float = 5e-4) -> float:
+def coarea_check(sol: PotentialSolution, t_grid) -> float:
     """Max relative residual of d/dt Vol({w <= t}) = area(t)/|grad w|(t).
 
     The enclosed volume is computed by radial quadrature and differenced
-    centrally in t; the right side comes from the closed level-set forms.
+    centrally in t with step 5e-4; the right side comes from the closed
+    level-set forms.
     """
+    delta = 5e-4
     t = np.clip(np.asarray(t_grid, float), delta, sol.t_usable - delta)
     stencil = np.stack([t - delta, t, t + delta])
     s = np.atleast_1d(sol.s_of_t(stencil.ravel())).reshape(stencil.shape)
@@ -162,6 +163,20 @@ def holder_chain_check(sol: PotentialSolution, t_grid) -> float:
 # ---------------------------------------------------------------------------
 
 ALPHA_THRESHOLD = 4.0 / 3.0
+
+
+def pinching_window(sol: PotentialSolution, series: FunctionalSeries):
+    """(s_lo, s_hi) of the pinching scan: boundary to last sampled level, with
+    a boundary at the domain start (pole or horizon) moved out to level t_max/400."""
+    s_lo = sol.s0 if sol.s0 > sol.metric.domain_start else float(sol.s_of_t(sol.t_max / 400.0))
+    return s_lo, float(series.s[-1])
+
+
+def windowed_growth(metric, growth_window) -> GrowthReport:
+    """Growth fit over the window, its top clipped to the domain end and its
+    bottom to at most 1/50 of the top."""
+    r_hi = min(float(growth_window[1]), metric.domain_end)
+    return growth_fit(metric, min(float(growth_window[0]), r_hi / 50.0), r_hi)
 
 
 @dataclass(frozen=True)
@@ -247,31 +262,24 @@ class RefutationReport:
         }
 
 
-def refute(domain: ExteriorDomain, config=None) -> RefutationReport:
+def refute(domain: ExteriorDomain, config: Optional[ScenarioConfig] = None) -> RefutationReport:
     """Run all three hypothesis checks and evaluate the closing comparison.
 
-    ``config`` may be a ScenarioConfig (or any object with epsilon,
-    t_max, n_samples, growth_window, chain_points attributes); defaults
-    are used when omitted.
+    Reads epsilon, t_max, n_samples, growth_window and chain_points from
+    ``config``, a default ScenarioConfig when omitted.
     """
-    epsilon = getattr(config, "epsilon", 1.0 / 3.0)
-    t_max = getattr(config, "t_max", 8.0)
-    n_samples = getattr(config, "n_samples", 2001)
-    growth_window = getattr(config, "growth_window", (100.0, 1.0e4))
-    chain_points = getattr(config, "chain_points", 20)
+    config = config or ScenarioConfig()
+    epsilon, t_max = config.epsilon, config.t_max
 
     metric = domain.metric
-    sol = solve_potential(domain, t_max=t_max)
-    series = build_series(sol, n=n_samples)
+    sol = PotentialSolution(domain, t_max=t_max)
+    series = build_series(sol, n=config.n_samples)
 
-    s_hi = float(series.s[-1])
-    s_lo = domain.s0 if domain.s0 > metric.domain_start else float(sol.s_of_t(sol.t_max / 400.0))
+    s_lo, s_hi = pinching_window(sol, series)
     pinch = check_pinching(metric, epsilon, (s_lo, s_hi), 400)
     decay = decay_check(series, epsilon, pinch)
 
-    r_hi = min(float(growth_window[1]), metric.domain_end)
-    r_lo = min(float(growth_window[0]), r_hi / 50.0)
-    growth = growth_fit(metric, r_lo, r_hi, 25)
+    growth = windowed_growth(metric, config.growth_window)
     growth_pass = growth.alpha_fit > ALPHA_THRESHOLD
     boundary = boundary_willmore(sol)
 
@@ -295,7 +303,7 @@ def refute(domain: ExteriorDomain, config=None) -> RefutationReport:
             hi = min(max(2.0 * t_star_est, 4.0), 90.0)
         else:
             hi = min(3.0 * t_max, 90.0)
-        chain_t = np.geomspace(min(0.25, hi / 50.0), hi, int(chain_points))
+        chain_t = np.geomspace(min(0.25, hi / 50.0), hi, int(config.chain_points))
         # end the grid a factor e before e^(exponent t) or the right side
         # overflows; there the right side exceeds min(kappa, 1) e^708 and the
         # left stays below e^630 (t <= 90), so for kappa > e^-78 no crossing is lost

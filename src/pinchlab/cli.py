@@ -35,12 +35,10 @@ def _write_json(path, obj):
 
 
 def _summary_growth(metric, cfg):
-    r_hi = min(cfg.growth_window[1], metric.domain_end)
-    r_lo = min(cfg.growth_window[0], r_hi / 50.0)
     try:
-        rep = metrics.growth_fit(metric, r_lo, r_hi, 25)
+        rep = asymptotics.windowed_growth(metric, cfg.growth_window)
         return rep.alpha_fit, rep.avr
-    except (DomainError, UsageError):
+    except DomainError:
         return None, None
 
 
@@ -65,7 +63,7 @@ def cmd_catalog(args) -> int:
 def cmd_solve(cfg: ScenarioConfig) -> int:
     metric = metrics.build_metric(cfg.metric_kind, cfg.metric_params)
     domain = potential.ExteriorDomain(metric, cfg.s0)
-    sol = potential.solve_potential(domain, t_max=cfg.t_max)
+    sol = potential.PotentialSolution(domain, t_max=cfg.t_max)
     series = functionals.build_series(sol, n=cfg.n_samples)
     os.makedirs(cfg.out_dir, exist_ok=True)
     csv_path = os.path.join(cfg.out_dir, "series.csv")

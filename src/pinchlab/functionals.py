@@ -122,15 +122,11 @@ def sample_at(sol: PotentialSolution, t: float) -> FunctionalSample:
     return FunctionalSample(float(t), *(float(v[0]) for v in vals))
 
 
-def build_series(sol: PotentialSolution, t_max: Optional[float] = None,
-                 n: int = 2001) -> FunctionalSeries:
-    """Sample the functionals on a uniform level grid [0, t_max]."""
-    t_max = sol.t_max if t_max is None else float(t_max)
-    if t_max > sol.t_usable + 1e-9:
-        raise DomainError(f"series t_max={t_max} beyond solvable range {sol.t_usable:g}")
+def build_series(sol: PotentialSolution, n: int = 2001) -> FunctionalSeries:
+    """Sample the functionals on a uniform level grid [0, sol.t_max]."""
     if n < 3:
         raise DomainError("series needs at least 3 samples")
-    t = np.linspace(0.0, t_max, int(n))
+    t = np.linspace(0.0, sol.t_max, int(n))
     s, area, H, gw, F, G, willmore, dF, ncap_t = _fields_at(sol, t)
     return FunctionalSeries(t, s, area, H, gw, F, G, willmore, dF, ncap_t,
                             sol.metric, sol.s0)
@@ -160,10 +156,9 @@ class MonotonicityReport:
         return self.derivative_ok and (self.monotone_ok is not False)
 
 
-def check_monotonicity(series: FunctionalSeries,
-                       monotone_tol: float = 1e-7,
-                       derivative_rtol: float = 1e-4) -> MonotonicityReport:
-    """Verify F is nonincreasing and F' matches the explicit formula.
+def check_monotonicity(series: FunctionalSeries) -> MonotonicityReport:
+    """Verify F is nonincreasing (steps up to 1e-7) and F' matches the
+    explicit formula (to 1e-4).
 
     The derivative comparison uses central differences on the series
     grid at interior nodes, relative to max(1, |dF_explicit|).  F'' jumps
@@ -175,14 +170,14 @@ def check_monotonicity(series: FunctionalSeries,
     hypothesis = bool(np.all(metrics._pinch_margins(series.metric, window)[1]))
     increments = np.diff(series.F)
     max_increase = float(increments.max(initial=-np.inf))
-    monotone_ok = bool(np.all(increments <= monotone_tol)) if hypothesis else None
+    monotone_ok = bool(np.all(increments <= 1e-7)) if hypothesis else None
 
     fd = _seam_derivative(series.F, series.s, series.dt, series.metric.breakpoints)[1:-1]
     ref = series.dF_explicit[1:-1]
     err = np.abs(fd - ref) / np.maximum(1.0, np.abs(ref))
     max_err = float(err.max())
     return MonotonicityReport(hypothesis, monotone_ok, max_increase,
-                              max_err <= derivative_rtol, max_err)
+                              max_err <= 1e-4, max_err)
 
 
 def _seam_derivative(y, s, dt, breakpoints):

@@ -423,25 +423,26 @@ class CurvaturePoint:
     scalar: float
 
 
-def _curvature_arrays(metric: WarpFunction, s):
-    s = np.asarray(s, float)
-    f = metric.f(s)
-    df = metric.df(s)
-    d2f = metric.d2f(s)
+def _curvature(f, df, d2f):
+    """(k_rad, k_tan, ric_rad, ric_tan, scalar) from f, f' and f''."""
     k_rad = -d2f / f
     k_tan = (1.0 - df * df) / (f * f)
     ric_rad = -2.0 * d2f / f
     ric_tan = -d2f / f + (1.0 - df * df) / (f * f)
     scalar = -4.0 * d2f / f + 2.0 * (1.0 - df * df) / (f * f)
-    return f, k_rad, k_tan, ric_rad, ric_tan, scalar
+    return k_rad, k_tan, ric_rad, ric_tan, scalar
+
+
+def _curvature_arrays(metric: WarpFunction, s):
+    s = np.asarray(s, float)
+    f = metric.f(s)
+    return (f, *_curvature(f, metric.df(s), metric.d2f(s)))
 
 
 def curvature_at(metric: WarpFunction, s: float) -> CurvaturePoint:
     """Evaluate all curvature scalars at radius s (must be in the domain)."""
     metric.require_contains(s)
-    f, k_rad, k_tan, ric_rad, ric_tan, scalar = _curvature_arrays(metric, s)
-    return CurvaturePoint(float(s), float(f), float(k_rad), float(k_tan),
-                          float(ric_rad), float(ric_tan), float(scalar))
+    return CurvaturePoint(float(s), *(float(v) for v in _curvature_arrays(metric, s)))
 
 
 def finite_difference_curvature_oracle(metric: WarpFunction, s: float, h: float) -> CurvaturePoint:
@@ -458,15 +459,10 @@ def finite_difference_curvature_oracle(metric: WarpFunction, s: float, h: float)
         raise NumericError(f"finite-difference step {h} underflows at s={s}")
     for probe in (s - 2 * h, s + 2 * h):
         metric.require_contains(probe)
-    stencil = metric.f(s + h * np.array([-2.0, -1.0, 0.0, 1.0, 2.0]))
-    fm2, fm1, f0, fp1, fp2 = stencil
+    fm2, fm1, f0, fp1, fp2 = metric.f(s + h * np.array([-2.0, -1.0, 0.0, 1.0, 2.0]))
     df = (fm2 - 8.0 * fm1 + 8.0 * fp1 - fp2) / (12.0 * h)
     d2f = (-fm2 + 16.0 * fm1 - 30.0 * f0 + 16.0 * fp1 - fp2) / (12.0 * h * h)
-    k_rad = -d2f / f0
-    k_tan = (1.0 - df * df) / (f0 * f0)
-    return CurvaturePoint(s, float(f0), float(k_rad), float(k_tan),
-                          float(2.0 * k_rad), float(k_rad + k_tan),
-                          float(2.0 * k_rad + 2.0 * (k_rad + k_tan)))
+    return CurvaturePoint(s, float(f0), *(float(v) for v in _curvature(f0, df, d2f)))
 
 
 # ---------------------------------------------------------------------------
@@ -607,13 +603,12 @@ class GrowthReport:
     fit_window: Tuple[float, float]
 
 
-def growth_fit(metric: WarpFunction, r_lo: float, r_hi: float, n_points: int = 25) -> GrowthReport:
-    if n_points < 3:
-        raise UsageError("growth fit needs at least 3 points")
+def growth_fit(metric: WarpFunction, r_lo: float, r_hi: float) -> GrowthReport:
+    """Fit the growth exponent to ball volumes at 25 log-spaced radii."""
     r_lo, r_hi = float(r_lo), float(r_hi)
     if not metric.domain_start < r_lo < r_hi:
         raise DomainError(f"bad growth window [{r_lo}, {r_hi}]")
-    r = np.geomspace(r_lo, r_hi, int(n_points))
+    r = np.geomspace(r_lo, r_hi, 25)
     vol = volume_ball(metric, r)
     slope, intercept = np.polyfit(np.log(r), np.log(vol), 1)
     alpha = float(slope - 1.0)

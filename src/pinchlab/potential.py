@@ -114,26 +114,6 @@ class TailIntegrator:
         return self.quad.integral_to_end(s_arr) + self.tail_const
 
 
-@dataclass(frozen=True)
-class LevelSet:
-    """One level set {w = t}: a round sphere of areal radius f(s).
-
-    The outward unit normal is the radial direction, so the second
-    fundamental form is the round one: its traceless part vanishes, and
-    |grad w| is constant over the sphere so its tangential gradient
-    vanishes as well.  Both are recorded as structurally zero fields.
-    """
-
-    t: float
-    s: float
-    area: float
-    H: float
-    grad_w: float
-    genus: int = 0
-    traceless_second_fundamental_form_norm: float = 0.0
-    tangential_grad_norm: float = 0.0
-
-
 class PotentialSolution:
     """Closed-form exterior potential on a warped radial metric.
 
@@ -216,6 +196,12 @@ class PotentialSolution:
         s_arr = np.asarray(s, float)
         return self.metric.f(s_arr) ** -2.0 / self.tail(s_arr)
 
+    def flux_residual(self, s, h):
+        """|f^2 u' I(s0) + 1|, u' by a five-point stencil of step h; the radial
+        flux f^2 u' equals -1/I(s0), so this measures the numerics only."""
+        s = np.asarray(s, float)
+        return np.abs(self.metric.f(s) ** 2 * five_point_first(self.u, s, h) * self._i0 + 1.0)
+
     # -- level-set parametrization -------------------------------------------
 
     def s_of_t(self, t):
@@ -248,15 +234,6 @@ class PotentialSolution:
         s = np.where(tc == 0.0, self.s0, s)
         return float(s[0]) if scalar else s.reshape(np.shape(t))
 
-    def level_set(self, t: float) -> LevelSet:
-        s = float(self.s_of_t(float(t)))
-        f = float(self.metric.f(s))
-        return LevelSet(
-            t=float(t), s=s, area=4.0 * math.pi * f * f,
-            H=float(2.0 * self.metric.df(s) / f),
-            grad_w=float(self.grad_w(s)),
-        )
-
     # -- construction diagnostics ---------------------------------------------
 
     def _verify_harmonic(self):
@@ -273,21 +250,13 @@ class PotentialSolution:
         h = np.minimum(0.01 * s_diag, 0.5 * (s_diag - self.s0))
         for b in self.metric.breakpoints:
             h = np.minimum(h, 0.5 * np.abs(s_diag - b))
-        du = five_point_first(self.u, s_diag, h)
-        flux = self.metric.f(s_diag) ** 2 * du
-        resid = np.abs(flux * self._i0 + 1.0)
-        worst = float(resid.max())
+        worst = float(self.flux_residual(s_diag, h).max())
         if worst > 1e-6:
             raise NumericError(
                 f"{self.metric.label}: radial harmonic identity violated "
                 f"(flux residual {worst:.2e} > 1e-6)"
             )
         log.debug("%s: harmonic flux residual %.2e", self.metric.label, worst)
-
-
-def solve_potential(domain: ExteriorDomain, t_max: float = 8.0, s_max=None) -> PotentialSolution:
-    """Solve the exterior problem Delta u = 0, u|_boundary = 1, u -> 0."""
-    return PotentialSolution(domain, t_max=t_max, s_max=s_max)
 
 
 def capacity_scaling_check(sol: PotentialSolution, t_grid) -> float:

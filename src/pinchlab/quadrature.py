@@ -24,12 +24,12 @@ GL_ORDER = 16
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(GL_ORDER)
 
 
-def panel_edges(lo, hi, breakpoints=(), per_decade=40, linear_panels=64):
+def panel_edges(lo, hi, breakpoints=()):
     """Build a panel-edge array on [lo, hi].
 
-    A linear section covers the region up to max(2*lo, 1) (which also
+    64 linear panels cover the region up to max(2*lo, 1) (which also
     handles lo == 0, where log spacing is impossible), then log-spaced
-    panels continue to ``hi``.  Interior breakpoints are inserted so that
+    panels, 40 per decade, continue to ``hi``.  Interior breakpoints are inserted so that
     piecewise-defined integrands are never integrated across a seam.
     """
     lo = float(lo)
@@ -39,9 +39,9 @@ def panel_edges(lo, hi, breakpoints=(), per_decade=40, linear_panels=64):
     lin_hi = min(hi, max(2.0 * lo, 1.0))
     pieces = []
     if lin_hi > lo:
-        pieces.append(np.linspace(lo, lin_hi, linear_panels + 1))
+        pieces.append(np.linspace(lo, lin_hi, 65))
     if hi > lin_hi:
-        n_log = max(8, int(np.ceil(per_decade * np.log10(hi / lin_hi))))
+        n_log = max(8, int(np.ceil(40 * np.log10(hi / lin_hi))))
         pieces.append(np.geomspace(lin_hi, hi, n_log + 1))
     edges = np.unique(np.concatenate(pieces))
     interior = [b for b in breakpoints if lo < b < hi]

@@ -14,7 +14,7 @@ def catalog_bundle():
     """Solved potential + densely sampled series for every catalog metric (s0 = 1)."""
     out = {}
     for name, metric in pl.default_catalog():
-        sol = pl.solve_potential(pl.ExteriorDomain(metric, 1.0), t_max=T_MAX)
+        sol = pl.PotentialSolution(pl.ExteriorDomain(metric, 1.0), t_max=T_MAX)
         series = pl.build_series(sol, n=DENSE_N)
         out[name] = (metric, sol, series)
     return out
@@ -29,8 +29,8 @@ def solve_cache():
         key = (kind, tuple(sorted(params.items())), float(s0), float(t_max), s_max)
         if key not in cache:
             metric = pl.build_metric(kind, params)
-            cache[key] = pl.solve_potential(pl.ExteriorDomain(metric, s0),
-                                            t_max=t_max, s_max=s_max)
+            cache[key] = pl.PotentialSolution(pl.ExteriorDomain(metric, s0),
+                                              t_max=t_max, s_max=s_max)
         return cache[key]
 
     return get

@@ -89,8 +89,8 @@ def test_decay_bound_passes_where_hypothesis_holds():
     # whole window: the one profile where every branch of the decay estimate engages
     beta = 0.55
     metric = pl.power_law(1.0, beta)
-    sol = pl.solve_potential(pl.ExteriorDomain(metric, 1.0), t_max=0.9)
-    series = pl.build_series(sol, t_max=0.9, n=2001)
+    sol = pl.PotentialSolution(pl.ExteriorDomain(metric, 1.0), t_max=0.9)
+    series = pl.build_series(sol, n=2001)
     eps_star, _ = _pinch_margins(metric, series.s)
     eps = float(eps_star.min()) * 0.999
     pinch = pl.check_pinching(metric, eps, (1.0, float(series.s[-1])), 300)
@@ -125,8 +125,8 @@ def test_li_yau_exponent_schwarzschild():
     # u ~ m/r exactly, but in arclength the slope carries a 2m log(s)/s
     # correction (~3% at s = 50); at s >= 500 it is inside the 2% band
     metric = pl.schwarzschild_slice(1.0)
-    sol = pl.solve_potential(pl.ExteriorDomain(metric, 0.0), t_max=2.0,
-                             s_max=schw_arclength(6000.0))
+    sol = pl.PotentialSolution(pl.ExteriorDomain(metric, 0.0), t_max=2.0,
+                               s_max=schw_arclength(6000.0))
     slope = asymptotics.li_yau_fit(sol, 500.0, 5000.0)
     assert slope == pytest.approx(-1.0, abs=0.02)
 
@@ -238,5 +238,5 @@ def test_parametric_kinds_solve_without_scipy(monkeypatch):
         report = asymptotics.refute(pl.ExteriorDomain(pl.build_metric(kind), 1.0),
                                     ScenarioConfig())
         assert report.failed_hypotheses() or report.crossing_t is not None, kind
-    sol = pl.solve_potential(pl.ExteriorDomain(pl.capped_cone(0.5, 0.3), 1.0))
+    sol = pl.PotentialSolution(pl.ExteriorDomain(pl.capped_cone(0.5, 0.3), 1.0))
     assert sol.t_max == 8.0

@@ -314,11 +314,6 @@ def test_growth_fit_capped_cone():
     assert report.avr == pytest.approx(0.25, abs=0.01)
 
 
-def test_growth_fit_usage_error():
-    with pytest.raises(UsageError):
-        pl.growth_fit(pl.flat_space(), 10.0, 100.0, n_points=2)
-
-
 def test_bishop_gromov_volume_ratio_monotone():
     r = np.geomspace(0.5, 1000.0, 120)
     for metric in (pl.flat_space(), pl.capped_cone(0.5, 0.3), pl.power_law(1.0, 0.8)):

@@ -45,7 +45,7 @@ def test_nonparabolic_tail_rejected(beta):
     with pytest.raises(NonparabolicityError):
         TailIntegrator(metric, 1.0, 1.0)
     with pytest.raises(NonparabolicityError):
-        pl.solve_potential(pl.ExteriorDomain(metric, 1.0))
+        pl.PotentialSolution(pl.ExteriorDomain(metric, 1.0))
 
 
 def test_superlinear_tail_rejected():
@@ -54,7 +54,7 @@ def test_superlinear_tail_rejected():
 
 
 # ---------------------------------------------------------------------------
-# solve_potential closed forms
+# PotentialSolution closed forms
 # ---------------------------------------------------------------------------
 
 def test_flat_potential_is_newtonian(solve_cache):
@@ -77,7 +77,7 @@ def test_cone_capacity(solve_cache, s0):
 @pytest.mark.parametrize("mass", [1.0, 2.5])
 def test_schwarzschild_horizon_capacity_is_mass(mass):
     metric = pl.schwarzschild_slice(mass)
-    sol = pl.solve_potential(pl.ExteriorDomain(metric, 0.0), t_max=3.0)
+    sol = pl.PotentialSolution(pl.ExteriorDomain(metric, 0.0), t_max=3.0)
     assert sol.ncap == pytest.approx(mass, rel=1e-9)
 
 
@@ -169,7 +169,7 @@ def test_level_roundtrip_property(solve_cache, t):
 
 
 def test_level_map_non_convergence_raises():
-    sol = pl.solve_potential(pl.ExteriorDomain(pl.power_law(1.0, 0.8), 1.0))
+    sol = pl.PotentialSolution(pl.ExteriorDomain(pl.power_law(1.0, 0.8), 1.0))
     # every level seeded at the boundary: four Newton steps cannot reach t = 5
     sol._s_seed = np.full_like(sol._s_seed, sol.s0)
     with pytest.raises(NumericError, match="did not converge"):
@@ -180,16 +180,13 @@ def test_harmonic_check_stencil_stays_off_blend_breakpoints():
     # a level at s = 1.3438 whose stencil, 2% of s wide, would straddle
     # both blend breakpoints 1.3573 and 1.3757 (flux residual 1.49e-6)
     metric = pl.sphere_cap_blend(1.357313119594852, 0.01842796282132959)
-    sol = pl.solve_potential(pl.ExteriorDomain(metric, 0.6430607954720912))
+    sol = pl.PotentialSolution(pl.ExteriorDomain(metric, 0.6430607954720912))
     assert sol.t_max == 8.0
 
 
 def test_levelset_fields(solve_cache):
     sol = solve_cache("flat", 1.0)
-    lev = sol.level_set(1.0)
-    assert lev.genus == 0
-    assert lev.traceless_second_fundamental_form_norm == 0.0
-    assert lev.tangential_grad_norm == 0.0
+    lev = pl.sample_at(sol, 1.0)
     assert lev.area == pytest.approx(4 * math.pi * math.e**2, rel=1e-10)
     assert lev.H == pytest.approx(2 / math.e, rel=1e-10)
     assert lev.grad_w > 0
@@ -236,7 +233,7 @@ def test_table_metric_through_potential(tmp_path):
     # the table accuracy, with levels capped at the table end
     s = np.geomspace(0.5, 2000.0, 900)
     metric = pl.from_table(s, s.copy())
-    sol = pl.solve_potential(pl.ExteriorDomain(metric, 1.0), t_max=5.0)
+    sol = pl.PotentialSolution(pl.ExteriorDomain(metric, 1.0), t_max=5.0)
     assert sol.ncap == pytest.approx(1.0, rel=1e-6)
     probe = np.geomspace(1.0, 50.0, 20)
     assert np.abs(sol.u(probe) * probe - 1.0).max() < 1e-6
@@ -248,7 +245,7 @@ def test_table_levels_end_at_last_row(s_end):
     # levels stop at the table's last row, t = log(s_end), with a warning;
     # exp(log(s_end)) equals s_end, exceeds it or falls short of it
     s = np.geomspace(0.5, s_end, 900)
-    sol = pl.solve_potential(pl.ExteriorDomain(pl.from_table(s, s.copy()), 1.0), t_max=8.0)
+    sol = pl.PotentialSolution(pl.ExteriorDomain(pl.from_table(s, s.copy()), 1.0), t_max=8.0)
     assert sol.t_max == sol.t_usable
     assert sol.t_max == pytest.approx(math.log(s_end), rel=1e-6)
 
@@ -265,9 +262,9 @@ def test_power_capacity_closed_form_over_beta_range(beta, c, s0, t_max):
     # for an exact tail law the level t_max + 0.1 sits at s0 e^((t_max + 0.1)/(2 beta - 1))
     if math.log(s0) + (t_max + 0.1) / (2.0 * beta - 1.0) > math.log(1e300):
         with pytest.raises(NumericError, match="float range"):
-            pl.solve_potential(pl.ExteriorDomain(metric, s0), t_max=t_max)
+            pl.PotentialSolution(pl.ExteriorDomain(metric, s0), t_max=t_max)
         return
-    sol = pl.solve_potential(pl.ExteriorDomain(metric, s0), t_max=t_max)
+    sol = pl.PotentialSolution(pl.ExteriorDomain(metric, s0), t_max=t_max)
     assert sol.ncap == pytest.approx(c * c * (2.0 * beta - 1.0) * s0 ** (2.0 * beta - 1.0), rel=1e-9)
     assert sol.t_usable >= t_max
 
@@ -284,6 +281,6 @@ def test_one_tail_integrator_per_solve(monkeypatch):
     for name, metric in pl.default_catalog():
         for s0 in (0.5, 1.0, 2.0):
             builds.clear()
-            pl.solve_potential(pl.ExteriorDomain(metric, s0), t_max=8.0)
+            pl.PotentialSolution(pl.ExteriorDomain(metric, s0), t_max=8.0)
             assert len(builds) == 1, (name, s0)
 
