@@ -107,7 +107,7 @@ class TailIntegrator:
     def value(self, s):
         """I(s); vectorized over s within [grid start, usable_hi]."""
         s_arr = np.asarray(s, float)
-        if np.any(s_arr > self.usable_hi * (1.0 + 1e-9)):
+        if not np.all(s_arr <= self.usable_hi * (1.0 + 1e-9)):
             raise DomainError(
                 f"tail integral queried beyond usable radius {self.usable_hi:g}"
             )
@@ -128,8 +128,8 @@ class PotentialSolution:
         self.metric = metric
         self.s0 = s0
         self.t_max = float(t_max)
-        if self.t_max <= 0:
-            raise DomainError(f"t_max must be positive, got {t_max}")
+        if not 0 < self.t_max < math.inf:
+            raise DomainError(f"t_max must be positive and finite, got {t_max}")
 
         # I(s0) >= I(p) >= (1 - 3 m(p)) I_law(p) at every probe radius p past
         # s0; inverting the pure law I_law(s) = s^(1-2 beta)/(c^2 (2 beta - 1))
@@ -148,8 +148,8 @@ class PotentialSolution:
             s_level = math.exp(log_s)
         elif radii[-1] < metric.domain_end:
             raise NumericError(
-                f"{metric.label}: the level t={self.t_max:g} lies near s=1e{log_s / math.log(10):.0f}, "
-                f"outside the float range (the tail law is probed up to s={radii[-1]:.3g})"
+                f"{metric.label}: the level t={self.t_max:g} lies near s=1e{log_s / math.log(10):.1f}, "
+                f"past s={radii[-1]:.3g} where the tail-law probe ends"
             )
         integ = TailIntegrator(metric, s0, max(s_level, float(s_max or 0.0)))
         self._integ = integ
@@ -158,7 +158,7 @@ class PotentialSolution:
         self.s_cut = integ.s_cut
 
         edges = integ.quad.edges
-        i_edges = integ.quad.total - integ.quad.prefix + integ.tail_const
+        i_edges = integ.quad.suffix + integ.tail_const
         mask = (edges >= s0 * (1 - 1e-12)) & (edges <= integ.usable_hi * (1 + 1e-12))
         t_seed = np.log(i0 / i_edges[mask])
         keep = np.concatenate([[True], np.diff(t_seed) > 1e-13])
@@ -179,8 +179,8 @@ class PotentialSolution:
     def tail(self, s):
         """I(s), the exterior Green integral."""
         s_arr = np.asarray(s, float)
-        if np.any(s_arr < self.s0 * (1 - 1e-12) - 1e-300):
-            raise DomainError("potential evaluated inside the boundary sphere")
+        if not np.all(s_arr >= self.s0 * (1 - 1e-12) - 1e-300):
+            raise DomainError("potential evaluated inside the boundary sphere or at NaN")
         return self._integ.value(s_arr)
 
     def u(self, s):
@@ -215,7 +215,7 @@ class PotentialSolution:
         t_arr = np.asarray(t, float)
         scalar = t_arr.ndim == 0
         t_arr = np.atleast_1d(t_arr)
-        if np.any(t_arr < -1e-12) or np.any(t_arr > self.t_usable + 1e-9):
+        if not np.all((-1e-12 <= t_arr) & (t_arr <= self.t_usable + 1e-9)):
             raise DomainError(
                 f"level value outside [0, {self.t_usable:g}] (grid never extrapolates)"
             )

@@ -4,8 +4,8 @@ All radial integrals in the package (warp tail integrals, ball volumes)
 are integrals of smooth positive integrands over ranges that can span
 dozens of decades.  Adaptive scalar quadrature is too slow for the volume
 of queries the level-set machinery generates, so instead we lay down a
-deterministic panel grid once (linear near the inner edge, logarithmic
-further out, split at the metric's breakpoints), evaluate the integrand
+deterministic panel grid once (logarithmic, linear near a zero inner
+edge, split at the metric's breakpoints), evaluate the integrand
 on all Gauss-Legendre nodes in one vectorized call, and answer arbitrary
 sub-interval queries from cumulative panel sums plus a partial panel.
 
@@ -25,18 +25,16 @@ _GL_X, _GL_W = np.polynomial.legendre.leggauss(GL_ORDER)
 
 
 def panel_edges(lo, hi, breakpoints=()):
-    """Build a panel-edge array on [lo, hi].
-
-    64 linear panels cover the region up to max(2*lo, 1) (which also
-    handles lo == 0, where log spacing is impossible), then log-spaced
-    panels, 40 per decade, continue to ``hi``.  Interior breakpoints are inserted so that
+    """Panel edges on [lo, hi]: log-spaced, 40 per decade, from lo, or for
+    lo == 0 (where log spacing is impossible) after 64 linear panels on
+    [0, min(hi, 1)].  Interior breakpoints are inserted so that
     piecewise-defined integrands are never integrated across a seam.
     """
     lo = float(lo)
     hi = float(hi)
     if not hi > lo:
         raise DomainError(f"empty quadrature range [{lo}, {hi}]")
-    lin_hi = min(hi, max(2.0 * lo, 1.0))
+    lin_hi = lo if lo > 0 else min(hi, 1.0)
     pieces = []
     if lin_hi > lo:
         pieces.append(np.linspace(lo, lin_hi, 65))
@@ -77,7 +75,8 @@ class PanelQuadrature:
         self.edges = np.asarray(edges, float)
         panel = _partial(fn, self.edges[:-1], self.edges[1:])
         self.prefix = np.concatenate([[0.0], np.cumsum(panel)])
-        self.total = self.prefix[-1]
+        # summed from the end, so a tail that is a tiny part of the total keeps its digits
+        self.suffix = np.concatenate([np.cumsum(panel[::-1])[::-1], [0.0]])
 
     @property
     def lo(self):
@@ -89,7 +88,7 @@ class PanelQuadrature:
 
     def _locate(self, x):
         x = np.asarray(x, float)
-        if np.any(x < self.lo * (1 - 1e-12) - 1e-300) or np.any(x > self.hi * (1 + 1e-12)):
+        if not np.all((self.lo * (1 - 1e-12) - 1e-300 <= x) & (x <= self.hi * (1 + 1e-12))):
             raise DomainError(
                 f"quadrature query outside panel grid [{self.lo}, {self.hi}]"
             )
@@ -115,5 +114,5 @@ class PanelQuadrature:
         i = np.atleast_1d(idx)
         # integrate the remainder of the containing panel, then add full panels
         rest = _partial(self.fn, xf, self.edges[i + 1])
-        out = rest + (self.total - self.prefix[i + 1])
+        out = rest + self.suffix[i + 1]
         return float(out[0]) if scalar else out.reshape(x.shape)

@@ -1,3 +1,4 @@
+import json
 import math
 import sys
 
@@ -205,6 +206,15 @@ def test_refute_chain_evaluation_crosses():
     assert report.chain_lhs[i] > report.chain_rhs[i]
 
 
+@pytest.mark.parametrize("metric", [pl.power_law(1.0, 0.8), pl.schwarzschild_slice(1.0)],
+                         ids=["power", "schwarzschild"])
+def test_refute_defaults_to_scenario_config(metric):
+    s0 = metric.domain_start
+    default = asymptotics.refute(pl.ExteriorDomain(metric, s0 + 1.0)).to_json_dict()
+    explicit = asymptotics.refute(pl.ExteriorDomain(metric, s0 + 1.0), ScenarioConfig()).to_json_dict()
+    assert json.dumps(default, sort_keys=True) == json.dumps(explicit, sort_keys=True)
+
+
 def test_refute_json_fields():
     report = asymptotics.refute(pl.ExteriorDomain(pl.cone(0.5), 1.0), ScenarioConfig())
     doc = report.to_json_dict()
@@ -216,7 +226,6 @@ def test_refute_json_fields():
     flat_doc = asymptotics.refute(pl.ExteriorDomain(pl.flat_space(), 1.0),
                                   ScenarioConfig()).to_json_dict()
     assert set(flat_doc["pinching"]["margin_curve"]["eps_star"]) == {"inf"}
-    import json
     json.dumps(flat_doc)  # must be serializable
 
 

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import pinchlab.cli as cli
 import pinchlab.metrics as metrics
@@ -295,10 +299,64 @@ def test_level_map_non_convergence_exits_2(tmp_path, capsys, monkeypatch):
 
 
 def test_power_level_beyond_float_range_exits_2(tmp_path, capsys):
-    # the level t_max = 8 lies near s = e^810, which no float represents
+    # the level t_max = 8 lies near s = e^810, past the tail-law probe at 1e300
     argv = ["refute", "--kind", "power", "--param", "beta=0.505", "--out-dir", str(tmp_path)]
     assert cli.main(argv) == 2
-    assert "float range" in capsys.readouterr().err
+    assert "where the tail-law probe ends" in capsys.readouterr().err
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+_PARAMS = {
+    "flat": st.just({}),
+    "cone": st.fixed_dictionaries({"a": st.floats(0.05, 1.0)}),
+    "power": st.fixed_dictionaries({"c": _log_uniform(0.25, 4.0), "beta": st.floats(0.5, 1.0)}),
+    "schwarzschild": st.fixed_dictionaries({"m": _log_uniform(0.25, 4.0)}),
+    "sphere_cap_blend": st.fixed_dictionaries({"s_cap": st.floats(0.05, 1.5),
+                                               "blend_width": _log_uniform(0.005, 3.0)}),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(scenario=st.sampled_from(sorted(_PARAMS)).flatmap(
+           lambda kind: st.tuples(st.just(kind), _PARAMS[kind])),
+       s0=_log_uniform(math.exp(-6), math.exp(6)), epsilon=st.floats(1e-3, 1.0 / 3.0),
+       t_max=_log_uniform(math.exp(-4), math.exp(3.5)))
+@example(scenario=("flat", {}), s0=0.004, epsilon=1.0 / 3.0, t_max=8.0)
+@example(scenario=("flat", {}), s0=1.0, epsilon=1.0 / 3.0, t_max=30.0)
+def test_refute_terminates_over_input_box(tmp_path_factory, scenario, s0, epsilon, t_max):
+    # every input in the box ends in a certificate (0), a named precondition
+    # failure (2: nonparabolic tail, level past the tail-law probe) or a
+    # usage error (64: a blend that flattens the profile), never a stalled level map
+    kind, params = scenario
+    out = tmp_path_factory.mktemp("refute")
+    argv = ["refute", "--kind", kind, "--s0", repr(s0), "--epsilon", repr(epsilon),
+            "--t-max", repr(t_max), "--out-dir", str(out)]
+    argv += [arg for k, v in params.items() for arg in ("--param", f"{k}={v!r}")]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 2, 64), err.getvalue()
+    assert "did not converge" not in err.getvalue()
+    if code == 0:
+        doc = json.loads((out / "refutation.json").read_text())
+        assert not doc["conclusion"].startswith("CONTRADICTION")
+
+
+def test_table_below_growth_window_reports_one_alpha(tmp_path, capsys):
+    # the table ends at s = 50, below the window [100, 1e4]; solve and refute
+    # clip the window the same way, so they report the same growth exponent
+    s = np.geomspace(0.5, 50.0, 400)
+    path = _write(tmp_path / "t.csv", "s,f\n" + "".join(f"{v!r},{v ** 0.9!r}\n" for v in s.tolist()))
+    base = ["--kind", "user_table", "--param", f"path={path}", "--s0", "1"]
+    assert cli.main(["solve", *base, "--out-dir", str(tmp_path / "solve")]) == 0
+    assert cli.main(["refute", *base, "--out-dir", str(tmp_path / "refute")]) == 0
+    summary = json.loads((tmp_path / "solve" / "summary.json").read_text())
+    report = json.loads((tmp_path / "refute" / "refutation.json").read_text())
+    assert report["growth"]["window"] == [1.0, 50.0]
+    assert summary["alpha_fit"] == report["growth"]["alpha_fit"]
 
 
 def _write(path, text):

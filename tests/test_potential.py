@@ -184,6 +184,39 @@ def test_harmonic_check_stencil_stays_off_blend_breakpoints():
     assert sol.t_max == 8.0
 
 
+@pytest.mark.parametrize("t_max", [8.0, 25.0])
+@pytest.mark.parametrize("s0", [1e-4, 0.004, 1.0, 3.0])
+@pytest.mark.parametrize("kind, params, rate", [
+    ("flat", {}, 1.0), ("cone", {"a": 0.5}, 1.0),
+    ("power", {"beta": 0.8}, 1.0 / 0.6), ("power", {"c": 2.0, "beta": 0.6}, 5.0),
+])
+def test_level_radius_matches_closed_form(kind, params, rate, s0, t_max):
+    # for an exact tail law c s^beta, t(s) = (2 beta - 1) log(s / s0)
+    sol = pl.PotentialSolution(pl.ExteriorDomain(pl.build_metric(kind, params), s0), t_max=t_max)
+    t = np.linspace(0.0, t_max, 51)
+    exact = s0 * np.exp(rate * t)
+    assert np.abs(sol.s_of_t(t) / exact - 1.0).max() < 1e-12
+
+
+NON_FINITE_CALLS = {
+    "t_max_nan": lambda sol: pl.PotentialSolution(sol.domain, t_max=math.nan),
+    "t_max_inf": lambda sol: pl.PotentialSolution(sol.domain, t_max=math.inf),
+    "s_of_t": lambda sol: sol.s_of_t(math.nan),
+    "s_of_t_array": lambda sol: sol.s_of_t(np.array([1.0, math.nan])),
+    "u": lambda sol: sol.u(math.nan),
+    "grad_w_array": lambda sol: sol.grad_w(np.array([2.0, math.nan])),
+    "tail_value": lambda sol: sol._integ.value(math.nan),
+    "integral_to_end": lambda sol: sol._integ.quad.integral_to_end(math.nan),
+    "integral_from_start": lambda sol: sol._integ.quad.integral_from_start(math.nan),
+}
+
+
+@pytest.mark.parametrize("call", NON_FINITE_CALLS.values(), ids=NON_FINITE_CALLS.keys())
+def test_non_finite_arguments_raise_domain_error(solve_cache, call):
+    with pytest.raises(DomainError):
+        call(solve_cache("flat", 1.0))
+
+
 def test_levelset_fields(solve_cache):
     sol = solve_cache("flat", 1.0)
     lev = pl.sample_at(sol, 1.0)
@@ -261,7 +294,7 @@ def test_power_capacity_closed_form_over_beta_range(beta, c, s0, t_max):
     metric = pl.power_law(c, beta)
     # for an exact tail law the level t_max + 0.1 sits at s0 e^((t_max + 0.1)/(2 beta - 1))
     if math.log(s0) + (t_max + 0.1) / (2.0 * beta - 1.0) > math.log(1e300):
-        with pytest.raises(NumericError, match="float range"):
+        with pytest.raises(NumericError, match="where the tail-law probe ends"):
             pl.PotentialSolution(pl.ExteriorDomain(metric, s0), t_max=t_max)
         return
     sol = pl.PotentialSolution(pl.ExteriorDomain(metric, s0), t_max=t_max)
