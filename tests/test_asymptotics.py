@@ -206,12 +206,13 @@ def test_refute_chain_evaluation_crosses():
     assert report.chain_lhs[i] > report.chain_rhs[i]
 
 
-@pytest.mark.parametrize("metric", [pl.power_law(1.0, 0.8), pl.schwarzschild_slice(1.0)],
-                         ids=["power", "schwarzschild"])
-def test_refute_defaults_to_scenario_config(metric):
-    s0 = metric.domain_start
-    default = asymptotics.refute(pl.ExteriorDomain(metric, s0 + 1.0)).to_json_dict()
-    explicit = asymptotics.refute(pl.ExteriorDomain(metric, s0 + 1.0), ScenarioConfig()).to_json_dict()
+@pytest.mark.parametrize("metric, s0", [(pl.power_law(1.0, 0.8), 1.0),
+                                        (pl.schwarzschild_slice(1.0), 0.0)],
+                         ids=["power", "schwarzschild_horizon"])
+def test_refute_defaults_to_scenario_config(metric, s0):
+    domain = pl.ExteriorDomain(metric, s0)
+    default = asymptotics.refute(domain).to_json_dict()
+    explicit = asymptotics.refute(domain, ScenarioConfig()).to_json_dict()
     assert json.dumps(default, sort_keys=True) == json.dumps(explicit, sort_keys=True)
 
 
