@@ -581,8 +581,9 @@ def volume_ball(metric: WarpFunction, r):
     if np.any(r_arr <= metric.domain_start) or np.any(r_arr > metric.domain_end):
         raise DomainError(f"ball radius outside domain of {metric.label}")
     hi = min(max(4.0 * float(np.max(r_arr)), 100.0), metric.domain_end)
+    # each radius is a panel edge, so each volume is a sum of whole panels
     quad = PanelQuadrature(lambda s: metric.f(s) ** 2,
-                           panel_edges(metric.domain_start, hi, metric.breakpoints))
+                           panel_edges(metric.domain_start, hi, (*metric.breakpoints, *r_arr)))
     vol = metric.core_volume + 4.0 * math.pi * quad.integral_from_start(r_arr)
     return float(vol[0]) if np.asarray(r).ndim == 0 else vol
 

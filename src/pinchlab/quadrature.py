@@ -5,9 +5,11 @@ are integrals of smooth positive integrands over ranges that can span
 dozens of decades.  Adaptive scalar quadrature is too slow for the volume
 of queries the level-set machinery generates, so instead we lay down a
 deterministic panel grid once (logarithmic, linear near a zero inner
-edge, split at the metric's breakpoints), evaluate the integrand
-on all Gauss-Legendre nodes in one vectorized call, and answer arbitrary
-sub-interval queries from cumulative panel sums plus a partial panel.
+edge, split at the metric's breakpoints) and evaluate the integrand on
+all Gauss-Legendre nodes in one vectorized call.  The node values give
+the panel sums and, per panel, Chebyshev series for the integral of the
+node interpolant from either panel edge, so a sub-interval query is a
+cumulative panel sum plus one series and evaluates no integrand.
 
 With 16-point panels at >= 40 panels per decade the panel rule is exact
 to machine precision for the smooth integrands used here; accuracy is
@@ -17,11 +19,40 @@ exercised against closed forms in the test suite.
 from __future__ import annotations
 
 import numpy as np
+from numpy.polynomial import chebyshev, legendre
 
 from .errors import DomainError
 
 GL_ORDER = 16
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(GL_ORDER)
+_GL_X, _GL_W = legendre.leggauss(GL_ORDER)
+
+
+def _partial_integral_matrix(end):
+    """The 16 x 16 map from a panel's node values to the Chebyshev coefficients
+    of the integral of their interpolant between the panel end ``end`` (-1 for
+    R, 1 for S) and xi on [-1, 1], divided by |xi - end|.  The Gauss-Legendre
+    rule, exact to degree 31, gives the interpolant's Legendre coefficients."""
+    to_legendre = (np.arange(GL_ORDER)[:, None] + 0.5) * legendre.legvander(_GL_X, GL_ORDER - 1).T * _GL_W
+    pts = chebyshev.chebpts1(GL_ORDER + 1)
+    to_chebyshev = np.linalg.solve(chebyshev.chebvander(pts, GL_ORDER), legendre.legvander(pts, GL_ORDER))
+    integral = to_chebyshev @ (-end * legendre.legint(to_legendre, lbnd=end))
+    return np.array([chebyshev.chebdiv(q, [1.0, -end])[0] for q in integral.T]).T
+
+
+_TO_R = _partial_integral_matrix(-1.0)
+_TO_S = _partial_integral_matrix(1.0)
+
+
+def _chebyshev_sum(coef, xi):
+    """Clenshaw sum of the Chebyshev series with coefficient rows ``coef`` at xi."""
+    x2 = 2.0 * xi
+    b1, b2, tmp = coef[-1].copy(), np.zeros_like(xi), np.empty_like(xi)
+    for c in coef[-2:0:-1]:
+        np.multiply(x2, b1, out=tmp)
+        tmp -= b2
+        tmp += c
+        b1, b2, tmp = tmp, b1, b2
+    return coef[0] + xi * b1 - b2
 
 
 def panel_edges(lo, hi, breakpoints=()):
@@ -45,38 +76,37 @@ def panel_edges(lo, hi, breakpoints=()):
     interior = [b for b in breakpoints if lo < b < hi]
     if interior:
         edges = np.unique(np.concatenate([edges, np.asarray(interior, float)]))
-    # drop nearly-coincident edges produced by breakpoint insertion
-    keep = np.concatenate([[True], np.diff(edges) > 1e-14 * np.maximum(1.0, edges[1:])])
+    # drop nearly-coincident edges produced by breakpoint insertion; relative,
+    # so an inserted edge close to a zero lo stays
+    keep = np.concatenate([[True], np.diff(edges) > 1e-14 * edges[1:]])
     return edges[keep]
-
-
-def _partial(fn, a, b):
-    """Vectorized Gauss-Legendre integral of fn over each [a_i, b_i]."""
-    a = np.atleast_1d(np.asarray(a, float))
-    b = np.atleast_1d(np.asarray(b, float))
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    nodes = mid[:, None] + half[:, None] * _GL_X[None, :]
-    vals = fn(nodes.ravel()).reshape(nodes.shape)
-    return half * (vals * _GL_W[None, :]).sum(axis=1)
 
 
 class PanelQuadrature:
     """Cumulative integrals of ``fn`` over a fixed panel grid.
 
-    Panel integrals are computed once at construction; queries for
-    integrals from the grid start (or to the grid end) cost one
-    searchsorted plus a single partial-panel evaluation and are fully
-    vectorized over query points.
+    ``fn`` is evaluated once, on every Gauss-Legendre node, at
+    construction; the quadrature keeps the panel sums as prefix and
+    suffix sums and, per panel, the Chebyshev coefficient columns R and S
+    with integral over [a, x] = (x - a) R(xi) and over [x, b] =
+    (b - x) S(xi), where xi maps the panel [a, b] onto [-1, 1].  Queries
+    for integrals from the grid start (or to the grid end) cost one
+    searchsorted plus one Clenshaw sum and are fully vectorized over
+    query points.
     """
 
     def __init__(self, fn, edges):
-        self.fn = fn
         self.edges = np.asarray(edges, float)
-        panel = _partial(fn, self.edges[:-1], self.edges[1:])
+        mid = 0.5 * (self.edges[:-1] + self.edges[1:])
+        half = 0.5 * (self.edges[1:] - self.edges[:-1])
+        nodes = mid[:, None] + half[:, None] * _GL_X[None, :]
+        vals = fn(nodes.ravel()).reshape(nodes.shape)
+        panel = half * (vals * _GL_W[None, :]).sum(axis=1)
         self.prefix = np.concatenate([[0.0], np.cumsum(panel)])
         # summed from the end, so a tail that is a tiny part of the total keeps its digits
         self.suffix = np.concatenate([np.cumsum(panel[::-1])[::-1], [0.0]])
+        self.R = _TO_R @ vals.T
+        self.S = _TO_S @ vals.T
 
     @property
     def lo(self):
@@ -86,33 +116,30 @@ class PanelQuadrature:
     def hi(self):
         return self.edges[-1]
 
-    def _locate(self, x):
+    def _query(self, x, from_start):
         x = np.asarray(x, float)
         if not np.all((self.lo * (1 - 1e-12) - 1e-300 <= x) & (x <= self.hi * (1 + 1e-12))):
             raise DomainError(
                 f"quadrature query outside panel grid [{self.lo}, {self.hi}]"
             )
-        xc = np.clip(x, self.lo, self.hi)
-        idx = np.clip(np.searchsorted(self.edges, xc, side="right") - 1, 0, len(self.edges) - 2)
-        return xc, idx
+        xc = np.clip(np.atleast_1d(x), self.lo, self.hi)
+        # an edge query lands in the panel whose partial vanishes there
+        i = np.searchsorted(self.edges, xc, side="right" if from_start else "left") - 1
+        i = np.clip(i, 0, len(self.edges) - 2)
+        # the offsets from the panel edges are formed directly: 1 +- xi would drop their digits
+        left, right = xc - self.edges[i], self.edges[i + 1] - xc
+        xi = (left - right) / (left + right)
+        # take() keeps each gathered coefficient row contiguous for the Clenshaw loop
+        if from_start:
+            out = self.prefix[i] + left * _chebyshev_sum(self.R.take(i, axis=1), xi)
+        else:
+            out = self.suffix[i + 1] + right * _chebyshev_sum(self.S.take(i, axis=1), xi)
+        return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
     def integral_from_start(self, x):
         """Integral of fn over [edges[0], x], vectorized in x."""
-        x = np.asarray(x, float)
-        scalar = x.ndim == 0
-        xc, idx = self._locate(x)
-        xf = np.atleast_1d(xc)
-        out = self.prefix[np.atleast_1d(idx)] + _partial(self.fn, self.edges[np.atleast_1d(idx)], xf)
-        return float(out[0]) if scalar else out.reshape(x.shape)
+        return self._query(x, True)
 
     def integral_to_end(self, x):
         """Integral of fn over [x, edges[-1]], vectorized in x."""
-        x = np.asarray(x, float)
-        scalar = x.ndim == 0
-        xc, idx = self._locate(x)
-        xf = np.atleast_1d(xc)
-        i = np.atleast_1d(idx)
-        # integrate the remainder of the containing panel, then add full panels
-        rest = _partial(self.fn, xf, self.edges[i + 1])
-        out = rest + self.suffix[i + 1]
-        return float(out[0]) if scalar else out.reshape(x.shape)
+        return self._query(x, False)

@@ -110,6 +110,7 @@ class _Scenario:
         self.t_max = float(min(cfg.t_max, 5.0))
         self.domain = potential.ExteriorDomain(metric, s0)
         self.sol = potential.PotentialSolution(self.domain, t_max=self.t_max)
+        self.t_max = self.sol.t_max  # a table may end below the requested level
         n = max(2001, int(round(self.t_max / SUITE_DT)) + 1)
         self.series = functionals.build_series(self.sol, n=n)
         self.s_window = asymptotics.pinching_window(self.sol, self.series)
@@ -146,7 +147,7 @@ def _curvature_fd_oracle(sc):
         h = max(1e-3, 1e-4 * s)
         if any(abs(s - b) < 5 * h for b in sc.metric.breakpoints):
             continue
-        if s - 2 * h <= sc.metric.domain_start:
+        if s - 2 * h <= sc.metric.domain_start or s + 2 * h > sc.metric.domain_end:
             continue
         a = metrics.curvature_at(sc.metric, float(s))
         b = metrics.finite_difference_curvature_oracle(sc.metric, float(s), h)

@@ -110,6 +110,17 @@ def test_verify_single_metric(capsys):
     assert "power/F_monotone" in out
 
 
+def test_verify_table_ending_below_t_max(tmp_path, capsys):
+    # the levels stop at the last row (t ~ 2.35 here); the checks must too
+    s = np.geomspace(0.5, 50.0, 400)
+    path = tmp_path / "table.csv"
+    path.write_text("s,f\n" + "".join(f"{a!r},{a ** 0.8!r}\n" for a in s.tolist()))
+    code = cli.main(["verify", "--kind", "user_table", "--param", f"path={path}"])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert "0 failed" in out
+
+
 def test_verify_json_out_has_no_runtimes(tmp_path, capsys):
     path = tmp_path / "results.json"
     code = cli.main(["verify", "--suite", "identities", "--kind", "cone",

@@ -16,6 +16,32 @@ from pinchlab.verify import run_verify
 # closed-form samples
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("kind", ["flat", "cone", "power", "schwarzschild", "sphere_cap_blend"])
+def test_series_profile_evaluations_per_level(kind):
+    # I(s) queries read the quadrature's stored series, so a level costs a
+    # few profile evaluations (Newton steps and the fields), not 16 per query
+    metric = pl.build_metric(kind)
+    points = []
+
+    def counting(fn):
+        def wrapped(s):
+            points.append(np.size(s))
+            return fn(s)
+        return wrapped
+
+    counted = pl.from_callables(
+        metric.kind, counting(metric.fn), counting(metric.dfn), counting(metric.d2fn),
+        params=metric.params, domain_start=metric.domain_start,
+        pole_smooth=metric.pole_smooth, inclusive_start=metric.inclusive_start,
+        tail_coefficient=metric.tail_coefficient, tail_exponent=metric.tail_exponent,
+        core_volume=metric.core_volume, breakpoints=metric.breakpoints,
+        domain_end=metric.domain_end)
+    sol = pl.PotentialSolution(pl.ExteriorDomain(counted, 1.0), t_max=5.0)
+    points.clear()
+    pl.build_series(sol, n=2001)
+    assert sum(points) <= 10 * 2001
+
+
 def test_flat_samples_are_constant(solve_cache):
     sol = solve_cache("flat", 1.0)
     for t in (0.0, 1.7, 4.2):

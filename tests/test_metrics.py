@@ -272,6 +272,17 @@ def test_volume_power_closed_form():
         assert pl.volume_ball(metric, r) == pytest.approx(4 * math.pi * r**2.6 / 2.6, rel=1e-10)
 
 
+@pytest.mark.parametrize("metric,a", [(pl.flat_space(), 1.0), (pl.cone(0.5), 0.5)])
+def test_volume_small_balls_closed_form(metric, a):
+    # f^2 vanishes at the zero inner edge, so a ball reaching only part way
+    # into the first panel must still keep full relative accuracy
+    r = np.array([1e-15, 1e-6, 1e-4, 1e-3, 1e-2])
+    exact = 4 * math.pi / 3 * a**2 * r**3
+    assert np.abs(pl.volume_ball(metric, r) / exact - 1.0).max() <= 1e-13
+    for radius, vol in zip(r, exact):
+        assert abs(pl.volume_ball(metric, radius) / vol - 1.0) <= 1e-13
+
+
 def test_volume_ball_is_history_independent():
     fresh = pl.power_law(1.0, 0.8)
     used = pl.power_law(1.0, 0.8)
