@@ -8,22 +8,20 @@ hypotheses (Ricci pinching, superquadratic volume growth, sub-16pi
 boundary Willmore energy) fails for a given profile.
 """
 
-from .asymptotics import (DecayFit, RefutationReport, coarea_check,
-                          decay_check, holder_chain_check, li_yau_fit, refute)
+from .asymptotics import (coarea_check, decay_check, holder_chain_check,
+                          li_yau_fit, refute)
 from .config import ScenarioConfig
 from .errors import (DomainError, NonparabolicityError, NumericError,
                      PinchLabError, UsageError)
-from .functionals import (BoundaryWillmore, FunctionalSample, FunctionalSeries,
-                          GenusZeroResult, MonotonicityReport, boundary_willmore,
-                          build_series, check_G_ode, check_monotonicity,
+from .functionals import (boundary_willmore, build_series, capacity_scaling_check,
+                          check_G_ode, check_monotonicity,
                           genus_zero_inequality_check, sample_at)
-from .metrics import (CurvaturePoint, GrowthReport, PinchReport, WarpFunction,
-                      build_metric, capped_cone, check_pinching, cone,
+from .metrics import (build_metric, capped_cone, check_pinching, cone,
                       curvature_at, default_catalog,
                       finite_difference_curvature_oracle, flat_space,
                       from_callables, from_table, growth_fit, load_table_csv,
                       power_law, schwarzschild_slice, sphere_cap_blend,
                       volume_ball)
-from .potential import ExteriorDomain, PotentialSolution, capacity_scaling_check
+from .potential import ExteriorDomain, PotentialSolution
 
 __version__ = "0.1.0"

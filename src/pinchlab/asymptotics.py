@@ -24,7 +24,8 @@ from . import metrics
 from .config import ScenarioConfig
 from .errors import DomainError, UsageError
 from .functionals import (FOUR_PI, SIXTEEN_PI, BoundaryWillmore,
-                          FunctionalSeries, boundary_willmore, build_series)
+                          FunctionalSeries, boundary_willmore, build_series,
+                          sample_at)
 from .metrics import GrowthReport, PinchReport, check_pinching, growth_fit, volume_ball
 from .potential import ExteriorDomain, PotentialSolution
 
@@ -74,7 +75,7 @@ def decay_check(series: FunctionalSeries, epsilon: float,
         raise UsageError("decay check needs a positive pinching constant")
     threshold = 8.0 * math.pi * epsilon / (2.0 + 2.0 * epsilon)
 
-    pinched, _ = metrics.pinched(series.metric, series.s, epsilon)
+    pinched = metrics.pinched_where(series.eps_star, series.ric_ok, epsilon)
     # F = 4 pi exactly on flat space; the slack keeps rounding from picking levels
     gate = pinched & (series.F <= FOUR_PI * (1.0 + 1e-12))
     gate[[0, -1]] = False
@@ -148,13 +149,9 @@ def holder_chain_check(sol: PotentialSolution, t_grid) -> float:
     sphere; the returned deviation is |lhs/rhs - 1| maximized over the
     grid and measures quadrature plus level-inversion error only.
     """
-    t = np.asarray(t_grid, float)
-    s = np.atleast_1d(sol.s_of_t(t))
-    f = sol.metric.f(s)
-    area = FOUR_PI * f * f
-    gw = np.atleast_1d(sol.grad_w(s))
-    lhs = np.exp(3.0 * t.ravel()) * sol.ncap**3
-    rhs = (area / gw) * (area * gw * gw) ** 2 / FOUR_PI**3
+    smp = sample_at(sol, t_grid)
+    lhs = np.exp(3.0 * smp.t) * sol.ncap**3
+    rhs = (smp.area / smp.grad_w) * smp.G**2 / FOUR_PI**3
     return float(np.abs(lhs / rhs - 1.0).max())
 
 

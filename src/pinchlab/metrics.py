@@ -60,7 +60,6 @@ class WarpFunction:
     inclusive_start: bool
     tail_coefficient: float
     tail_exponent: float
-    core_volume: float
     breakpoints: Tuple[float, ...]
     domain_end: float
     fn: Callable = field(repr=False)
@@ -94,20 +93,17 @@ class WarpFunction:
         inner = ", ".join(f"{k}={v:g}" for k, v in self.params.items())
         return f"{self.kind}({inner})"
 
-    def contains(self, s) -> bool:
-        s = float(s)
-        if s > self.domain_end:
-            return False
-        if s > self.domain_start:
-            return True
-        return self.inclusive_start and s == self.domain_start
-
     def require_contains(self, s):
-        if not self.contains(s):
-            raise DomainError(
-                f"radius s={s!r} outside the domain of {self.label} "
-                f"({'[' if self.inclusive_start else '('}{self.domain_start}, {self.domain_end})"
-            )
+        """DomainError unless radius s, or every radius of an array s, lies in
+        the domain (an interval, so its extreme radii decide)."""
+        s = np.asarray(s, float)
+        for r in (s.min(), s.max()) if s.size else ():
+            if not (r <= self.domain_end and (r > self.domain_start or
+                                              self.inclusive_start and r == self.domain_start)):
+                raise DomainError(
+                    f"radius s={float(r)!r} outside the domain of {self.label} "
+                    f"({'[' if self.inclusive_start else '('}{self.domain_start}, {self.domain_end})"
+                )
 
     def __repr__(self):  # pragma: no cover - cosmetic
         return f"WarpFunction<{self.label}>"
@@ -115,7 +111,7 @@ class WarpFunction:
 
 def from_callables(kind, fn, dfn, d2fn, *, params=None, domain_start=0.0,
                    pole_smooth=False, inclusive_start=False,
-                   tail_coefficient=1.0, tail_exponent=1.0, core_volume=0.0,
+                   tail_coefficient=1.0, tail_exponent=1.0,
                    breakpoints=(), domain_end=math.inf) -> WarpFunction:
     """Wrap arbitrary vectorized callables (f, f', f'') as a warp profile.
 
@@ -126,8 +122,7 @@ def from_callables(kind, fn, dfn, d2fn, *, params=None, domain_start=0.0,
         kind=kind, params=dict(params or {}), domain_start=float(domain_start),
         pole_smooth=pole_smooth, inclusive_start=inclusive_start,
         tail_coefficient=float(tail_coefficient), tail_exponent=float(tail_exponent),
-        core_volume=float(core_volume), breakpoints=tuple(breakpoints),
-        domain_end=float(domain_end), fn=fn, dfn=dfn, d2fn=d2fn,
+        breakpoints=tuple(breakpoints), domain_end=float(domain_end), fn=fn, dfn=dfn, d2fn=d2fn,
     )
 
 
@@ -309,8 +304,7 @@ def capped_cone(slope: float, blend_width: float = 0.3) -> WarpFunction:
     return sphere_cap_blend(math.acos(a / math.hypot(1.0, w / 3.0)) - math.atan(w / 3.0), w)
 
 
-def from_table(s_samples, f_samples, *, tail_coefficient=None, tail_exponent=None,
-               core_volume=0.0) -> WarpFunction:
+def from_table(s_samples, f_samples, *, tail_coefficient=None, tail_exponent=None) -> WarpFunction:
     """Tabulated warp profile interpolated by a quintic spline.
 
     The quintic interpolant has four continuous derivatives, so all
@@ -373,9 +367,8 @@ def from_table(s_samples, f_samples, *, tail_coefficient=None, tail_exponent=Non
     return from_callables(
         "user_table", guard(spline), guard(d1), guard(d2),
         params={"n_rows": float(len(s))},
-        domain_start=float(s[0]), inclusive_start=True,
+        domain_start=float(s[0]), inclusive_start=True, domain_end=float(s[-1]),
         tail_coefficient=float(tail_coefficient), tail_exponent=float(tail_exponent),
-        core_volume=float(core_volume), domain_end=float(s[-1]),
     )
 
 
@@ -408,7 +401,8 @@ def load_table_csv(path, **kwargs) -> WarpFunction:
 
 @dataclass(frozen=True)
 class CurvaturePoint:
-    """All curvature scalars of the warped metric at one radius.
+    """All curvature scalars of the warped metric at one radius, or at each
+    radius of an array (then every field is an array of that shape).
 
     ``areal_radius`` is f(s): the level sphere through s has area
     4 pi f(s)^2 for every profile, so f doubles as the areal radius.
@@ -433,36 +427,46 @@ def _curvature(f, df, d2f):
     return k_rad, k_tan, ric_rad, ric_tan, scalar
 
 
-def _curvature_arrays(metric: WarpFunction, s):
+def _point(s, f, df, d2f) -> CurvaturePoint:
+    """The curvature at radii s from f, f' and f'' there, evaluated on at
+    least one axis; floats for a 0-d s."""
+    values = (np.atleast_1d(s), f, *_curvature(f, df, d2f))
+    if s.ndim == 0:
+        return CurvaturePoint(*(float(v[0]) for v in values))
+    return CurvaturePoint(*values)
+
+
+def curvature_at(metric: WarpFunction, s) -> CurvaturePoint:
+    """Evaluate all curvature scalars at radius s, a float or an array of
+    radii; every radius must lie in the domain."""
     s = np.asarray(s, float)
-    f = metric.f(s)
-    return (f, *_curvature(f, metric.df(s), metric.d2f(s)))
-
-
-def curvature_at(metric: WarpFunction, s: float) -> CurvaturePoint:
-    """Evaluate all curvature scalars at radius s (must be in the domain)."""
     metric.require_contains(s)
-    return CurvaturePoint(float(s), *(float(v) for v in _curvature_arrays(metric, s)))
+    # a 0-d radius is evaluated as a 1-element array: numpy's scalar x**2 and
+    # its array square can differ in the last bit, and both paths must agree
+    x = np.atleast_1d(s)
+    return _point(s, metric.f(x), metric.df(x), metric.d2f(x))
 
 
-def finite_difference_curvature_oracle(metric: WarpFunction, s: float, h: float) -> CurvaturePoint:
+def finite_difference_curvature_oracle(metric: WarpFunction, s, h) -> CurvaturePoint:
     """Recompute the curvature using only values of f.
 
-    Five-point central stencils recover f' and f'' from f alone, and the
-    same warped-product formulas are then applied.  This is the
-    independent cross-check for ``curvature_at``; it never reuses the
-    profile's analytic derivatives.
+    Five-point central stencils of step h recover f' and f'' from f
+    alone, and the same warped-product formulas are then applied.  This
+    is the independent cross-check for ``curvature_at``; it never reuses
+    the profile's analytic derivatives.  s and h are floats or arrays
+    that broadcast together.
     """
-    s = float(s)
-    h = float(h)
-    if h <= 0 or s + h == s:
-        raise NumericError(f"finite-difference step {h} underflows at s={s}")
-    for probe in (s - 2 * h, s + 2 * h):
-        metric.require_contains(probe)
-    fm2, fm1, f0, fp1, fp2 = metric.f(s + h * np.array([-2.0, -1.0, 0.0, 1.0, 2.0]))
+    s, h = np.broadcast_arrays(np.asarray(s, float), np.asarray(h, float))
+    bad = (h <= 0) | (s + h == s)
+    if bad.any():
+        raise NumericError(f"finite-difference step {h[bad][0]} underflows at s={s[bad][0]}")
+    metric.require_contains(s - 2 * h)
+    metric.require_contains(s + 2 * h)
+    offsets = np.multiply.outer([-2.0, -1.0, 0.0, 1.0, 2.0], np.atleast_1d(h))
+    fm2, fm1, f0, fp1, fp2 = metric.f(s + offsets)
     df = (fm2 - 8.0 * fm1 + 8.0 * fp1 - fp2) / (12.0 * h)
     d2f = (-fm2 + 16.0 * fm1 - 30.0 * f0 + 16.0 * fp1 - fp2) / (12.0 * h * h)
-    return CurvaturePoint(s, float(f0), *(float(v) for v in _curvature(f0, df, d2f)))
+    return _point(s, f0, df, d2f)
 
 
 # ---------------------------------------------------------------------------
@@ -496,8 +500,8 @@ class PinchReport:
         return float(np.min(self.margin_eps_star))
 
 
-def _pinch_margins(metric: WarpFunction, s):
-    _, _, _, ric_rad, ric_tan, scalar = _curvature_arrays(metric, s)
+def _pinch_margins(ric_rad, ric_tan, scalar):
+    """(eps_star, ric_ok) from the Ricci eigenvalues and the scalar curvature."""
     min_ric = np.minimum(ric_rad, ric_tan)
     scale = np.abs(ric_rad) + 2.0 * np.abs(ric_tan) + 1e-300
     r_positive = scalar > PINCH_SLACK * scale
@@ -512,13 +516,19 @@ def _pinch_margins(metric: WarpFunction, s):
     return eps_star, ric_ok
 
 
+def pinched_where(eps_star, ric_ok, epsilon: float):
+    """Where Ric >= 0 and Ric >= eps R g hold, from the margins of ``_pinch_margins``."""
+    return ric_ok & (eps_star >= epsilon - PINCH_SLACK)
+
+
 def pinched(metric: WarpFunction, s, epsilon: float):
     """Where Ric >= 0 and Ric >= eps R g hold at the radii s, and the margins.
 
     Returns (mask, eps_star) with eps_star as in ``PinchReport``.
     """
-    eps_star, ric_ok = _pinch_margins(metric, s)
-    return ric_ok & (eps_star >= epsilon - PINCH_SLACK), eps_star
+    point = curvature_at(metric, s)
+    eps_star, ric_ok = _pinch_margins(point.ric_rad, point.ric_tan, point.scalar)
+    return pinched_where(eps_star, ric_ok, epsilon), eps_star
 
 
 def check_pinching(metric: WarpFunction, epsilon: float, s_range, n_samples: int) -> PinchReport:
@@ -538,8 +548,7 @@ def check_pinching(metric: WarpFunction, epsilon: float, s_range, n_samples: int
         raise UsageError("pinching scan needs at least 2 samples")
     if not s_lo < s_hi:
         raise DomainError(f"empty pinching window [{s_lo}, {s_hi}]")
-    metric.require_contains(s_lo)
-    metric.require_contains(s_hi)
+    metric.require_contains([s_lo, s_hi])
     if s_lo <= 0:
         raise DomainError("pinching window must start at positive radius")
 
@@ -573,7 +582,7 @@ def check_pinching(metric: WarpFunction, epsilon: float, s_range, n_samples: int
 def volume_ball(metric: WarpFunction, r):
     """Volume of the centred ball of arclength radius r.
 
-    Vol(B_r) = core_volume + 4 pi * integral of f(s)^2 over [s_min, r].
+    Vol(B_r) = 4 pi * integral of f(s)^2 over [s_min, r].
     The panel quadrature is exact to ~1e-13 relative for the catalog
     profiles (verified against closed forms in the tests).
     """
@@ -584,7 +593,7 @@ def volume_ball(metric: WarpFunction, r):
     # each radius is a panel edge, so each volume is a sum of whole panels
     quad = PanelQuadrature(lambda s: metric.f(s) ** 2,
                            panel_edges(metric.domain_start, hi, (*metric.breakpoints, *r_arr)))
-    vol = metric.core_volume + 4.0 * math.pi * quad.integral_from_start(r_arr)
+    vol = 4.0 * math.pi * quad.integral_from_start(r_arr)
     return float(vol[0]) if np.asarray(r).ndim == 0 else vol
 
 

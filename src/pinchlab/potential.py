@@ -258,16 +258,3 @@ class PotentialSolution:
             )
         log.debug("%s: harmonic flux residual %.2e", self.metric.label, worst)
 
-
-def capacity_scaling_check(sol: PotentialSolution, t_grid) -> float:
-    """Max relative failure of ncap(t) = e^t * ncap(0) over the level grid.
-
-    ncap(t) is evaluated as f(s(t))^2 |grad w|(s(t)) / 1, i.e. the boundary
-    flux through the level sphere; the identity is exact for the exterior
-    potential, so the returned deviation measures the numerics only.
-    """
-    t_arr = np.asarray(t_grid, float)
-    s = np.atleast_1d(sol.s_of_t(t_arr))
-    ncap_t = sol.metric.f(s) ** 2 * np.atleast_1d(sol.grad_w(s))
-    dev = np.abs(ncap_t * np.exp(-t_arr.ravel()) / sol.ncap - 1.0)
-    return float(dev.max())

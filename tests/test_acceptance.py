@@ -15,7 +15,6 @@ import pinchlab as pl
 from pinchlab import asymptotics
 from pinchlab.config import ScenarioConfig
 from pinchlab.functionals import FOUR_PI, SIXTEEN_PI
-from pinchlab.metrics import _curvature_arrays, _pinch_margins
 
 CATALOG_NAMES = ("flat", "cone", "power", "schwarzschild", "sphere_cap_blend")
 
@@ -77,7 +76,7 @@ def test_criterion_04_capacity_scaling(catalog_bundle):
 
 def test_criterion_05_schwarzschild(solve_cache):
     metric = pl.build_metric("schwarzschild")
-    scalar = _curvature_arrays(metric, np.linspace(0.0, 100.0, 500))[5]
+    scalar = pl.curvature_at(metric, np.linspace(0.0, 100.0, 500)).scalar
     dev_R = float(np.abs(scalar).max())
     sol = solve_cache("schwarzschild", 0.0, t_max=3.0)
     dev_ncap = abs(sol.ncap - 1.0)
@@ -102,8 +101,7 @@ def test_criterion_07_functional_bounds(catalog_bundle):
     viol_G = 0
     for name, (metric, sol, series) in catalog_bundle.items():
         viol_flux += int(np.sum(series.F - series.willmore / 4 > 1e-9))
-        eps_star, ric_ok = _pinch_margins(metric, series.s)
-        if bool(np.all(ric_ok)):  # Ric >= 0 on the window
+        if bool(np.all(series.ric_ok)):  # Ric >= 0 at every level radius
             viol_G += int(np.sum(series.G < -1e-9))
             viol_G += int(np.sum(series.G - series.F > 1e-9))
     ok = viol_flux == 0 and viol_G == 0

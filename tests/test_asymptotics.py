@@ -8,7 +8,6 @@ import pytest
 import pinchlab as pl
 from pinchlab import asymptotics
 from pinchlab.config import ScenarioConfig
-from pinchlab.metrics import _pinch_margins
 
 from test_metrics import schw_arclength
 
@@ -64,8 +63,7 @@ def test_decay_pointwise_inequality_power_with_window_margin(solve_cache):
     # level, and the pointwise branch F' <= eps (2F - 8 pi) must then hold
     sol = solve_cache("power", 1.0)
     series = pl.build_series(sol, n=2001)
-    eps_star, _ = _pinch_margins(series.metric, series.s)
-    eps = float(eps_star.min()) * 0.999
+    eps = float(series.eps_star.min()) * 0.999
     pinch = _pinch_on_series(series, eps)
     assert pinch.passed
     fit = asymptotics.decay_check(series, eps, pinch)
@@ -92,8 +90,7 @@ def test_decay_bound_passes_where_hypothesis_holds():
     metric = pl.power_law(1.0, beta)
     sol = pl.PotentialSolution(pl.ExteriorDomain(metric, 1.0), t_max=0.9)
     series = pl.build_series(sol, n=2001)
-    eps_star, _ = _pinch_margins(metric, series.s)
-    eps = float(eps_star.min()) * 0.999
+    eps = float(series.eps_star.min()) * 0.999
     pinch = pl.check_pinching(metric, eps, (1.0, float(series.s[-1])), 300)
     assert pinch.passed
     fit = asymptotics.decay_check(series, eps, pinch)

@@ -121,6 +121,19 @@ def test_verify_table_ending_below_t_max(tmp_path, capsys):
     assert "0 failed" in out
 
 
+@pytest.mark.parametrize("s0", ["0.5", "0.6", "0.9"])
+def test_verify_table_boundary_near_first_row(tmp_path, capsys, s0):
+    # the curvature grid starts at half the boundary radius, below the
+    # table's first row here; it must start at the row instead
+    s = np.geomspace(0.5, 5e4, 400)
+    path = tmp_path / "table.csv"
+    path.write_text("s,f\n" + "".join(f"{a!r},{a ** 0.8!r}\n" for a in s.tolist()))
+    code = cli.main(["verify", "--kind", "user_table", "--param", f"path={path}", "--s0", s0])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert "17 checks, 0 failed" in out
+
+
 def test_verify_json_out_has_no_runtimes(tmp_path, capsys):
     path = tmp_path / "results.json"
     code = cli.main(["verify", "--suite", "identities", "--kind", "cone",
@@ -134,13 +147,13 @@ def test_verify_json_out_has_no_runtimes(tmp_path, capsys):
 
 def test_verify_fault_injection_flips_ric_rad(monkeypatch, capsys):
     # corrupting the curvature assembly must be caught and named
-    true_arrays = metrics._curvature_arrays
+    true_curvature = metrics._curvature
 
-    def corrupted(metric, s):
-        f, k_rad, k_tan, ric_rad, ric_tan, scalar = true_arrays(metric, s)
-        return f, k_rad, k_tan, -ric_rad, ric_tan, scalar
+    def corrupted(f, df, d2f):
+        k_rad, k_tan, ric_rad, ric_tan, scalar = true_curvature(f, df, d2f)
+        return k_rad, k_tan, -ric_rad, ric_tan, scalar
 
-    monkeypatch.setattr(metrics, "_curvature_arrays", corrupted)
+    monkeypatch.setattr(metrics, "_curvature", corrupted)
     code = cli.main(["verify", "--suite", "identities", "--kind", "power", "--t-max", "2"])
     out = capsys.readouterr().out
     assert code == 1

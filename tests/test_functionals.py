@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pinchlab as pl
+from pinchlab import asymptotics, metrics
 from pinchlab.config import ScenarioConfig
 from pinchlab.functionals import FOUR_PI, SIXTEEN_PI, CSV_COLUMNS
 from pinchlab.verify import run_verify
@@ -16,10 +18,12 @@ from pinchlab.verify import run_verify
 # closed-form samples
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("kind", ["flat", "cone", "power", "schwarzschild", "sphere_cap_blend"])
-def test_series_profile_evaluations_per_level(kind):
-    # I(s) queries read the quadrature's stored series, so a level costs a
-    # few profile evaluations (Newton steps and the fields), not 16 per query
+KINDS = ["flat", "cone", "power", "schwarzschild", "sphere_cap_blend"]
+
+
+def _counting_solution(kind):
+    """A solve on the catalog profile, with a list that grows by the number of
+    points of every f, f' and f'' evaluation."""
     metric = pl.build_metric(kind)
     points = []
 
@@ -34,12 +38,61 @@ def test_series_profile_evaluations_per_level(kind):
         params=metric.params, domain_start=metric.domain_start,
         pole_smooth=metric.pole_smooth, inclusive_start=metric.inclusive_start,
         tail_coefficient=metric.tail_coefficient, tail_exponent=metric.tail_exponent,
-        core_volume=metric.core_volume, breakpoints=metric.breakpoints,
+        breakpoints=metric.breakpoints,
         domain_end=metric.domain_end)
-    sol = pl.PotentialSolution(pl.ExteriorDomain(counted, 1.0), t_max=5.0)
+    return pl.PotentialSolution(pl.ExteriorDomain(counted, 1.0), t_max=5.0), points
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_series_profile_evaluations_per_level(kind):
+    # I(s) queries read the quadrature's stored series, so a level costs a
+    # few profile evaluations (Newton steps and the fields), not 16 per query
+    sol, points = _counting_solution(kind)
     points.clear()
     pl.build_series(sol, n=2001)
     assert sum(points) <= 10 * 2001
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_series_checks_evaluate_no_profile(kind):
+    # the series carries the curvature at its level radii, so the checks
+    # that read it evaluate no f, f' or f''
+    sol, points = _counting_solution(kind)
+    series = pl.build_series(sol, n=2001)
+    pinch = pl.check_pinching(sol.metric, 1.0 / 3.0, asymptotics.pinching_window(sol, series), 400)
+    points.clear()
+    pl.decay_check(series, 1.0 / 3.0, pinch)
+    pl.check_monotonicity(series)
+    assert points == []
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_series_pinching_columns_match_profile(catalog_bundle, kind):
+    # the reference recomputes the curvature from the profile at series.s
+    metric, _, series = catalog_bundle[kind]
+    s = series.s
+    f, df, d2f = metric.f(s), metric.df(s), metric.d2f(s)
+    _, _, ric_rad, ric_tan, scalar = metrics._curvature(f, df, d2f)
+    eps_star, ric_ok = metrics._pinch_margins(ric_rad, ric_tan, scalar)
+    assert np.array_equal(series.ric_rad, ric_rad)
+    assert np.array_equal(series.eps_star, eps_star)
+    assert np.array_equal(series.ric_ok, ric_ok)
+    for epsilon in (0.01, 1.0 / 3.0):
+        mask, eps_ref = metrics.pinched(metric, s, epsilon)
+        assert np.array_equal(series.eps_star, eps_ref)
+        assert np.array_equal(metrics.pinched_where(series.eps_star, series.ric_ok, epsilon), mask)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_sample_at_array_matches_scalar_calls(solve_cache, kind):
+    sol = solve_cache(kind, 1.0)
+    t = np.linspace(0.0, 5.0, 51)
+    arr = pl.sample_at(sol, t)
+    names = [fld.name for fld in dataclasses.fields(arr)]
+    for i, ti in enumerate(t):
+        smp = pl.sample_at(sol, float(ti))
+        assert all(type(getattr(smp, k)) in (float, bool) for k in names)
+        assert [getattr(smp, k) for k in names] == [getattr(arr, k)[i] for k in names]
 
 
 def test_flat_samples_are_constant(solve_cache):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 import pinchlab as pl
 from pinchlab.errors import DomainError, NumericError, UsageError
-from pinchlab.metrics import _curvature_arrays
 
 
 def schw_arclength(r, m=1.0):
@@ -51,7 +50,7 @@ def test_schwarzschild_horizon_curvature():
 def test_schwarzschild_scalar_flat_along_profile():
     metric = pl.schwarzschild_slice(1.0)
     s = np.linspace(0.0, 100.0, 501)
-    scalar = _curvature_arrays(metric, s)[5]
+    scalar = pl.curvature_at(metric, s).scalar
     assert np.abs(scalar).max() < 1e-8
 
 
@@ -100,8 +99,8 @@ def test_trace_identity_on_catalog(kind):
     s = np.geomspace(0.05, 1e3, 300)
     if metric.kind == "schwarzschild":
         s = np.concatenate([[0.0], s])
-    _, _, _, ric_rad, ric_tan, scalar = _curvature_arrays(metric, s)
-    resid = np.abs(scalar - (ric_rad + 2 * ric_tan)) / np.maximum(1.0, np.abs(scalar))
+    p = pl.curvature_at(metric, s)
+    resid = np.abs(p.scalar - (p.ric_rad + 2 * p.ric_tan)) / np.maximum(1.0, np.abs(p.scalar))
     assert resid.max() < 1e-12
 
 
@@ -174,6 +173,35 @@ def test_fd_oracle_across_domain(kind):
             assert abs(getattr(a, field) - getattr(b, field)) < 1e-5
 
 
+@pytest.mark.parametrize("kind", ["flat", "cone", "power", "schwarzschild", "sphere_cap_blend"])
+def test_array_curvature_matches_scalar_calls(kind):
+    # one call over an array of radii gives, radius by radius, the bits of
+    # the per-point calls, for the analytic curvature and for the oracle
+    metric = pl.build_metric(kind)
+    s = np.geomspace(0.05, 1e4, 401)
+    h = np.maximum(1e-3, 1e-4 * s)
+    fields = ("s", "areal_radius", "k_rad", "k_tan", "ric_rad", "ric_tan", "scalar")
+    curv = pl.curvature_at(metric, s)
+    fd = pl.finite_difference_curvature_oracle(metric, s, h)
+    for i in range(len(s)):
+        for arr, point in ((curv, pl.curvature_at(metric, float(s[i]))),
+                           (fd, pl.finite_difference_curvature_oracle(metric, float(s[i]),
+                                                                      float(h[i])))):
+            assert all(type(getattr(point, k)) is float for k in fields)
+            assert [getattr(point, k) for k in fields] == [getattr(arr, k)[i] for k in fields]
+
+
+def test_array_curvature_checks_extreme_radii():
+    with pytest.raises(DomainError):
+        pl.curvature_at(pl.cone(0.5), np.array([1.0, 0.0, 2.0]))
+    with pytest.raises(DomainError):
+        pl.finite_difference_curvature_oracle(pl.cone(0.5), np.array([1.0, 0.001]), 1e-3)
+    with pytest.raises(NumericError):
+        pl.finite_difference_curvature_oracle(pl.flat_space(), np.array([1.0, 2.0]),
+                                              np.array([1e-3, 0.0]))
+    assert pl.curvature_at(pl.flat_space(), np.array([])).scalar.shape == (0,)
+
+
 def test_fd_oracle_step_underflow():
     with pytest.raises(NumericError):
         pl.finite_difference_curvature_oracle(pl.flat_space(), 1.0, 0.0)
@@ -214,7 +242,8 @@ def test_pinching_schwarzschild_fails_ric_nonneg():
 def test_pinching_witness_refined_by_bisection():
     metric = pl.power_law(1.0, 0.8)
     s_target = 5.0
-    eps_star, _ = pl.metrics._pinch_margins(metric, np.array([s_target]))
+    p = pl.curvature_at(metric, np.array([s_target]))
+    eps_star, _ = pl.metrics._pinch_margins(p.ric_rad, p.ric_tan, p.scalar)
     report = pl.check_pinching(metric, float(eps_star[0]), (1.0, 25.0), 60)
     assert not report.passed
     assert report.first_failure_s == pytest.approx(s_target, abs=2e-6)
