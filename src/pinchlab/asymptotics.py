@@ -176,6 +176,15 @@ def windowed_growth(metric, growth_window) -> GrowthReport:
     return growth_fit(metric, min(float(growth_window[0]), r_hi / 50.0), r_hi)
 
 
+def _json_floats(values):
+    """A 1-d float sequence as a list of floats, +-inf as "inf" and "-inf"."""
+    arr = np.asarray(values, float)
+    out = arr.tolist()
+    if np.isinf(arr).any():
+        out = [("inf" if v > 0 else "-inf") if math.isinf(v) else v for v in out]
+    return out
+
+
 @dataclass(frozen=True)
 class RefutationReport:
     """Per-hypothesis verdicts plus the quantitative contradiction chain.
@@ -231,8 +240,8 @@ class RefutationReport:
                 "first_failure_s": clean(self.pinching.first_failure_s),
                 "eps_star_min": clean(self.pinching.eps_star_min),
                 "margin_curve": {
-                    "s": [clean(v) for v in self.pinching.margin_s],
-                    "eps_star": [clean(v) for v in self.pinching.margin_eps_star],
+                    "s": _json_floats(self.pinching.margin_s),
+                    "eps_star": _json_floats(self.pinching.margin_eps_star),
                 },
             },
             "growth": {
@@ -250,9 +259,9 @@ class RefutationReport:
             "chain": {
                 "kappa": clean(self.chain_kappa),
                 "exponent": clean(self.chain_exponent),
-                "t": [clean(v) for v in self.chain_t],
-                "lhs": [clean(v) for v in self.chain_lhs],
-                "rhs": [clean(v) for v in self.chain_rhs],
+                "t": _json_floats(self.chain_t),
+                "lhs": _json_floats(self.chain_lhs),
+                "rhs": _json_floats(self.chain_rhs),
                 "crossing_t": clean(self.crossing_t),
             },
             "conclusion": self.conclusion,

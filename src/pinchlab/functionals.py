@@ -110,7 +110,7 @@ def _fields_at(sol: PotentialSolution, t_arr):
     _, _, ric_rad, ric_tan, scalar = metrics._curvature(f, df, metric.d2f(s))
     area = FOUR_PI * f * f
     H = 2.0 * df / f
-    gw = np.atleast_1d(sol.grad_w(s))
+    gw = f ** -2.0 / sol.tail(s)  # sol.grad_w(s), from the f already at hand
     F = area * (H * gw - gw * gw)
     G = area * gw * gw
     willmore = area * H * H

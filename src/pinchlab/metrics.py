@@ -184,9 +184,10 @@ def schwarzschild_slice(mass: float) -> WarpFunction:
 
         s(r) = sqrt(r (r - 2m)) + 2m log((sqrt(r) + xi) / sqrt(2m)),
 
-    and invert it by bisection in xi (where ds/dxi = 2 sqrt(r) is smooth
-    and positive even at the horizon) followed by Newton polishing, so
-    f(s) = r(s) is accurate to machine precision.  Then
+    and invert it by 12 Newton steps in xi (where ds/dxi = 2 sqrt(r) is
+    smooth and positive even at the horizon), so f(s) = r(s) is accurate
+    to machine precision; a radius whose last step is not at roundoff
+    raises NumericError.  Then
 
         f'(s) = sqrt(1 - 2m/r),      f''(s) = m / r^2,
 
@@ -219,6 +220,12 @@ def schwarzschild_slice(mass: float) -> WarpFunction:
             b /= np.multiply(a, 2.0, out=a)
             xi -= b
             np.maximum(xi, 0.0, out=xi)
+        # b is the last step in xi and a = 2 sqrt(r), so b a is the last step
+        # in s, relative to s + 2m (log cancellation limits it near the horizon)
+        worst = float(np.max(np.abs(b) * a / (s + two_m), initial=0.0))
+        if not worst <= 1e-13:
+            raise NumericError(f"schwarzschild r(s) did not converge "
+                               f"(last relative step {worst:.2e} > 1e-13)")
         return two_m + xi * xi
 
     return from_callables(

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import sys
@@ -225,6 +226,31 @@ def test_refute_json_fields():
                                   ScenarioConfig()).to_json_dict()
     assert set(flat_doc["pinching"]["margin_curve"]["eps_star"]) == {"inf"}
     json.dumps(flat_doc)  # must be serializable
+
+
+def test_refute_json_lists_match_elementwise_reference():
+    report = asymptotics.refute(pl.ExteriorDomain(pl.power_law(1.0, 0.8), 1.0), ScenarioConfig())
+    eps = report.pinching.margin_eps_star.copy()
+    eps[[0, 3, -1]] = [np.inf, -np.inf, np.inf]
+    report = dataclasses.replace(report, pinching=dataclasses.replace(report.pinching, margin_eps_star=eps))
+
+    def reference(values):
+        return [("inf" if v > 0 else "-inf") if math.isinf(v) else float(v) for v in values]
+
+    doc = report.to_json_dict()
+    assert len(report.chain_t) > 0
+    lists = {("pinching", "margin_curve", "s"): report.pinching.margin_s,
+             ("pinching", "margin_curve", "eps_star"): eps,
+             ("chain", "t"): report.chain_t, ("chain", "lhs"): report.chain_lhs,
+             ("chain", "rhs"): report.chain_rhs}
+    for path, values in lists.items():
+        got = doc
+        for key in path:
+            got = got[key]
+        want = reference(values)
+        assert got == want
+        assert [type(v) for v in got] == [type(v) for v in want]
+        assert json.dumps(got) == json.dumps(want)
 
 
 @pytest.mark.parametrize("kind", ["flat", "cone", "power", "schwarzschild", "sphere_cap_blend"])

@@ -93,6 +93,22 @@ def test_schwarzschild_profile_is_bit_identical_to_reference(mass):
     assert metric.f(0.0) == 2.0 * mass
 
 
+@pytest.mark.parametrize("point", [np.inf, np.array([1.0, np.inf])])
+def test_schwarzschild_unconvergeable_radius_raises(point):
+    # at s = inf the Newton step is nan; the inversion says so instead of
+    # returning nan (the inf arithmetic warns, hence the errstate)
+    metric = pl.schwarzschild_slice(1.0)
+    with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="did not converge"):
+        metric.f(point)
+
+
+@pytest.mark.parametrize("mass", [0.01, 1.0, 100.0])
+def test_schwarzschild_inversion_converges_over_domain(mass):
+    # the convergence check passes from the horizon out to the 1e300 probe end
+    s = np.concatenate([[0.0], np.geomspace(1e-12, 1e300, 4001)])
+    assert np.all(np.isfinite(pl.schwarzschild_slice(mass).f(s)))
+
+
 @pytest.mark.parametrize("kind", ["flat", "cone", "power", "schwarzschild", "sphere_cap_blend"])
 def test_trace_identity_on_catalog(kind):
     metric = pl.build_metric(kind)

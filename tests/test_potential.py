@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import pinchlab as pl
 from pinchlab.errors import DomainError, NonparabolicityError, NumericError
 from pinchlab.potential import TailIntegrator
+from pinchlab.quadrature import PanelQuadrature
 from pinchlab.stencils import five_point_first, five_point_second
 
 from test_metrics import schw_arclength
@@ -170,7 +171,7 @@ def test_level_roundtrip_property(solve_cache, t):
 
 def test_level_map_non_convergence_raises():
     sol = pl.PotentialSolution(pl.ExteriorDomain(pl.power_law(1.0, 0.8), 1.0))
-    # every level seeded at the boundary: four Newton steps cannot reach t = 5
+    # every level seeded at the boundary: two Newton steps cannot reach t = 5
     sol._s_seed = np.full_like(sol._s_seed, sol.s0)
     with pytest.raises(NumericError, match="did not converge"):
         sol.s_of_t(5.0)
@@ -196,6 +197,34 @@ def test_level_radius_matches_closed_form(kind, params, rate, s0, t_max):
     t = np.linspace(0.0, t_max, 51)
     exact = s0 * np.exp(rate * t)
     assert np.abs(sol.s_of_t(t) / exact - 1.0).max() < 1e-12
+
+
+@pytest.mark.parametrize("t_max", [0.3, 8.0, 25.0])
+@pytest.mark.parametrize("s0", [1e-3, 1.0])
+@pytest.mark.parametrize("kind", ["flat", "cone", "power", "schwarzschild", "sphere_cap_blend"])
+def test_level_map_makes_two_quadrature_queries(monkeypatch, kind, s0, t_max):
+    # the Hermite seed leaves one Newton step to roundoff and one to confirm it
+    metric = pl.build_metric(kind)
+    sol = pl.PotentialSolution(pl.ExteriorDomain(metric, s0), t_max=t_max)
+    t = np.linspace(0.0, sol.t_max, 2001)
+    queries = []
+    integral_to_end = PanelQuadrature.integral_to_end
+
+    def spy(self, x):
+        queries.append(np.size(x))
+        return integral_to_end(self, x)
+
+    monkeypatch.setattr(PanelQuadrature, "integral_to_end", spy)
+    s = sol.s_of_t(t)
+    assert queries == [t.size, t.size]
+    queries.clear()
+    sol.s_of_t(0.5 * sol.t_max)
+    assert queries == [1, 1]
+    monkeypatch.undo()
+    assert np.abs(sol.w(s) - t).max() <= 1e-12
+    if kind in ("flat", "cone", "power"):  # exact tail laws, as in the closed-form test
+        exact = s0 * np.exp(t / (2.0 * metric.tail_exponent - 1.0))
+        assert np.abs(s / exact - 1.0).max() < 1e-12
 
 
 NON_FINITE_CALLS = {
