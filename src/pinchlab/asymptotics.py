@@ -137,7 +137,7 @@ def coarea_check(sol: PotentialSolution, t_grid) -> float:
     vol = volume_ball(sol.metric, s.ravel()).reshape(stencil.shape)
     dvol = (vol[2] - vol[0]) / (2.0 * delta)
     f = sol.metric.f(s[1])
-    rhs = FOUR_PI * f * f / np.atleast_1d(sol.grad_w(s[1]))
+    rhs = FOUR_PI * f * f / (f ** -2.0 / sol.tail(s[1]))  # |grad w| as in sol.grad_w, from this f
     return float(np.abs(dvol / rhs - 1.0).max())
 
 

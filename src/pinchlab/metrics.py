@@ -28,9 +28,10 @@ from functools import cached_property
 from typing import Callable, Mapping, Optional, Tuple
 
 import numpy as np
+from numpy.polynomial import chebyshev
 
 from .errors import DomainError, NumericError, UsageError
-from .quadrature import PanelQuadrature, panel_edges
+from .quadrature import PanelQuadrature, _chebyshev_sum, panel_edges
 
 log = logging.getLogger(__name__)
 
@@ -206,18 +207,17 @@ def schwarzschild_slice(mass: float) -> WarpFunction:
             raise DomainError("schwarzschild slice starts at the horizon s = 0")
         # s(xi) is convex with ds/dxi = 2 sqrt(r), and s(r) >= r - 2m gives
         # xi <= sqrt(s); Newton from that upper seed converges monotonically.
-        # Each step xi -= (s(xi) - s) / (2 sqrt(r)) runs in place in two work
+        # Each step xi -= (s(xi) - s) / (2 sqrt(r)) runs in place in three work
         # arrays, so large grids allocate no temporaries per iteration.
         xi = np.sqrt(s, out=np.empty_like(s))
-        a, b = np.empty_like(xi), np.empty_like(xi)
+        a, b, root_r = np.empty_like(xi), np.empty_like(xi), np.empty_like(xi)
         for _ in range(12):
-            np.sqrt(np.add(np.multiply(xi, xi, out=a), two_m, out=a), out=a)  # sqrt(r)
-            np.log(np.divide(np.add(a, xi, out=b), sqrt2m, out=b), out=b)
+            np.sqrt(np.add(np.multiply(xi, xi, out=root_r), two_m, out=root_r), out=root_r)
+            np.log(np.divide(np.add(root_r, xi, out=b), sqrt2m, out=b), out=b)
             b *= two_m  # 2m log((sqrt(r) + xi) / sqrt(2m))
-            b += np.multiply(a, xi, out=a)  # s(xi)
+            b += np.multiply(root_r, xi, out=a)  # s(xi)
             b -= s
-            np.sqrt(np.add(np.multiply(xi, xi, out=a), two_m, out=a), out=a)
-            b /= np.multiply(a, 2.0, out=a)
+            b /= np.multiply(root_r, 2.0, out=a)
             xi -= b
             np.maximum(xi, 0.0, out=xi)
         # b is the last step in xi and a = 2 sqrt(r), so b a is the last step
@@ -311,21 +311,86 @@ def capped_cone(slope: float, blend_width: float = 0.3) -> WarpFunction:
     return sphere_cap_blend(math.acos(a / math.hypot(1.0, w / 3.0)) - math.atan(w / 3.0), w)
 
 
+#: column m: the Chebyshev series in xi of ((1 + xi) / 2)^m / m!, which maps the
+#: Taylor coefficients f^(m)(a) h^m of a piece [a, a + h] to its Chebyshev series
+_TAYLOR_TO_CHEB = np.column_stack([np.pad(chebyshev.chebpow([0.5, 0.5], m), (0, 5 - m))
+                                   / math.factorial(m) for m in range(6)])
+
+
+def _cyclic_reduction(a):
+    """Solve the block tridiagonal system of 2^m - 1 block rows a[k] = [D | U | L | rhs]
+    of b x b blocks in O(2^m), overwriting a.  Gauss-Jordan on the even blocks couples
+    the odd ones to their second neighbours, a system of 2^(m-1) - 1 block rows.
+    Eliminating every other block of a totally nonnegative matrix (b even) leaves a
+    totally nonnegative Schur complement, so a B-spline collocation matrix needs no
+    pivoting."""
+    b, e = a.shape[1], a[0::2]
+    for j in range(b):
+        r = e[:, j] / e[:, j, j, None]
+        e -= e[:, :, j, None] * r[:, None]
+        e[:, j] = r
+    x = np.zeros((len(a) + 2, b))  # the solution, between two zero blocks
+    if len(a) > 1:
+        k = a[1::2]
+        p, q = k[..., 2 * b:3 * b] @ e[:-1, :, b:], k[..., b:2 * b] @ e[1:, :, b:]
+        x[2:-1:2] = _cyclic_reduction(np.concatenate(
+            [k[..., :b] - p[..., :b] - q[..., b:2 * b], -q[..., :b], -p[..., b:2 * b],
+             k[..., 3 * b:] - p[..., 2 * b:] - q[..., 2 * b:]], axis=2))
+    nbrs = np.concatenate([x[2::2], x[0:-1:2]], axis=1)[..., None]
+    x[1::2] = e[..., 3 * b] - (e[..., b:3 * b] @ nbrs)[..., 0]
+    return x[1:-1]
+
+
+def _quintic_pieces(x, y):
+    """The not-a-knot quintic interpolant through (x, y), with knots [x0]*6,
+    x[3:-3], [x_end]*6, as (edges, [c0, c1, c2]): column j of c_k is the
+    Chebyshev series in xi in [-1, 1] of its k-th derivative on piece j."""
+    n = len(x)
+    t = np.concatenate([np.full(6, x[0]), x[3:-3], np.full(6, x[-1])])
+    rows = np.r_[0, 3:n - 3, 1, 2, n - 3:n]  # the row at the left end of each piece first
+    l = np.r_[5:n, 5, 5, n - 1, n - 1, n - 1]  # the knot interval [t_l, t_l+1) of each row
+    window, xc = t[l[:, None] + np.arange(-4, 6)], x[rows, None]  # t_l-4 .. t_l+5
+    basis = [np.ones((n, 1))]  # Cox-de Boor: basis[d] holds B_l-d .. B_l of degree d
+    for d in range(1, 6):
+        lo, hi = window[:, 5 - d:5], window[:, 5:5 + d]  # supports of degree d - 1 B_l-d+1 .. B_l
+        w = basis[-1] / (hi - lo)
+        basis.append(np.zeros((n, d + 1)))
+        basis[d][:, :-1] = (hi - xc) * w
+        basis[d][:, 1:] += (xc - lo) * w
+    # the collocation matrix in 4 x 4 blocks: its end rows reach 4 columns off the diagonal
+    a = np.zeros((2 ** math.ceil(math.log2(n / 4 + 1)) - 1, 4, 13))
+    pad = np.arange(n, 4 * len(a))
+    a[pad // 4, pad % 4, pad % 4] = 1.0  # identity rows fill the last blocks
+    (blk, row), col = np.divmod(rows, 4), l[:, None] - 5 + np.arange(6)
+    a[blk[:, None], row[:, None], (col // 4 - blk[:, None]) % 3 * 4 + col % 4] = basis[5]
+    a[blk, row, 12] = y[rows]
+    coef = _cyclic_reduction(a).ravel()[:n]
+    h = np.diff(t[5:n + 1])
+    taylor = np.empty((6, n - 5))
+    for m in range(6):  # derivative m at the left ends, from differenced coefficients
+        if m:
+            coef = (6 - m) * np.diff(coef) / (t[6:n + 6 - m] - t[m:n])
+        near = coef[np.arange(n - 5)[:, None] + np.arange(6 - m)]  # the ones nonzero on each piece
+        taylor[m] = (near * basis[5 - m][:n - 5]).sum(axis=1) * h**m
+    return t[5:n + 1], [_TAYLOR_TO_CHEB[:6 - k, :6 - k] @ taylor[k:] / h**k for k in range(3)]
+
+
 def from_table(s_samples, f_samples, *, tail_coefficient=None, tail_exponent=None) -> WarpFunction:
     """Tabulated warp profile interpolated by a quintic spline.
 
-    The quintic interpolant has four continuous derivatives, so all
-    curvature quantities are continuous.  It is not shape-preserving:
-    wiggly or coarse data can produce interpolation overshoot, so we
-    validate positivity of the interpolant on a fine grid and refuse
-    tables that fail.  Accuracy is limited by the table resolution.
+    The interpolant is the not-a-knot quintic B-spline through the rows,
+    built in O(rows) and kept as Chebyshev series of f, f' and f'' per knot
+    interval.  It has four continuous derivatives, so all curvature
+    quantities are continuous.  It is not shape-preserving: wiggly or
+    coarse data can produce interpolation overshoot, so we validate
+    positivity of the interpolant on a fine grid and refuse tables that
+    fail.  Accuracy is limited by the table resolution.
 
     The power-law tail is fitted by least squares on the outer quarter of
     the table's log-range unless both tail parameters are supplied.
-    No extrapolation: evaluation beyond the table raises DomainError.
+    No extrapolation: evaluation beyond the table, or at NaN, raises
+    DomainError.
     """
-    from scipy.interpolate import make_interp_spline
-
     s = np.asarray(s_samples, float)
     fvals = np.asarray(f_samples, float)
     if s.ndim != 1 or s.shape != fvals.shape or len(s) < 8:
@@ -339,12 +404,20 @@ def from_table(s_samples, f_samples, *, tail_coefficient=None, tail_exponent=Non
     if not all(math.isfinite(v) for v in (tail_coefficient, tail_exponent) if v is not None):
         raise UsageError("table tail overrides must be finite")
 
-    spline = make_interp_spline(s, fvals, k=5)
-    d1 = spline.derivative(1)
-    d2 = spline.derivative(2)
+    edges, series = _quintic_pieces(s, fvals)
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
 
-    probe = np.linspace(s[0], s[-1], 4096)
-    if np.any(spline(probe) <= 0):
+    def piecewise(coef):
+        def fn(x):
+            x = np.asarray(x, float)
+            if not np.all((x >= s[0] - 1e-12) & (x <= s[-1] * (1 + 1e-12))):
+                raise DomainError(f"tabulated profile defined only on [{s[0]}, {s[-1]}]")
+            i = np.searchsorted(edges[1:-1], x.ravel(), side="right")
+            return _chebyshev_sum(coef.take(i, axis=1), (x.ravel() - mid[i]) / half[i]).reshape(x.shape)
+        return fn
+
+    fn, dfn, d2fn = map(piecewise, series)
+    if np.any(fn(np.linspace(s[0], s[-1], 4096)) <= 0):
         raise UsageError("quintic interpolant of the table dips below zero; refine the table")
 
     if tail_coefficient is None or tail_exponent is None:
@@ -361,18 +434,8 @@ def from_table(s_samples, f_samples, *, tail_coefficient=None, tail_exponent=Non
         tail_coefficient = fitted_c if tail_coefficient is None else tail_coefficient
         log.info("fitted table tail law f ~ %.6g * s^%.6g", tail_coefficient, tail_exponent)
 
-    def guard(fun):
-        def wrapped(x):
-            x = np.asarray(x, float)
-            if np.any(x < s[0] - 1e-12) or np.any(x > s[-1] * (1 + 1e-12)):
-                raise DomainError(
-                    f"tabulated profile defined only on [{s[0]}, {s[-1]}]"
-                )
-            return np.asarray(fun(np.clip(x, s[0], s[-1])), float)
-        return wrapped
-
     return from_callables(
-        "user_table", guard(spline), guard(d1), guard(d2),
+        "user_table", fn, dfn, d2fn,
         params={"n_rows": float(len(s))},
         domain_start=float(s[0]), inclusive_start=True, domain_end=float(s[-1]),
         tail_coefficient=float(tail_coefficient), tail_exponent=float(tail_exponent),

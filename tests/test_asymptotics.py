@@ -273,3 +273,17 @@ def test_parametric_kinds_solve_without_scipy(monkeypatch):
         assert report.failed_hypotheses() or report.crossing_t is not None, kind
     sol = pl.PotentialSolution(pl.ExteriorDomain(pl.capped_cone(0.5, 0.3), 1.0))
     assert sol.t_max == 8.0
+
+
+def test_all_kinds_refute_without_scipy(monkeypatch, tmp_path):
+    for name in ("scipy", "scipy.interpolate", "scipy.optimize"):
+        monkeypatch.setitem(sys.modules, name, None)
+    table = tmp_path / "table.csv"
+    s = np.geomspace(0.1, 1e4, 400)
+    table.write_text("s,f\n" + "".join(f"{a:.17g},{a ** 0.8:.17g}\n" for a in s))
+    for kind, params in [(k, {}) for k in ("flat", "cone", "power", "schwarzschild",
+                                           "sphere_cap_blend")] + [("user_table", {"path": str(table)})]:
+        report = asymptotics.refute(pl.ExteriorDomain(pl.build_metric(kind, params), 1.0),
+                                    ScenarioConfig())
+        assert not report.conclusion.startswith("CONTRADICTION"), kind
+        assert report.failed_hypotheses() or report.crossing_t is not None, kind

@@ -2,6 +2,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -114,7 +117,7 @@ def test_verify_table_ending_below_t_max(tmp_path, capsys):
     # the levels stop at the last row (t ~ 2.35 here); the checks must too
     s = np.geomspace(0.5, 50.0, 400)
     path = tmp_path / "table.csv"
-    path.write_text("s,f\n" + "".join(f"{a!r},{a ** 0.8!r}\n" for a in s.tolist()))
+    path.write_text("s,f\n" + "".join(f"{a:.17g},{a ** 0.8:.17g}\n" for a in s.tolist()))
     code = cli.main(["verify", "--kind", "user_table", "--param", f"path={path}"])
     out = capsys.readouterr().out
     assert code == 0, out
@@ -127,7 +130,7 @@ def test_verify_table_boundary_near_first_row(tmp_path, capsys, s0):
     # table's first row here; it must start at the row instead
     s = np.geomspace(0.5, 5e4, 400)
     path = tmp_path / "table.csv"
-    path.write_text("s,f\n" + "".join(f"{a!r},{a ** 0.8!r}\n" for a in s.tolist()))
+    path.write_text("s,f\n" + "".join(f"{a:.17g},{a ** 0.8:.17g}\n" for a in s.tolist()))
     code = cli.main(["verify", "--kind", "user_table", "--param", f"path={path}", "--s0", s0])
     out = capsys.readouterr().out
     assert code == 0, out
@@ -279,6 +282,19 @@ def test_user_table_through_cli(tmp_path):
     assert code == 0
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["ncap"] == pytest.approx(1.0, rel=1e-6)
+
+
+def test_refute_user_table_leaves_scipy_unimported(tmp_path):
+    table = tmp_path / "profile.csv"
+    s = np.geomspace(0.1, 1e4, 300)
+    table.write_text("s,f\n" + "".join(f"{a:.17g},{a ** 0.8:.17g}\n" for a in s))
+    argv = ["refute", "--kind", "user_table", "--param", f"path={table}",
+            "--out-dir", str(tmp_path / "out")]
+    script = f"import sys; from pinchlab import cli; print(cli.main({argv!r}), 'scipy' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert done.stdout.splitlines()[-1].split() == ["0", "False"], done.stdout + done.stderr
 
 
 def test_help_exits_zero(capsys):

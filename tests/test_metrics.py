@@ -402,6 +402,52 @@ def test_table_interpolation_accuracy(power_table):
     assert np.abs(metric.d2f(probe) + 0.16 * probe**-1.2).max() < 1e-5
 
 
+def test_table_reproduces_quintic_polynomial():
+    # a quintic lies in the spline space, so the interpolant is the polynomial
+    # itself; the k-th derivative keeps roundoff of f amplified by spacing^-k
+    rng = np.random.default_rng(7)
+    h = 0.04
+    s = 0.5 + h * (np.arange(40) + rng.uniform(-0.3, 0.3, 40))
+    poly = np.polynomial.Polynomial(rng.uniform(-1.0, 1.0, 6)) + 100.0
+    metric = pl.from_table(s, poly(s))
+    x = np.linspace(s[0], s[-1], 1001)
+    scale = np.abs(poly(x)).max()
+    for k, fn in enumerate((metric.f, metric.df, metric.d2f)):
+        assert np.abs(fn(x) - poly.deriv(k)(x)).max() <= 1e-13 * scale / h**k, k
+
+
+def test_table_spline_is_c4_at_interior_knots():
+    s = np.geomspace(0.5, 50.0, 60)
+    f = s**0.8 * (1.0 + 0.1 * np.sin(3.0 * np.log(s)))
+    edges, (c0, _, _) = pl.metrics._quintic_pieces(s, f)
+    half = 0.5 * np.diff(edges)
+    coef = c0
+    for k in range(5):  # f, f', f'', f''', f'''' from both sides of each interior knot
+        left = np.polynomial.chebyshev.chebval(1.0, coef)[:-1]
+        right = np.polynomial.chebyshev.chebval(-1.0, coef)[1:]
+        assert np.abs(left - right).max() <= 1e-9 * np.abs(right).max(), k
+        coef = np.polynomial.chebyshev.chebder(coef) / half
+
+
+def test_table_with_many_rows():
+    # 20,000 rows: the banded solve never forms a rows x rows array
+    s, h = np.linspace(0.01, 200.0, 20_000, retstep=True)
+    metric = pl.from_table(s, np.sqrt(1.0 + s * s))
+    x = np.linspace(0.02, 199.995, 5003)
+    root = np.sqrt(1.0 + x * x)
+    for k, (fn, exact) in enumerate(((metric.f, root), (metric.df, x / root), (metric.d2f, root**-3))):
+        assert np.abs(fn(x) - exact).max() <= 1e-13 * root.max() / h**k, k
+
+
+def test_table_rejects_nan(power_table):
+    metric = pl.from_table(*power_table)
+    for fn in (metric.f, metric.df, metric.d2f):
+        with pytest.raises(DomainError):
+            fn(np.nan)
+        with pytest.raises(DomainError):
+            fn(np.array([1.0, np.nan, 2.0]))
+
+
 def test_table_tail_fit(power_table):
     s, f = power_table
     metric = pl.from_table(s, f)
