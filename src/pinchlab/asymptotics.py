@@ -65,8 +65,9 @@ def decay_check(series: FunctionalSeries, epsilon: float,
                 pinch: PinchReport) -> DecayFit:
     """Check the exponential decay estimate for F on a sampled series.
 
-    ``pinch`` carries the window-level pinching verdict; regardless of
-    it, the pointwise inequality is re-tested at each level radius so
+    ``pinch`` carries the pinching verdict read from the series over the
+    window levels (``series_pinching``); regardless of it, the pointwise
+    inequality is tested at each level radius from the same columns, so
     partially pinched profiles still exercise the estimate where it
     applies.
     """
@@ -162,11 +163,17 @@ def holder_chain_check(sol: PotentialSolution, t_grid) -> float:
 ALPHA_THRESHOLD = 4.0 / 3.0
 
 
-def pinching_window(sol: PotentialSolution, series: FunctionalSeries):
-    """(s_lo, s_hi) of the pinching scan: boundary to last sampled level, with
-    a boundary at the domain start (pole or horizon) moved out to level t_max/400."""
-    s_lo = sol.s0 if sol.s0 > sol.metric.domain_start else float(sol.s_of_t(sol.t_max / 400.0))
-    return s_lo, float(series.s[-1])
+def pinching_window(sol: PotentialSolution, series: FunctionalSeries) -> int:
+    """First series level the pinching check reads, which runs to the last
+    level: the boundary, or level t_max/400 when the boundary is the domain
+    start (pole or horizon).  A level index, so no rounded radius shifts it."""
+    return 0 if sol.s0 > sol.metric.domain_start else -(-(len(series.t) - 1) // 400)
+
+
+def series_pinching(sol: PotentialSolution, series: FunctionalSeries, epsilon) -> PinchReport:
+    """``check_pinching`` on the margins the series carries over the pinching window."""
+    i = pinching_window(sol, series)
+    return check_pinching(sol.metric, epsilon, series.s[i:], series.eps_star[i:], series.ric_ok[i:])
 
 
 def windowed_growth(metric, growth_window) -> GrowthReport:
@@ -281,8 +288,7 @@ def refute(domain: ExteriorDomain, config: Optional[ScenarioConfig] = None) -> R
     sol = PotentialSolution(domain, t_max=t_max)
     series = build_series(sol, n=config.n_samples)
 
-    s_lo, s_hi = pinching_window(sol, series)
-    pinch = check_pinching(metric, epsilon, (s_lo, s_hi), 400)
+    pinch = series_pinching(sol, series, epsilon)
     decay = decay_check(series, epsilon, pinch)
 
     growth = windowed_growth(metric, config.growth_window)
@@ -300,7 +306,7 @@ def refute(domain: ExteriorDomain, config: Optional[ScenarioConfig] = None) -> R
             kappa_g = decay.decay_constant
         else:
             kappa_g = float(np.max(series.G * np.exp(2.0 * series.t)))
-        fit_s = np.geomspace(max(2.0 * domain.s0, 1.0), s_hi, 30)
+        fit_s = np.geomspace(max(2.0 * domain.s0, 1.0), series.s[-1], 30)
         kappa_ly = float(np.max(sol.u(fit_s) * fit_s ** (alpha - 1.0)))
         kappa = (7.0 * kappa_g**2 * growth.c_vol_fit *
                  kappa_ly**exponent / (FOUR_PI * sol.ncap) ** 3)

@@ -116,6 +116,9 @@ def cmd_sweep(cfg: ScenarioConfig) -> int:
     unknown = set(cfg.sweep) - allowed
     if unknown:
         raise UsageError(f"unknown sweep axes {sorted(unknown)}; valid: {sorted(allowed)}")
+    for axis, values in cfg.sweep.items():
+        if not isinstance(values, list):
+            raise UsageError(f"sweep axis {axis!r} must be a list, got {values!r}")
     kinds = cfg.sweep.get("kind", [cfg.metric_kind])
     s0s = [float(v) for v in cfg.sweep.get("s0", [cfg.s0])]
     epsilons = [float(v) for v in cfg.sweep.get("epsilon", [cfg.epsilon])]

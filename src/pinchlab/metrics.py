@@ -298,19 +298,6 @@ def sphere_cap_blend(cap_radius: float, blend_width: float) -> WarpFunction:
     )
 
 
-def capped_cone(slope: float, blend_width: float = 0.3) -> WarpFunction:
-    """Sphere-cap blend whose asymptotic cone slope is exactly ``slope``.
-
-    Solves cos(s_cap) - (w/3) sin(s_cap) = slope for the cap radius; the
-    left side is hypot(1, w/3) cos(s_cap + atan(w/3)).
-    """
-    a = float(slope)
-    w = float(blend_width)
-    if not 0 < a < 1:
-        raise UsageError(f"capped cone slope must lie in (0, 1), got {a}")
-    return sphere_cap_blend(math.acos(a / math.hypot(1.0, w / 3.0)) - math.atan(w / 3.0), w)
-
-
 #: column m: the Chebyshev series in xi of ((1 + xi) / 2)^m / m!, which maps the
 #: Taylor coefficients f^(m)(a) h^m of a piece [a, a + h] to its Chebyshev series
 _TAYLOR_TO_CHEB = np.column_stack([np.pad(chebyshev.chebpow([0.5, 0.5], m), (0, 5 - m))
@@ -423,7 +410,7 @@ def from_table(s_samples, f_samples, *, tail_coefficient=None, tail_exponent=Non
     if tail_coefficient is None or tail_exponent is None:
         log_lo = np.log(max(s[0], 1e-12))
         cut = np.log(s[-1]) - 0.25 * (np.log(s[-1]) - log_lo)
-        mask = np.log(s) >= cut
+        mask = np.log(np.maximum(s, 1e-12)) >= cut  # a row at s = 0 stays out
         if mask.sum() < 5:
             mask = np.zeros_like(s, bool)
             mask[-5:] = True
@@ -548,15 +535,21 @@ def finite_difference_curvature_oracle(metric: WarpFunction, s, h) -> CurvatureP
 #: boundary and (1 - cos^2) vs sin^2 differ in the last ulp.
 PINCH_SLACK = 1e-12
 
+#: most radii a PinchReport's margin curve keeps
+MARGIN_POINTS = 400
+
 
 @dataclass(frozen=True)
 class PinchReport:
-    """Outcome of a Ricci-pinching scan over a radial window.
+    """Outcome of a Ricci-pinching check over ascending radii.
 
     ``margin_eps_star`` holds the pointwise pinching margin
-    eps*(s) = min(ric_rad, ric_tan) / R where R > 0; where R vanishes the
-    condition degenerates to plain Ricci nonnegativity, recorded as +inf
-    (satisfied) or -inf (violated).
+    eps*(s) = min(ric_rad, ric_tan) / R at the radii ``margin_s``; where
+    R vanishes the condition degenerates to plain Ricci nonnegativity,
+    recorded as +inf (satisfied) or -inf (violated).  The margin curve is
+    every checked radius, or a strided subsample of at most MARGIN_POINTS
+    that keeps the radius of the least margin and the first failing one,
+    so ``eps_star_min`` is the least margin over all checked radii.
     """
 
     epsilon_requested: float
@@ -601,48 +594,47 @@ def pinched(metric: WarpFunction, s, epsilon: float):
     return pinched_where(eps_star, ric_ok, epsilon), eps_star
 
 
-def check_pinching(metric: WarpFunction, epsilon: float, s_range, n_samples: int) -> PinchReport:
-    """Scan whether Ric >= 0 and Ric >= eps * R * g hold over a window.
+def check_pinching(metric: WarpFunction, epsilon: float, s, eps_star, ric_ok) -> PinchReport:
+    """Whether Ric >= 0 and Ric >= eps * R * g hold at ascending radii s whose
+    margins ``(eps_star, ric_ok)`` are given, as a series carries them.
 
-    Samples a log-spaced grid, then refines the first failure radius by
-    bisection to 1e-6, or to adjacent floats where 1e-6 is below one ulp.
-    Passing means every sampled radius satisfies both conditions; a
-    smooth margin between sign changes makes the sampled verdict reliable
-    for the catalog profiles.
+    Passing means every given radius satisfies both conditions; a smooth
+    margin between sign changes makes the verdict reliable for the catalog
+    profiles.  Only the first failure is evaluated anew: it is refined
+    between the radius before it and itself, one ``pinched`` call of 32
+    radii per round, to 1e-6, or to adjacent floats where 1e-6 is below
+    one ulp.
     """
     epsilon = float(epsilon)
     if epsilon <= 0:
         raise UsageError(f"pinching constant must be positive, got {epsilon}")
-    s_lo, s_hi = float(s_range[0]), float(s_range[1])
-    if n_samples < 2:
-        raise UsageError("pinching scan needs at least 2 samples")
-    if not s_lo < s_hi:
-        raise DomainError(f"empty pinching window [{s_lo}, {s_hi}]")
-    metric.require_contains([s_lo, s_hi])
-    if s_lo <= 0:
-        raise DomainError("pinching window must start at positive radius")
+    s = np.asarray(s, float)
+    if s.size < 2:
+        raise UsageError("pinching check needs at least 2 radii")
+    if s[0] <= 0 or not np.all(s[1:] > s[:-1]):
+        raise DomainError("pinching radii must be positive and strictly increasing")
 
-    grid = np.geomspace(s_lo, s_hi, int(n_samples))
-    ok, eps_star = pinched(metric, grid, epsilon)
+    ok = pinched_where(eps_star, ric_ok, epsilon)
     passed = bool(np.all(ok))
+    i = int(np.argmin(ok))  # first False; 0 when every radius passes
+    first_failure = None if passed else float(s[0])
+    if i > 0:
+        lo, hi = float(s[i - 1]), float(s[i])
+        while hi - lo > 1e-6:
+            inner = np.linspace(lo, hi, 34)[1:-1]
+            inner = inner[(inner > lo) & (inner < hi)]
+            if not inner.size:  # adjacent floats: 1e-6 is below one ulp
+                break
+            fails = ~pinched(metric, inner, epsilon)[0]
+            j = int(np.argmax(fails)) if fails.any() else inner.size
+            lo, hi = float(np.r_[lo, inner][j]), float(np.r_[inner, hi][j])
+        first_failure = hi
 
-    first_failure = None
-    if not passed:
-        i = int(np.argmin(ok))  # first False
-        if i == 0:
-            first_failure = float(grid[0])
-        else:
-            lo, hi = float(grid[i - 1]), float(grid[i])
-            while hi - lo > 1e-6:
-                mid = 0.5 * (lo + hi)
-                if mid in (lo, hi):  # adjacent floats: 1e-6 is below one ulp
-                    break
-                if pinched(metric, np.array([mid]), epsilon)[0][0]:
-                    lo = mid
-                else:
-                    hi = mid
-            first_failure = hi
-    return PinchReport(epsilon, passed, first_failure, grid, eps_star)
+    keep = slice(None)
+    if s.size > MARGIN_POINTS:
+        step = -(-s.size // (MARGIN_POINTS - 3))
+        keep = np.unique(np.r_[0:s.size:step, s.size - 1, np.argmin(eps_star), i])
+    return PinchReport(epsilon, passed, first_failure, s[keep], np.asarray(eps_star)[keep])
 
 
 # ---------------------------------------------------------------------------

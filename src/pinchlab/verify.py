@@ -113,7 +113,7 @@ class _Scenario:
         self.t_max = self.sol.t_max  # a table may end below the requested level
         n = max(2001, int(round(self.t_max / SUITE_DT)) + 1)
         self.series = functionals.build_series(self.sol, n=n)
-        self.s_window = asymptotics.pinching_window(self.sol, self.series)
+        self.s_window = self.series.s[[asymptotics.pinching_window(self.sol, self.series), -1]]
 
     def curvature_grid(self, n=200):
         lo = max(self.s_window[0] * 0.5, 1e-3, self.metric.domain_start)
@@ -128,7 +128,7 @@ class _Scenario:
 
     @cached_property
     def decay(self):
-        pinch = metrics.check_pinching(self.metric, self.cfg.epsilon, self.s_window, 400)
+        pinch = asymptotics.series_pinching(self.sol, self.series, self.cfg.epsilon)
         return asymptotics.decay_check(self.series, self.cfg.epsilon, pinch)
 
 

@@ -10,7 +10,7 @@ import pinchlab as pl
 from pinchlab import asymptotics
 from pinchlab.config import ScenarioConfig
 
-from test_metrics import schw_arclength
+from test_metrics import capped_cone, schw_arclength
 
 
 # ---------------------------------------------------------------------------
@@ -18,8 +18,7 @@ from test_metrics import schw_arclength
 # ---------------------------------------------------------------------------
 
 def _pinch_on_series(series, epsilon):
-    return pl.check_pinching(series.metric, epsilon,
-                             (float(series.s[0]), float(series.s[-1])), 300)
+    return pl.check_pinching(series.metric, epsilon, series.s, series.eps_star, series.ric_ok)
 
 
 def test_decay_flat_threshold_never_reached(catalog_bundle):
@@ -92,7 +91,7 @@ def test_decay_bound_passes_where_hypothesis_holds():
     sol = pl.PotentialSolution(pl.ExteriorDomain(metric, 1.0), t_max=0.9)
     series = pl.build_series(sol, n=2001)
     eps = float(series.eps_star.min()) * 0.999
-    pinch = pl.check_pinching(metric, eps, (1.0, float(series.s[-1])), 300)
+    pinch = pl.check_pinching(metric, eps, series.s, series.eps_star, series.ric_ok)
     assert pinch.passed
     fit = asymptotics.decay_check(series, eps, pinch)
     assert fit.hypothesis_met
@@ -158,6 +157,113 @@ def test_holder_saturation_all_catalog(catalog_bundle):
     grid = np.linspace(0.0, 5.0, 21)
     for name, (metric, sol, series) in catalog_bundle.items():
         assert asymptotics.holder_chain_check(sol, grid) < 1e-6, name
+
+
+# ---------------------------------------------------------------------------
+# pinching verdict from the series levels
+# ---------------------------------------------------------------------------
+
+PARAMETRIC_KINDS = ["flat", "cone", "power", "schwarzschild", "sphere_cap_blend"]
+
+
+def _recording(metric):
+    """The profile ``metric`` with a list that collects every radius at which
+    f, f' or f'' is evaluated."""
+    radii = []
+
+    def record(fn):
+        def wrapped(s):
+            radii.append(np.array(s, float).ravel())
+            return fn(s)
+        return wrapped
+
+    return dataclasses.replace(metric, fn=record(metric.fn), dfn=record(metric.dfn),
+                               d2fn=record(metric.d2fn)), radii
+
+
+@pytest.mark.parametrize("kind, s0, epsilon", [
+    ("sphere_cap_blend", 0.5, 0.1),  # fails in the blend, past the round cap
+    ("schwarzschild", 0.0, 0.1),     # horizon boundary: window from level t_max/400
+    ("power", 1.0, None),            # passes: epsilon just below the least margin
+])
+def test_margin_curve_contract(kind, s0, epsilon):
+    metric = pl.build_metric(kind, {"beta": 0.55} if kind == "power" else {})
+    sol = pl.PotentialSolution(pl.ExteriorDomain(metric, s0), t_max=0.9 if kind == "power" else 5.0)
+    series = pl.build_series(sol, n=20001)
+    i = asymptotics.pinching_window(sol, series)
+    assert i == (50 if s0 == metric.domain_start else 0)
+    s, eps_star = series.s[i:], series.eps_star[i:]
+    if epsilon is None:
+        epsilon = float(eps_star.min()) * 0.999
+    fails = ~pl.metrics.pinched_where(eps_star, series.ric_ok[i:], epsilon)
+    assert fails.any() == (kind != "power")
+
+    report = asymptotics.series_pinching(sol, series, epsilon)
+    curve = report.margin_s
+    assert report.passed == (not fails.any())
+    assert len(curve) <= 400
+    assert np.all(np.diff(curve) > 0)
+    assert s[0] <= curve[0] and curve[-1] <= s[-1]
+    assert np.isin(curve, s).all()
+    if fails.any():
+        assert s[np.argmax(fails)] in curve
+    assert np.array_equal(report.margin_eps_star, pl.metrics.pinched(metric, curve, epsilon)[1])
+    assert report.eps_star_min == eps_star.min()
+
+
+@pytest.mark.parametrize("kind", PARAMETRIC_KINDS)
+@pytest.mark.parametrize("s0", [0.5, 1.0, 3.0])
+def test_series_verdict_matches_dense_scan(kind, s0):
+    metric = pl.build_metric(kind)
+    config = ScenarioConfig()
+    report = asymptotics.refute(pl.ExteriorDomain(metric, s0), config)
+    # an independent scan of the window, twice as dense as its levels
+    s = np.geomspace(report.pinching.margin_s[0], report.pinching.margin_s[-1], 4000)
+    ok = pl.metrics.pinched(metric, s, config.epsilon)[0]
+    assert report.pinching_pass == ok.all()
+    others = [h for h in report.failed_hypotheses() if h != "pinching"]
+    assert report.failed_hypotheses() == ([] if ok.all() else ["pinching"]) + others
+    if not ok.all():
+        j, witness = int(np.argmin(ok)), report.pinching.first_failure_s
+        if j == 0:
+            assert witness == s[0]
+        else:
+            assert s[j - 1] < witness <= s[j] + 1e-6
+
+
+def test_failing_table_refute_refines_in_few_pinched_calls(monkeypatch):
+    s = np.geomspace(0.1, 1e4, 400)
+    metric = pl.from_table(s, s ** 0.8)
+    real, sizes = pl.metrics.pinched, []
+
+    def counting(metric, radii, epsilon):
+        sizes.append(np.size(radii))
+        return real(metric, radii, epsilon)
+
+    monkeypatch.setattr(pl.metrics, "pinched", counting)
+    report = asymptotics.refute(pl.ExteriorDomain(metric, 1.0), ScenarioConfig(epsilon=0.1))
+    witness = report.pinching.first_failure_s
+    assert not report.pinching_pass
+    assert witness > report.pinching.margin_s[0]  # a failure inside the window, refined
+    assert 1 <= len(sizes) <= 6
+    assert max(sizes) <= 32
+    assert not real(metric, np.array([witness]), 0.1)[0][0]
+
+
+@pytest.mark.parametrize("kind, epsilon", [("sphere_cap_blend", 0.1), ("power", 0.1),
+                                           ("cone", 0.1), ("flat", 1.0 / 3.0)])
+def test_check_pinching_evaluates_only_inside_the_witness_bracket(kind, epsilon):
+    metric, radii = _recording(pl.build_metric(kind))
+    sol = pl.PotentialSolution(pl.ExteriorDomain(metric, 0.5), t_max=5.0)
+    series = pl.build_series(sol, n=2001)
+    radii.clear()
+    report = asymptotics.series_pinching(sol, series, epsilon)
+    if report.passed or report.first_failure_s == series.s[0]:
+        assert radii == []
+        return
+    k = int(np.searchsorted(series.s, report.first_failure_s))
+    seen = np.concatenate(radii)
+    assert np.all((seen > series.s[k - 1]) & (seen < series.s[k]))
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +377,7 @@ def test_parametric_kinds_solve_without_scipy(monkeypatch):
         report = asymptotics.refute(pl.ExteriorDomain(pl.build_metric(kind), 1.0),
                                     ScenarioConfig())
         assert report.failed_hypotheses() or report.crossing_t is not None, kind
-    sol = pl.PotentialSolution(pl.ExteriorDomain(pl.capped_cone(0.5, 0.3), 1.0))
+    sol = pl.PotentialSolution(pl.ExteriorDomain(capped_cone(0.5, 0.3), 1.0))
     assert sol.t_max == 8.0
 
 

@@ -219,6 +219,16 @@ def test_sweep_non_finite_axis_is_usage_error(tmp_path, capsys):
     assert "usage error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("axis,value", [("s0", 3), ("epsilon", 0.1), ("kind", "flat")])
+def test_sweep_axis_that_is_not_a_list_is_usage_error(tmp_path, capsys, axis, value):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"out_dir": str(tmp_path), "sweep": {axis: value}}))
+    assert cli.main(["sweep", "--config", str(cfg_path)]) == 64
+    err = capsys.readouterr().err
+    assert f"sweep axis '{axis}' must be a list" in err
+    assert not (tmp_path / "sweep.json").exists()
+
+
 def test_sweep_without_section_is_usage_error(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"t_max": 4.0}))

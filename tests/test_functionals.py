@@ -60,7 +60,7 @@ def test_series_checks_evaluate_no_profile(kind):
     # that read it evaluate no f, f' or f''
     sol, points = _counting_solution(kind)
     series = pl.build_series(sol, n=2001)
-    pinch = pl.check_pinching(sol.metric, 1.0 / 3.0, asymptotics.pinching_window(sol, series), 400)
+    pinch = asymptotics.series_pinching(sol, series, 1.0 / 3.0)
     points.clear()
     pl.decay_check(series, 1.0 / 3.0, pinch)
     pl.check_monotonicity(series)

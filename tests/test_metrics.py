@@ -15,6 +15,24 @@ def schw_arclength(r, m=1.0):
     return xi * math.sqrt(r) + 2 * m * math.log((math.sqrt(r) + xi) / math.sqrt(2 * m))
 
 
+def capped_cone(slope, blend_width=0.3):
+    """The sphere_cap_blend whose asymptotic cone slope is exactly ``slope``.
+
+    cos(s_cap) - (w/3) sin(s_cap) = slope has the closed-form root below,
+    since the left side is hypot(1, w/3) cos(s_cap + atan(w/3)).
+    """
+    w = blend_width
+    return pl.sphere_cap_blend(math.acos(slope / math.hypot(1.0, w / 3.0)) - math.atan(w / 3.0), w)
+
+
+def scan(metric, epsilon, s_range, n):
+    """check_pinching on n log-spaced radii, their margins from curvature_at."""
+    s = np.geomspace(*s_range, n)
+    p = pl.curvature_at(metric, s)
+    return pl.check_pinching(metric, epsilon, s,
+                             *pl.metrics._pinch_margins(p.ric_rad, p.ric_tan, p.scalar))
+
+
 # ---------------------------------------------------------------------------
 # curvature_at
 # ---------------------------------------------------------------------------
@@ -230,27 +248,27 @@ def test_fd_oracle_step_underflow():
 # ---------------------------------------------------------------------------
 
 def test_pinching_sphere_passes_at_one_third(sine_profile):
-    report = pl.check_pinching(sine_profile, 1.0 / 3.0, (0.1, 1.0), 50)
+    report = scan(sine_profile, 1.0 / 3.0, (0.1, 1.0), 50)
     assert report.passed
     assert report.eps_star_min == pytest.approx(1.0 / 3.0, abs=1e-12)
     assert report.first_failure_s is None
 
 
 def test_pinching_cone_fails_with_zero_margin():
-    report = pl.check_pinching(pl.cone(0.5), 0.01, (1.0, 10.0), 50)
+    report = scan(pl.cone(0.5), 0.01, (1.0, 10.0), 50)
     assert not report.passed
     assert report.eps_star_min == 0.0
     assert report.first_failure_s == pytest.approx(1.0, abs=1e-9)
 
 
 def test_pinching_flat_passes_via_sentinel():
-    report = pl.check_pinching(pl.flat_space(), 0.3, (0.5, 100.0), 40)
+    report = scan(pl.flat_space(), 0.3, (0.5, 100.0), 40)
     assert report.passed
     assert np.all(np.isinf(report.margin_eps_star))
 
 
 def test_pinching_schwarzschild_fails_ric_nonneg():
-    report = pl.check_pinching(pl.schwarzschild_slice(1.0), 0.01, (0.5, 50.0), 50)
+    report = scan(pl.schwarzschild_slice(1.0), 0.01, (0.5, 50.0), 50)
     assert not report.passed
     assert report.eps_star_min == -math.inf
 
@@ -260,7 +278,7 @@ def test_pinching_witness_refined_by_bisection():
     s_target = 5.0
     p = pl.curvature_at(metric, np.array([s_target]))
     eps_star, _ = pl.metrics._pinch_margins(p.ric_rad, p.ric_tan, p.scalar)
-    report = pl.check_pinching(metric, float(eps_star[0]), (1.0, 25.0), 60)
+    report = scan(metric, float(eps_star[0]), (1.0, 25.0), 60)
     assert not report.passed
     assert report.first_failure_s == pytest.approx(s_target, abs=2e-6)
 
@@ -269,9 +287,9 @@ def test_pinching_witness_refined_by_bisection():
 @given(epsilon=st.floats(0.0085, 0.0099))
 def test_pinching_bisection_ends_where_ulp_exceeds_tolerance(epsilon):
     # the first failure lies past 1e14, where adjacent floats are further
-    # apart than the 1e-6 bisection tolerance
+    # apart than the 1e-6 refinement tolerance
     metric = pl.power_law(1.0, 0.99)
-    report = pl.check_pinching(metric, epsilon, (1.0, 1e18), 400)
+    report = scan(metric, epsilon, (1.0, 1e18), 400)
     assert not report.passed
     assert 1e14 < report.first_failure_s <= 1e18
     assert not pl.metrics.pinched(metric, np.array([report.first_failure_s]), epsilon)[0][0]
@@ -279,18 +297,34 @@ def test_pinching_bisection_ends_where_ulp_exceeds_tolerance(epsilon):
 
 def test_pinching_usage_errors():
     with pytest.raises(UsageError):
-        pl.check_pinching(pl.flat_space(), 0.1, (1.0, 2.0), 1)
+        scan(pl.flat_space(), 0.1, (1.0, 2.0), 1)
     with pytest.raises(UsageError):
-        pl.check_pinching(pl.flat_space(), -0.1, (1.0, 2.0), 10)
+        scan(pl.flat_space(), -0.1, (1.0, 2.0), 10)
     with pytest.raises(DomainError):
-        pl.check_pinching(pl.flat_space(), 0.1, (0.0, 2.0), 10)
+        pl.check_pinching(pl.flat_space(), 0.1, np.array([0.0, 2.0]), np.full(2, np.inf), np.ones(2, bool))
+    with pytest.raises(DomainError):
+        pl.check_pinching(pl.flat_space(), 0.1, np.array([2.0, 1.0]), np.full(2, np.inf), np.ones(2, bool))
+
+
+def test_pinching_margin_curve_keeps_the_least_margin():
+    # the curve of 1000 radii is a strided subsample (every third radius)
+    # that keeps the least margin, here at an index off the stride
+    s = np.geomspace(1.0, 10.0, 1000)
+    eps_star = np.full(1000, 0.3)
+    eps_star[500] = 0.2
+    report = pl.check_pinching(pl.flat_space(), 0.1, s, eps_star, np.ones(1000, bool))
+    assert report.passed
+    assert len(report.margin_s) <= 400
+    assert report.margin_s[0] == s[0] and report.margin_s[-1] == s[-1]
+    assert s[500] in report.margin_s
+    assert report.eps_star_min == 0.2
 
 
 def test_pinching_trace_bound():
     # wherever the scan passes with R > 0 somewhere, the margin is <= 1/3
     for kind in ("power", "cone", "sphere_cap_blend"):
         metric = pl.build_metric(kind)
-        report = pl.check_pinching(metric, 1e-6, (0.5, 20.0), 100)
+        report = scan(metric, 1e-6, (0.5, 20.0), 100)
         finite = np.isfinite(report.margin_eps_star)
         if finite.any():
             assert report.margin_eps_star[finite].max() <= 1.0 / 3.0 + 1e-12
@@ -338,13 +372,13 @@ def test_volume_ball_is_history_independent():
 @pytest.mark.parametrize("blend_width", [0.01, 0.3, 1.0, 3.0])
 def test_capped_cone_solves_slope_equation(blend_width):
     for slope in np.linspace(0.02, 0.98, 25):
-        s_cap = pl.capped_cone(slope, blend_width).params["s_cap"]
+        s_cap = capped_cone(slope, blend_width).params["s_cap"]
         residual = math.cos(s_cap) - (blend_width / 3.0) * math.sin(s_cap) - slope
         assert abs(residual) <= 1e-15, slope
 
 
 def test_volume_capped_cone_leading_order():
-    metric = pl.capped_cone(0.5, 0.3)
+    metric = capped_cone(0.5, 0.3)
     lead = lambda r: 4 * math.pi / 3 * 0.25 * r**3
     # the affine tail a*s + b has b ~ 0.34, so the pure-cone coefficient is
     # approached like 3b/(a r): ~2% at r=100, inside 1% from r ~ 250 out
@@ -365,14 +399,14 @@ def test_growth_fit_power():
 
 
 def test_growth_fit_capped_cone():
-    report = pl.growth_fit(pl.capped_cone(0.5, 0.3), 100.0, 10000.0)
+    report = pl.growth_fit(capped_cone(0.5, 0.3), 100.0, 10000.0)
     assert report.alpha_fit == pytest.approx(2.0, abs=0.02)
     assert report.avr == pytest.approx(0.25, abs=0.01)
 
 
 def test_bishop_gromov_volume_ratio_monotone():
     r = np.geomspace(0.5, 1000.0, 120)
-    for metric in (pl.flat_space(), pl.capped_cone(0.5, 0.3), pl.power_law(1.0, 0.8)):
+    for metric in (pl.flat_space(), capped_cone(0.5, 0.3), pl.power_law(1.0, 0.8)):
         ratio = pl.volume_ball(metric, r) / r**3
         assert np.all(np.diff(ratio) <= 1e-12 * ratio[:-1])
 
@@ -437,6 +471,16 @@ def test_table_with_many_rows():
     root = np.sqrt(1.0 + x * x)
     for k, (fn, exact) in enumerate(((metric.f, root), (metric.df, x / root), (metric.d2f, root**-3))):
         assert np.abs(fn(x) - exact).max() <= 1e-13 * root.max() / h**k, k
+
+
+def test_table_with_a_row_at_zero():
+    # the tail fit takes logs of the rows with s > 0 only; the suite turns
+    # RuntimeWarnings into errors, so a log of s = 0 would fail the load
+    s = np.r_[0.0, np.geomspace(0.1, 1e3, 60)]
+    metric = pl.from_table(s, 1e-6 + 2.0 * s)
+    assert metric.tail_exponent == pytest.approx(1.0, abs=1e-4)
+    assert metric.tail_coefficient == pytest.approx(2.0, rel=1e-3)
+    assert metric.f(0.0) == pytest.approx(1e-6, abs=1e-12)
 
 
 def test_table_rejects_nan(power_table):
