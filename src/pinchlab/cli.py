@@ -112,17 +112,9 @@ def cmd_refute(cfg: ScenarioConfig) -> int:
 def cmd_sweep(cfg: ScenarioConfig) -> int:
     if not cfg.sweep:
         raise UsageError("sweep requires a config file with a 'sweep' section")
-    allowed = {"kind", "s0", "epsilon"}
-    unknown = set(cfg.sweep) - allowed
-    if unknown:
-        raise UsageError(f"unknown sweep axes {sorted(unknown)}; valid: {sorted(allowed)}")
-    for axis, values in cfg.sweep.items():
-        if not isinstance(values, list):
-            raise UsageError(f"sweep axis {axis!r} must be a list, got {values!r}")
-    kinds = cfg.sweep.get("kind", [cfg.metric_kind])
-    s0s = [float(v) for v in cfg.sweep.get("s0", [cfg.s0])]
-    epsilons = [float(v) for v in cfg.sweep.get("epsilon", [cfg.epsilon])]
-    grid = list(itertools.product(kinds, s0s, epsilons))
+    grid = list(itertools.product(cfg.sweep.get("kind", [cfg.metric_kind]),
+                                  cfg.sweep.get("s0", [cfg.s0]),
+                                  cfg.sweep.get("epsilon", [cfg.epsilon])))
 
     reports = []
     for kind, s0, eps in grid:
@@ -130,24 +122,19 @@ def cmd_sweep(cfg: ScenarioConfig) -> int:
         metric = metrics.build_metric(kind, sub.metric_params if kind == cfg.metric_kind else {})
         reports.append(asymptotics.refute(potential.ExteriorDomain(metric, s0), sub))
 
+    runs = list(zip(grid, reports))
     os.makedirs(cfg.out_dir, exist_ok=True)
-    rows = []
-    docs = []
-    for (kind, s0, eps), rep in zip(grid, reports):
-        rows.append((kind, s0, eps, rep.growth.alpha_fit,
-                     rep.boundary.value, rep.conclusion))
-        doc = rep.to_json_dict()
-        doc["scenario"] = {"kind": kind, "s0": s0, "epsilon": eps}
-        docs.append(doc)
     csv_path = os.path.join(cfg.out_dir, "sweep.csv")
     with open(csv_path, "w", newline="") as fh:
         fh.write("kind,s0,epsilon,alpha_fit,boundary_willmore,conclusion\n")
-        for kind, s0, eps, alpha, bwv, conc in rows:
-            fh.write(f"{kind},{s0:.17g},{eps:.17g},{alpha:.17g},{bwv:.17g},\"{conc}\"\n")
+        for (kind, s0, eps), rep in runs:
+            fh.write(f"{kind},{s0:.17g},{eps:.17g},{rep.growth.alpha_fit:.17g},"
+                     f"{rep.boundary.value:.17g},\"{rep.conclusion}\"\n")
     json_path = os.path.join(cfg.out_dir, "sweep.json")
-    _write_json(json_path, docs)
-    for kind, s0, eps, _, _, conc in rows:
-        print(f"{kind} s0={s0:g} eps={eps:g}: {conc}")
+    _write_json(json_path, [{**rep.to_json_dict(), "scenario": {"kind": kind, "s0": s0, "epsilon": eps}}
+                            for (kind, s0, eps), rep in runs])
+    for (kind, s0, eps), rep in runs:
+        print(f"{kind} s0={s0:g} eps={eps:g}: {rep.conclusion}")
     print(f"wrote {csv_path} and {json_path}")
     return 0
 
@@ -162,13 +149,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_param(text):
+    """Split ``key=value``; the value is a number where it reads as one, except ``path``."""
     if "=" not in text:
         raise UsageError(f"--param expects key=value, got {text!r}")
-    key, _, value = text.partition("=")
+    key, _, value = (part.strip() for part in text.partition("="))
     try:
-        return key.strip(), float(value)
+        return key, value if key == "path" else float(value)
     except ValueError:
-        return key.strip(), value.strip()
+        return key, value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -242,15 +230,9 @@ def main(argv=None) -> int:
         if args.command == "catalog":
             return cmd_catalog(args)
         cfg = _config_from_args(args)
-        if args.command == "solve":
-            return cmd_solve(cfg)
         if args.command == "verify":
             return cmd_verify(cfg, json_out=args.json_out)
-        if args.command == "refute":
-            return cmd_refute(cfg)
-        if args.command == "sweep":
-            return cmd_sweep(cfg)
-        raise UsageError(f"unknown command {args.command!r}")
+        return {"solve": cmd_solve, "refute": cmd_refute, "sweep": cmd_sweep}[args.command](cfg)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 64

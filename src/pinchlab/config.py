@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, fields as dc_fields, replace
 from typing import Optional
 
@@ -11,9 +12,71 @@ from .errors import UsageError
 
 SUITES = ("identities", "monotonicity", "decay", "chain", "all")
 
-_CONFIG_KEYS = {
-    "metric", "s0", "epsilon", "t_max", "n_samples", "growth_window",
-    "chain_points", "out_dir", "suite", "sweep",
+#: largest n_samples and chain_points, checked before any array is allocated
+MAX_POINTS = 10**6
+
+
+def number(name, value) -> float:
+    """A JSON int or float (not a bool, not a string) as a float."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:  # an int past the float range
+            pass
+    raise UsageError(f"{name} must be a number, got {value!r}")
+
+
+def _count(name, value) -> int:
+    """An int, or a float with an integral value, as an int."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise UsageError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
+def _text(name, value) -> str:
+    if not isinstance(value, str):
+        raise UsageError(f"{name} must be a string, got {value!r}")
+    return value
+
+
+def _window(name, value) -> tuple:
+    if not (isinstance(value, list) and len(value) == 2):
+        raise UsageError(f"{name} must be [r_lo, r_hi], got {value!r}")
+    return tuple(number(f"{name} entry", v) for v in value)
+
+
+def _metric(name, value) -> tuple:
+    """(kind, params); build_metric checks the params against the catalog."""
+    if not (isinstance(value, dict) and "kind" in value and set(value) <= {"kind", "params"}
+            and isinstance(value.get("params", {}), dict)):
+        raise UsageError(f'{name} must be {{"kind": ..., "params": {{...}}}}, got {value!r}')
+    return _text(f"{name} kind", value["kind"]), dict(value.get("params", {}))
+
+
+_SWEEP_AXES = {"kind": _text, "s0": number, "epsilon": number}
+
+
+def _sweep(name, value) -> dict:
+    if not isinstance(value, dict):
+        raise UsageError(f"{name} must be a JSON object of parameter lists, got {value!r}")
+    for axis, values in value.items():
+        if axis not in _SWEEP_AXES:
+            raise UsageError(f"unknown sweep axis {axis!r}; valid: {sorted(_SWEEP_AXES)}")
+        if not (isinstance(values, list) and values):
+            raise UsageError(f"sweep axis {axis!r} must be a list of at least one value, "
+                             f"got {values!r}")
+    return {axis: [_SWEEP_AXES[axis](f"sweep axis {axis!r} value", v) for v in values]
+            for axis, values in value.items()}
+
+
+#: config-file key -> converter(key, value), which returns the typed value or raises
+#: a UsageError naming the key and the bad value; "metric" sets metric_kind and metric_params
+_CONVERTERS = {
+    "metric": _metric, "s0": number, "epsilon": number, "t_max": number,
+    "n_samples": _count, "growth_window": _window, "chain_points": _count,
+    "out_dir": _text, "suite": _text, "sweep": _sweep,
 }
 
 
@@ -48,8 +111,8 @@ class ScenarioConfig:
             )
         if not 0 < self.t_max < math.inf:
             raise UsageError(f"t_max must be positive and finite, got {self.t_max}")
-        if self.n_samples < 3:
-            raise UsageError("n_samples must be at least 3")
+        if not 3 <= self.n_samples <= MAX_POINTS:
+            raise UsageError(f"n_samples must lie in [3, {MAX_POINTS}], got {self.n_samples}")
         lo, hi = self.growth_window
         if not 0 < lo < hi < math.inf:
             raise UsageError(f"bad growth window {self.growth_window}")
@@ -57,8 +120,8 @@ class ScenarioConfig:
             raise UsageError(
                 f"unknown suite {self.suite!r}; valid: {', '.join(SUITES)}"
             )
-        if self.chain_points < 2:
-            raise UsageError("chain_points must be at least 2")
+        if not 2 <= self.chain_points <= MAX_POINTS:
+            raise UsageError(f"chain_points must lie in [2, {MAX_POINTS}], got {self.chain_points}")
         return self
 
     @classmethod
@@ -68,40 +131,18 @@ class ScenarioConfig:
                 doc = json.load(fh)
         except OSError as exc:
             raise UsageError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, bad UTF-8 or an int past Python's digit limit
             raise UsageError(f"config {path} is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise UsageError(f"config {path} must be a JSON object")
-        unknown = set(doc) - _CONFIG_KEYS
+        unknown = set(doc) - set(_CONVERTERS)
         if unknown:
             raise UsageError(
-                f"unknown config key(s) {sorted(unknown)}; valid: {sorted(_CONFIG_KEYS)}"
+                f"unknown config key(s) {sorted(unknown)}; valid: {sorted(_CONVERTERS)}"
             )
-        kwargs = {}
-        metric = doc.get("metric", {})
-        if metric:
-            if not isinstance(metric, dict) or "kind" not in metric:
-                raise UsageError("config 'metric' must be {\"kind\": ..., \"params\": {...}}")
-            kwargs["metric_kind"] = str(metric["kind"])
-            kwargs["metric_params"] = dict(metric.get("params", {}))
-        for key in ("s0", "epsilon", "t_max"):
-            if key in doc:
-                kwargs[key] = float(doc[key])
-        for key in ("n_samples", "chain_points"):
-            if key in doc:
-                kwargs[key] = int(doc[key])
-        if "growth_window" in doc:
-            window = doc["growth_window"]
-            if not (isinstance(window, (list, tuple)) and len(window) == 2):
-                raise UsageError("growth_window must be [r_lo, r_hi]")
-            kwargs["growth_window"] = (float(window[0]), float(window[1]))
-        for key in ("out_dir", "suite"):
-            if key in doc:
-                kwargs[key] = str(doc[key])
-        if "sweep" in doc:
-            if not isinstance(doc["sweep"], dict):
-                raise UsageError("sweep must be a JSON object of parameter lists")
-            kwargs["sweep"] = doc["sweep"]
+        kwargs = {key: _CONVERTERS[key](key, value) for key, value in doc.items()}
+        if "metric" in kwargs:
+            kwargs["metric_kind"], kwargs["metric_params"] = kwargs.pop("metric")
         return cls(**kwargs)
 
     def with_overrides(self, **kwargs) -> "ScenarioConfig":

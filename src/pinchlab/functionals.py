@@ -21,7 +21,6 @@ is nonnegative on the window, 0 <= G <= F with G' = G - F.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -88,18 +87,9 @@ class FunctionalSeries:
     def to_csv(self, path):
         """Write the series CSV (17 significant digits, fixed column order)."""
         with open(path, "w", newline="") as fh:
-            self._write(fh)
-
-    def _write(self, fh):
-        fh.write(",".join(CSV_COLUMNS) + "\n")
-        cols = [getattr(self, c) for c in CSV_COLUMNS]
-        for row in zip(*cols):
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-
-    def to_csv_string(self) -> str:
-        buf = io.StringIO()
-        self._write(buf)
-        return buf.getvalue()
+            fh.write(",".join(CSV_COLUMNS) + "\n")
+            for row in zip(*(getattr(self, c) for c in CSV_COLUMNS)):
+                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
 def _fields_at(sol: PotentialSolution, t_arr):

@@ -30,8 +30,10 @@ from typing import Callable, Mapping, Optional, Tuple
 import numpy as np
 from numpy.polynomial import chebyshev
 
+from .config import number
 from .errors import DomainError, NumericError, UsageError
 from .quadrature import PanelQuadrature, _chebyshev_sum, panel_edges
+from .stencils import five_point_first, five_point_second
 
 log = logging.getLogger(__name__)
 
@@ -519,11 +521,9 @@ def finite_difference_curvature_oracle(metric: WarpFunction, s, h) -> CurvatureP
         raise NumericError(f"finite-difference step {h[bad][0]} underflows at s={s[bad][0]}")
     metric.require_contains(s - 2 * h)
     metric.require_contains(s + 2 * h)
-    offsets = np.multiply.outer([-2.0, -1.0, 0.0, 1.0, 2.0], np.atleast_1d(h))
-    fm2, fm1, f0, fp1, fp2 = metric.f(s + offsets)
-    df = (fm2 - 8.0 * fm1 + 8.0 * fp1 - fp2) / (12.0 * h)
-    d2f = (-fm2 + 16.0 * fm1 - 30.0 * f0 + 16.0 * fp1 - fp2) / (12.0 * h * h)
-    return _point(s, f0, df, d2f)
+    x, step = np.atleast_1d(s), np.atleast_1d(h)
+    return _point(s, metric.f(x), five_point_first(metric.f, x, step),
+                  five_point_second(metric.f, x, step))
 
 
 # ---------------------------------------------------------------------------
@@ -747,25 +747,15 @@ def build_metric(kind: str, params: Optional[Mapping] = None) -> WarpFunction:
             f"valid: {sorted(entry['params'])}"
         )
     if kind == "user_table":
-        path = params.get("path")
-        if not path:
-            raise UsageError("user_table requires a 'path' parameter")
-        kwargs = {}
-        for key in ("tail_coefficient", "tail_exponent"):
-            if params.get(key) is not None:
-                kwargs[key] = float(params[key])
-        return load_table_csv(path, **kwargs)
-    resolved = {name: float(params.get(name, default))
-                for name, (default, _) in entry["params"].items()}
-    return entry["build"](resolved)
+        path = params.pop("path", None)
+        if not (isinstance(path, str) and path):
+            raise UsageError(f"user_table parameter 'path' must name a CSV file, got {path!r}")
+        return load_table_csv(path, **{key: number(f"parameter {key!r}", value)
+                                       for key, value in params.items() if value is not None})
+    return entry["build"]({name: number(f"parameter {name!r}", params.get(name, default))
+                           for name, (default, _) in entry["params"].items()})
 
 
 def default_catalog():
     """The five parametric catalog metrics with their default parameters."""
-    return [
-        ("flat", build_metric("flat")),
-        ("cone", build_metric("cone")),
-        ("power", build_metric("power")),
-        ("schwarzschild", build_metric("schwarzschild")),
-        ("sphere_cap_blend", build_metric("sphere_cap_blend")),
-    ]
+    return [(kind, build_metric(kind)) for kind, entry in CATALOG.items() if entry["build"]]

@@ -108,21 +108,12 @@ class PanelQuadrature:
         self.R = _TO_R @ vals.T
         self.S = _TO_S @ vals.T
 
-    @property
-    def lo(self):
-        return self.edges[0]
-
-    @property
-    def hi(self):
-        return self.edges[-1]
-
     def _query(self, x, from_start):
         x = np.asarray(x, float)
-        if not np.all((self.lo * (1 - 1e-12) - 1e-300 <= x) & (x <= self.hi * (1 + 1e-12))):
-            raise DomainError(
-                f"quadrature query outside panel grid [{self.lo}, {self.hi}]"
-            )
-        xc = np.clip(np.atleast_1d(x), self.lo, self.hi)
+        lo, hi = self.edges[0], self.edges[-1]
+        if not np.all((lo * (1 - 1e-12) - 1e-300 <= x) & (x <= hi * (1 + 1e-12))):
+            raise DomainError(f"quadrature query outside panel grid [{lo}, {hi}]")
+        xc = np.clip(np.atleast_1d(x), lo, hi)
         # an edge query lands in the panel whose partial vanishes there
         i = np.searchsorted(self.edges, xc, side="right" if from_start else "left") - 1
         i = np.clip(i, 0, len(self.edges) - 2)

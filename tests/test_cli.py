@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import pinchlab.cli as cli
 import pinchlab.metrics as metrics
 import pinchlab.potential as potential
-from pinchlab.config import ScenarioConfig
+from pinchlab.config import SUITES, ScenarioConfig
 from pinchlab.errors import UsageError
 
 
@@ -277,6 +277,124 @@ def test_cli_flags_override_config(tmp_path, capsys):
     assert summary["config"]["s0"] == 1.0
     assert summary["config"]["metric_kind"] == "cone"
     assert summary["ncap"] == pytest.approx(0.25, rel=1e-8)
+
+
+_EVERY_KEY = {
+    "metric": {"kind": "power", "params": {"c": 2.0, "beta": 0.9}},
+    "s0": 1.5, "epsilon": 0.25, "t_max": 3, "n_samples": 101.0,
+    "growth_window": [50, 5000.0], "chain_points": 12, "suite": "decay",
+    "sweep": {"kind": ["flat", "cone"], "s0": [1, 2.5], "epsilon": [0.1]},
+}
+
+
+def test_config_file_matches_equivalent_flags(tmp_path, capsys):
+    out = str(tmp_path / "out")
+    full = tmp_path / "full.json"
+    full.write_text(json.dumps({**_EVERY_KEY, "out_dir": out}))
+    rest = tmp_path / "rest.json"  # the keys that solve has no flag for
+    rest.write_text(json.dumps({key: _EVERY_KEY[key]
+                                for key in ("growth_window", "chain_points", "suite", "sweep")}))
+    flags = ["--config", str(rest), "--kind", "power", "--param", "c=2", "--param", "beta=0.9",
+             "--s0", "1.5", "--epsilon", "0.25", "--t-max", "3", "--n-samples", "101",
+             "--out-dir", out]
+    expected = ScenarioConfig(
+        metric_kind="power", metric_params={"c": 2.0, "beta": 0.9}, s0=1.5, epsilon=0.25,
+        t_max=3.0, n_samples=101, growth_window=(50.0, 5000.0), chain_points=12, out_dir=out,
+        suite="decay", sweep={"kind": ["flat", "cone"], "s0": [1.0, 2.5], "epsilon": [0.1]})
+    cfg = ScenarioConfig.from_file(full)
+    assert cfg == expected and type(cfg.n_samples) is int
+    assert cli._config_from_args(cli.build_parser().parse_args(["solve", *flags])) == expected
+    summaries = []
+    for argv in (["solve", "--config", str(full)], ["solve", *flags]):
+        assert cli.main(argv) == 0
+        summaries.append((tmp_path / "out" / "summary.json").read_bytes())
+    assert summaries[0] == summaries[1]
+
+
+@pytest.mark.parametrize("doc, flags, named", [
+    ({"s0": "abc"}, [], "s0"),
+    ({"s0": None}, [], "s0"),
+    ({"n_samples": "x"}, [], "n_samples"),
+    ({"n_samples": math.nan}, [], "n_samples"),
+    ({"chain_points": math.inf}, [], "chain_points"),
+    ({"n_samples": 1e30}, [], "n_samples"),
+    ({"growth_window": ["a", 2]}, [], "growth_window"),
+    ({"metric": {"kind": "flat", "params": [1]}}, [], "metric"),
+    ({"metric": {"kind": "flat", "params": None}}, [], "metric"),
+    ({"sweep": {"s0": ["a"]}}, [], "sweep axis 's0'"),
+    ({}, ["--kind", "power", "--param", "beta=x"], "'beta'"),
+    ({}, ["--kind", "user_table", "--param", "path=t.csv", "--param", "tail_exponent=abc"],
+     "'tail_exponent'"),
+    ({}, ["--kind", "user_table", "--param", "path=3"], "table 3"),
+    ({"out_dir": None}, [], "out_dir"),
+    ({"sweep": {"s0": []}}, [], "sweep axis 's0'"),
+])
+def test_malformed_input_is_usage_error(tmp_path, monkeypatch, capsys, doc, flags, named):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({"out_dir": "out", **doc}))
+    command = "sweep" if "sweep" in doc else "refute"
+    assert cli.main([command, "--config", "cfg.json", *flags]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("usage error") and named in err, err
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+def test_param_path_is_a_file_name(tmp_path, monkeypatch):
+    # --param path=3 opens the file named 3, not the number 3.0
+    monkeypatch.chdir(tmp_path)
+    s = np.geomspace(0.5, 500.0, 300)
+    _write(tmp_path / "3", "s,f\n" + "".join(f"{a!r},{a!r}\n" for a in s.tolist()))
+    argv = ["solve", "--kind", "user_table", "--param", "path=3", "--s0", "1", "--t-max", "3",
+            "--n-samples", "101", "--out-dir", "out"]
+    assert cli.main(argv) == 0
+    assert json.loads((tmp_path / "out" / "summary.json").read_text())["config"]["metric_params"] \
+        == {"path": "3"}
+
+
+_BAD = st.one_of(st.none(), st.booleans(), st.sampled_from(["", "1.5", "abc"]),
+                 st.sampled_from([math.nan, math.inf, -math.inf, -1, 1e30, 10**400]),
+                 st.lists(st.integers(0, 3), max_size=2), st.just({}))
+
+
+def _or_bad(valid):
+    return st.one_of(valid, _BAD)
+
+
+def _metric_doc(kind):
+    names = sorted(metrics.CATALOG[kind]["params"]) or ["a"]
+    params = st.dictionaries(st.sampled_from(names), _or_bad(st.floats(0.6, 1.0)), max_size=2)
+    return st.fixed_dictionaries({"kind": st.just(kind)}, optional={"params": _or_bad(params)})
+
+
+_AXES = {"kind": st.sampled_from(["flat", "cone", "saddle"]),
+         "s0": st.floats(0.5, 2.0), "epsilon": st.floats(0.05, 1.0 / 3.0)}
+
+_CONFIG_VALUES = {
+    "metric": _or_bad(st.sampled_from(sorted(metrics.CATALOG)).flatmap(_metric_doc)),
+    "s0": _or_bad(st.floats(0.5, 2.0)),
+    "epsilon": _or_bad(st.floats(0.05, 1.0 / 3.0)),
+    "t_max": _or_bad(st.floats(0.5, 2.0)),
+    "n_samples": _or_bad(st.integers(3, 50)),
+    "growth_window": _or_bad(st.tuples(st.floats(10.0, 100.0), st.floats(200.0, 1000.0)).map(list)),
+    "chain_points": _or_bad(st.integers(2, 10)),
+    "out_dir": _BAD.filter(lambda v: not isinstance(v, str)),  # a valid out_dir is tmp_path
+    "suite": _or_bad(st.sampled_from(SUITES)),
+    "sweep": _or_bad(st.sampled_from(sorted(_AXES)).flatmap(lambda axis: st.fixed_dictionaries(
+        {axis: _or_bad(st.lists(_or_bad(_AXES[axis]), min_size=1, max_size=2))}))),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(doc=st.fixed_dictionaries({}, optional=_CONFIG_VALUES),
+       command=st.sampled_from(["solve", "refute"]))
+def test_any_config_document_ends_in_a_documented_code(tmp_path_factory, doc, command):
+    out = tmp_path_factory.mktemp("config")
+    doc.setdefault("out_dir", str(out))
+    (out / "cfg.json").write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(["sweep" if "sweep" in doc else command, "--config", str(out / "cfg.json")])
+    assert code in (0, 2, 64), err.getvalue()
 
 
 def test_user_table_through_cli(tmp_path):

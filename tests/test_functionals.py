@@ -168,11 +168,11 @@ def test_series_csv_format(solve_cache, tmp_path):
     assert values[9] == series.ncap_t[0]
 
 
-def test_series_csv_deterministic(solve_cache):
+def test_series_csv_deterministic(solve_cache, tmp_path):
     sol = solve_cache("flat", 1.0)
-    a = pl.build_series(sol, n=101).to_csv_string()
-    b = pl.build_series(sol, n=101).to_csv_string()
-    assert a == b
+    pl.build_series(sol, n=101).to_csv(tmp_path / "a.csv")
+    pl.build_series(sol, n=101).to_csv(tmp_path / "b.csv")
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 # ---------------------------------------------------------------------------
