@@ -134,11 +134,11 @@ def coarea_check(sol: PotentialSolution, t_grid) -> float:
     delta = 5e-4
     t = np.clip(np.asarray(t_grid, float), delta, sol.t_usable - delta)
     stencil = np.stack([t - delta, t, t + delta])
-    s = np.atleast_1d(sol.s_of_t(stencil.ravel())).reshape(stencil.shape)
+    s, tail = (a.reshape(stencil.shape) for a in sol._level_map(stencil.ravel()))
     vol = volume_ball(sol.metric, s.ravel()).reshape(stencil.shape)
     dvol = (vol[2] - vol[0]) / (2.0 * delta)
     f = sol.metric.f(s[1])
-    rhs = FOUR_PI * f * f / (f ** -2.0 / sol.tail(s[1]))  # |grad w| as in sol.grad_w, from this f
+    rhs = FOUR_PI * f * f / (f ** -2.0 / tail[1])  # |grad w| as in sol.grad_w, from this f and I
     return float(np.abs(dvol / rhs - 1.0).max())
 
 

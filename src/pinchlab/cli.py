@@ -34,6 +34,15 @@ def _write_json(path, obj):
         fh.write("\n")
 
 
+def _out_dir(cfg) -> str:
+    """``cfg.out_dir``, created where missing; a usage error where it cannot be."""
+    try:
+        os.makedirs(cfg.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"out_dir {cfg.out_dir!r} cannot be created: {exc.strerror}") from None
+    return cfg.out_dir
+
+
 def _summary_growth(metric, cfg):
     try:
         rep = asymptotics.windowed_growth(metric, cfg.growth_window)
@@ -65,8 +74,7 @@ def cmd_solve(cfg: ScenarioConfig) -> int:
     domain = potential.ExteriorDomain(metric, cfg.s0)
     sol = potential.PotentialSolution(domain, t_max=cfg.t_max)
     series = functionals.build_series(sol, n=cfg.n_samples)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    csv_path = os.path.join(cfg.out_dir, "series.csv")
+    csv_path = os.path.join(_out_dir(cfg), "series.csv")
     series.to_csv(csv_path)
     alpha, avr = _summary_growth(metric, cfg)
     bw = functionals.boundary_willmore(sol)
@@ -101,8 +109,7 @@ def cmd_refute(cfg: ScenarioConfig) -> int:
     metric = metrics.build_metric(cfg.metric_kind, cfg.metric_params)
     domain = potential.ExteriorDomain(metric, cfg.s0)
     report = asymptotics.refute(domain, cfg)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    path = os.path.join(cfg.out_dir, "refutation.json")
+    path = os.path.join(_out_dir(cfg), "refutation.json")
     _write_json(path, report.to_json_dict())
     print(f"{metric.label} s0={cfg.s0:g}: {report.conclusion}")
     print(f"wrote {path}")
@@ -123,8 +130,7 @@ def cmd_sweep(cfg: ScenarioConfig) -> int:
         reports.append(asymptotics.refute(potential.ExteriorDomain(metric, s0), sub))
 
     runs = list(zip(grid, reports))
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    csv_path = os.path.join(cfg.out_dir, "sweep.csv")
+    csv_path = os.path.join(_out_dir(cfg), "sweep.csv")
     with open(csv_path, "w", newline="") as fh:
         fh.write("kind,s0,epsilon,alpha_fit,boundary_willmore,conclusion\n")
         for (kind, s0, eps), rep in runs:

@@ -93,14 +93,14 @@ class FunctionalSeries:
 
 
 def _fields_at(sol: PotentialSolution, t_arr):
-    """The FunctionalSample fields after t as arrays, from one f, f', f'' per radius."""
-    s = np.atleast_1d(sol.s_of_t(t_arr))
+    """The FunctionalSample fields after t as arrays, from one f, f', f'' and one I per radius."""
+    s, tail = sol._level_map(t_arr)
     metric = sol.metric
     f, df = metric.f(s), metric.df(s)
     _, _, ric_rad, ric_tan, scalar = metrics._curvature(f, df, metric.d2f(s))
     area = FOUR_PI * f * f
     H = 2.0 * df / f
-    gw = f ** -2.0 / sol.tail(s)  # sol.grad_w(s), from the f already at hand
+    gw = f ** -2.0 / tail  # sol.grad_w(s), from the f and I already at hand
     F = area * (H * gw - gw * gw)
     G = area * gw * gw
     willmore = area * H * H

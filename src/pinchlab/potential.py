@@ -39,8 +39,8 @@ TAIL_BUDGET = 1e-10
 
 
 def _tail_law(metric: WarpFunction):
-    """(c, beta) of the tail law f ~ c s^beta, with beta in (1/2, 1]."""
-    beta = metric.tail_exponent
+    """(c, beta) of the tail law f ~ c s^beta, with beta in (1/2, 1] and c^-2 finite."""
+    c, beta = metric.tail_coefficient, metric.tail_exponent
     if beta <= 0.5:
         raise NonparabolicityError(
             f"{metric.label}: tail exponent beta={beta:g} <= 1/2, the warp tail "
@@ -51,7 +51,10 @@ def _tail_law(metric: WarpFunction):
             f"{metric.label}: tail exponent beta={beta:g} > 1 is outside the "
             "supported range (1/2, 1]"
         )
-    return metric.tail_coefficient, beta
+    if not c * c >= np.finfo(float).tiny:
+        raise NumericError(f"{metric.label}: tail coefficient c={c:g} is too small; "
+                           "f^-2 ~ c^-2 s^(-2 beta) cannot be represented")
+    return c, beta
 
 
 def _outward(radii, mismatch, s):
@@ -207,36 +210,36 @@ class PotentialSolution:
     # -- level-set parametrization -------------------------------------------
 
     def s_of_t(self, t):
-        """Radius of the level set {w = t}; inverse of w.
+        """Radius of the level set {w = t}, shaped like t; the radius ``_level_map`` checked."""
+        s, _ = self._level_map(t)
+        return float(s[0]) if np.ndim(t) == 0 else s
+
+    def _level_map(self, t):
+        """(s, I(s)) at the level radii of t (at least 1-d); s0 and I(s0) at t = 0.
 
         Seeded by the cubic Hermite interpolant of the (t, s) pairs at the
         panel edges, with the closed-form slopes ds/dt = I f^2 there, and
-        polished by two Newton steps on the closed-form residual: the seed
-        errs by ~1e-7 relative, so the first step reaches roundoff and the
-        second confirms it.  Raises NumericError when the last step starts
-        more than 1e-10 from the level (the round-trip contract).
+        polished by one Newton step on the closed-form residual: the seed errs
+        by ~1e-7 relative, so the step reaches roundoff.  Raises NumericError
+        when the residual at the stepped radius exceeds 1e-10 (the round trip).
         """
-        t_arr = np.asarray(t, float)
-        scalar = t_arr.ndim == 0
-        t_arr = np.atleast_1d(t_arr)
+        t_arr = np.atleast_1d(np.asarray(t, float))
         if not np.all((-1e-12 <= t_arr) & (t_arr <= self.t_usable + 1e-9)):
             raise DomainError(
                 f"level value outside [0, {self.t_usable:g}] (grid never extrapolates)"
             )
         tc = np.clip(t_arr, 0.0, self.t_usable)
         s = np.clip(self._hermite_seed(tc), self.s0, self._integ.usable_hi)
-        for _ in range(2):
-            tail = self._integ.value(s)
-            resid = np.log(self._i0 / tail) - tc
-            # Newton step: dw/ds = |grad w| = f^-2 / I
-            s = s - resid * tail * self.metric.f(s) ** 2
-            s = np.clip(s, self.s0, self._integ.usable_hi)
-        worst = float(np.abs(resid).max(initial=0.0))
+        tail = self._integ.value(s)
+        # Newton step: dw/ds = |grad w| = f^-2 / I
+        s = s - (np.log(self._i0 / tail) - tc) * tail * self.metric.f(s) ** 2
+        s = np.where(tc == 0.0, self.s0, np.clip(s, self.s0, self._integ.usable_hi))
+        tail = self._integ.value(s)
+        worst = float(np.abs(np.log(self._i0 / tail) - tc).max(initial=0.0))
         if not worst <= 1e-10:
             raise NumericError(f"{self.metric.label}: the level map did not converge "
-                               f"(last Newton residual {worst:.2e} > 1e-10)")
-        s = np.where(tc == 0.0, self.s0, s)
-        return float(s[0]) if scalar else s.reshape(np.shape(t))
+                               f"(residual {worst:.2e} > 1e-10 after the Newton step)")
+        return s, tail
 
     def _hermite_seed(self, tc):
         """Cubic Hermite interpolant of s(t) through the panel-edge pairs."""

@@ -339,6 +339,33 @@ def test_malformed_input_is_usage_error(tmp_path, monkeypatch, capsys, doc, flag
     assert os.listdir(tmp_path) == ["cfg.json"]
 
 
+@pytest.mark.parametrize("out_dir", ["", "cfg.json", "cfg.json/out"])
+@pytest.mark.parametrize("command", ["solve", "refute", "sweep"])
+def test_out_dir_that_cannot_be_created_is_usage_error(tmp_path, monkeypatch, capsys,
+                                                       command, out_dir):
+    # empty, an existing file, and a path under an existing file
+    monkeypatch.chdir(tmp_path)
+    doc = {"out_dir": out_dir, "t_max": 1.0, "n_samples": 21, "sweep": {"s0": [1.0]}}
+    (tmp_path / "cfg.json").write_text(json.dumps(doc))
+    assert cli.main([command, "--config", "cfg.json"]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("usage error") and "out_dir" in err, err
+    assert os.listdir(tmp_path) == ["cfg.json"]
+    assert cli.main([command, "--config", "cfg.json", "--out-dir", ""]) == 64
+
+
+@pytest.mark.parametrize("command", ["solve", "refute"])
+@pytest.mark.parametrize("kind, param", [("cone", "a"), ("power", "c")])
+def test_unrepresentable_tail_coefficient_is_precondition_failure(tmp_path, capsys,
+                                                                   kind, param, command):
+    # c * c underflows to 0, so f^-2 ~ c^-2 s^(-2 beta) has no float value
+    argv = [command, "--kind", kind, "--param", f"{param}=1e-300", "--out-dir", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "tail coefficient c=1e-300" in err and "cannot be represented" in err, err
+    assert not (tmp_path / "out").exists()
+
+
 def test_param_path_is_a_file_name(tmp_path, monkeypatch):
     # --param path=3 opens the file named 3, not the number 3.0
     monkeypatch.chdir(tmp_path)
@@ -362,7 +389,10 @@ def _or_bad(valid):
 
 def _metric_doc(kind):
     names = sorted(metrics.CATALOG[kind]["params"]) or ["a"]
-    params = st.dictionaries(st.sampled_from(names), _or_bad(st.floats(0.6, 1.0)), max_size=2)
+    value = st.floats(0.6, 1.0)
+    if kind in ("cone", "power"):  # a tail coefficient whose square underflows
+        value = st.one_of(value, st.just(1e-300))
+    params = st.dictionaries(st.sampled_from(names), _or_bad(value), max_size=2)
     return st.fixed_dictionaries({"kind": st.just(kind)}, optional={"params": _or_bad(params)})
 
 
@@ -377,7 +407,9 @@ _CONFIG_VALUES = {
     "n_samples": _or_bad(st.integers(3, 50)),
     "growth_window": _or_bad(st.tuples(st.floats(10.0, 100.0), st.floats(200.0, 1000.0)).map(list)),
     "chain_points": _or_bad(st.integers(2, 10)),
-    "out_dir": _BAD.filter(lambda v: not isinstance(v, str)),  # a valid out_dir is tmp_path
+    # a valid out_dir is tmp_path; "" and a path under the config file cannot be created
+    "out_dir": st.one_of(_BAD.filter(lambda v: not isinstance(v, str)),
+                         st.sampled_from(["", os.path.join("cfg.json", "out")])),
     "suite": _or_bad(st.sampled_from(SUITES)),
     "sweep": _or_bad(st.sampled_from(sorted(_AXES)).flatmap(lambda axis: st.fixed_dictionaries(
         {axis: _or_bad(st.lists(_or_bad(_AXES[axis]), min_size=1, max_size=2))}))),
@@ -387,13 +419,18 @@ _CONFIG_VALUES = {
 @settings(max_examples=60, deadline=None)
 @given(doc=st.fixed_dictionaries({}, optional=_CONFIG_VALUES),
        command=st.sampled_from(["solve", "refute"]))
+@example(doc={"out_dir": ""}, command="solve")
+@example(doc={"out_dir": os.path.join("cfg.json", "out")}, command="refute")
+@example(doc={"metric": {"kind": "cone", "params": {"a": 1e-300}}}, command="refute")
+@example(doc={"metric": {"kind": "power", "params": {"c": 1e-300}}}, command="solve")
 def test_any_config_document_ends_in_a_documented_code(tmp_path_factory, doc, command):
     out = tmp_path_factory.mktemp("config")
     doc.setdefault("out_dir", str(out))
     (out / "cfg.json").write_text(json.dumps(doc))
     err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = cli.main(["sweep" if "sweep" in doc else command, "--config", str(out / "cfg.json")])
+    with contextlib.chdir(out), contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = cli.main(["sweep" if "sweep" in doc else command, "--config", "cfg.json"])
     assert code in (0, 2, 64), err.getvalue()
 
 

@@ -11,6 +11,7 @@ import pinchlab as pl
 from pinchlab import asymptotics, metrics
 from pinchlab.config import ScenarioConfig
 from pinchlab.functionals import FOUR_PI, SIXTEEN_PI, CSV_COLUMNS
+from pinchlab.quadrature import PanelQuadrature
 from pinchlab.verify import run_verify
 
 
@@ -46,12 +47,32 @@ def _counting_solution(kind):
 @pytest.mark.parametrize("kind", KINDS)
 def test_series_profile_evaluations_per_level(kind):
     # I(s) queries read the quadrature's stored series, so a level costs a
-    # few profile evaluations, not 16 per query: two Newton steps, and f, f'
-    # and f'' once for the fields
+    # few profile evaluations, not 16 per query: f for the one Newton step,
+    # and f, f' and f'' once for the fields
     sol, points = _counting_solution(kind)
     points.clear()
     pl.build_series(sol, n=2001)
-    assert sum(points) <= 6 * 2001
+    assert sum(points) <= 4 * 2001
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_series_makes_two_quadrature_queries(monkeypatch, kind):
+    # the level map returns I at the radius it checked, and |grad w| is
+    # formed from that I: no third query at the series radii
+    sol = pl.PotentialSolution(pl.ExteriorDomain(pl.build_metric(kind), 1.0), t_max=5.0)
+    queries = []
+    integral_to_end = PanelQuadrature.integral_to_end
+
+    def spy(self, x):
+        queries.append(np.size(x))
+        return integral_to_end(self, x)
+
+    monkeypatch.setattr(PanelQuadrature, "integral_to_end", spy)
+    series = pl.build_series(sol, n=2001)
+    assert queries == [2001, 2001]
+    monkeypatch.undo()
+    assert np.array_equal(series.grad_w, sol.grad_w(series.s))
+    assert np.abs(sol.w(series.s) - series.t).max() <= 1e-12
 
 
 @pytest.mark.parametrize("kind", KINDS)

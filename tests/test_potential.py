@@ -171,7 +171,7 @@ def test_level_roundtrip_property(solve_cache, t):
 
 def test_level_map_non_convergence_raises():
     sol = pl.PotentialSolution(pl.ExteriorDomain(pl.power_law(1.0, 0.8), 1.0))
-    # every level seeded at the boundary: two Newton steps cannot reach t = 5
+    # every level seeded at the boundary: one Newton step cannot reach t = 5
     sol._s_seed = np.full_like(sol._s_seed, sol.s0)
     with pytest.raises(NumericError, match="did not converge"):
         sol.s_of_t(5.0)
@@ -203,7 +203,8 @@ def test_level_radius_matches_closed_form(kind, params, rate, s0, t_max):
 @pytest.mark.parametrize("s0", [1e-3, 1.0])
 @pytest.mark.parametrize("kind", ["flat", "cone", "power", "schwarzschild", "sphere_cap_blend"])
 def test_level_map_makes_two_quadrature_queries(monkeypatch, kind, s0, t_max):
-    # the Hermite seed leaves one Newton step to roundoff and one to confirm it
+    # the Hermite seed leaves one Newton step to roundoff; the second query
+    # checks the residual at the stepped radius, which the map returns
     metric = pl.build_metric(kind)
     sol = pl.PotentialSolution(pl.ExteriorDomain(metric, s0), t_max=t_max)
     t = np.linspace(0.0, sol.t_max, 2001)
@@ -222,6 +223,9 @@ def test_level_map_makes_two_quadrature_queries(monkeypatch, kind, s0, t_max):
     assert queries == [1, 1]
     monkeypatch.undo()
     assert np.abs(sol.w(s) - t).max() <= 1e-12
+    s_map, tail = sol._level_map(t)  # the radius s_of_t returns, with I there
+    assert np.array_equal(s_map, s) and np.array_equal(tail, sol.tail(s))
+    assert s[0] == sol.s0 and tail[0] == sol.tail(sol.s0)
     if kind in ("flat", "cone", "power"):  # exact tail laws, as in the closed-form test
         exact = s0 * np.exp(t / (2.0 * metric.tail_exponent - 1.0))
         assert np.abs(s / exact - 1.0).max() < 1e-12
