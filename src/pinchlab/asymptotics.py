@@ -22,7 +22,7 @@ import numpy as np
 
 from . import metrics
 from .config import ScenarioConfig
-from .errors import DomainError, UsageError
+from .errors import DomainError, NumericError, UsageError
 from .functionals import (FOUR_PI, SIXTEEN_PI, BoundaryWillmore,
                           FunctionalSeries, boundary_willmore, build_series,
                           sample_at)
@@ -308,6 +308,8 @@ def refute(domain: ExteriorDomain, config: Optional[ScenarioConfig] = None) -> R
             kappa_g = float(np.max(series.G * np.exp(2.0 * series.t)))
         fit_s = np.geomspace(max(2.0 * domain.s0, 1.0), series.s[-1], 30)
         kappa_ly = float(np.max(sol.u(fit_s) * fit_s ** (alpha - 1.0)))
+        if not (FOUR_PI * sol.ncap) ** 3 > 0.0:
+            raise NumericError(f"{metric.label}: (4 pi ncap)^3 in kappa underflows at ncap={sol.ncap:.3g}")
         kappa = (7.0 * kappa_g**2 * growth.c_vol_fit *
                  kappa_ly**exponent / (FOUR_PI * sol.ncap) ** 3)
         if exponent < 7.0:

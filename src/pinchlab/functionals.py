@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from . import metrics
-from .errors import DomainError
+from .errors import DomainError, NumericError
 from .potential import PotentialSolution
 from .stencils import grid_derivative
 
@@ -97,15 +97,18 @@ def _fields_at(sol: PotentialSolution, t_arr):
     s, tail = sol._level_map(t_arr)
     metric = sol.metric
     f, df = metric.f(s), metric.df(s)
-    _, _, ric_rad, ric_tan, scalar = metrics._curvature(f, df, metric.d2f(s))
-    area = FOUR_PI * f * f
-    H = 2.0 * df / f
-    gw = f ** -2.0 / tail  # sol.grad_w(s), from the f and I already at hand
-    F = area * (H * gw - gw * gw)
-    G = area * gw * gw
-    willmore = area * H * H
-    dF = -area * (ric_rad + 0.5 * (H - 2.0 * gw) ** 2)
-    ncap_t = f * f * gw
+    with np.errstate(over="ignore", invalid="ignore"):  # terms like s^-2 overflow near a tiny s0
+        _, _, ric_rad, ric_tan, scalar = metrics._curvature(f, df, metric.d2f(s))
+        area = FOUR_PI * f * f
+        H = 2.0 * df / f
+        gw = f ** -2.0 / tail  # sol.grad_w(s), from the f and I already at hand
+        F = area * (H * gw - gw * gw)
+        G = area * gw * gw
+        willmore = area * H * H
+        dF = -area * (ric_rad + 0.5 * (H - 2.0 * gw) ** 2)
+        ncap_t = f * f * gw
+        if not np.isfinite(scalar + F + dF + willmore).all():  # an overflow leaves inf or nan
+            raise NumericError(f"{metric.label}: the level-set fields overflow near s0={sol.s0:g}")
     eps_star, ric_ok = metrics._pinch_margins(ric_rad, ric_tan, scalar)
     return s, area, H, gw, F, G, willmore, dF, ncap_t, ric_rad, eps_star, ric_ok
 
@@ -124,7 +127,10 @@ def build_series(sol: PotentialSolution, n: int = 2001) -> FunctionalSeries:
     if n < 3:
         raise DomainError("series needs at least 3 samples")
     t = np.linspace(0.0, sol.t_max, int(n))
-    return FunctionalSeries(t, *_fields_at(sol, t), sol.metric, sol.s0)
+    series = FunctionalSeries(t, *_fields_at(sol, t), sol.metric, sol.s0)
+    if not np.all(series.s[1:] > series.s[:-1]):
+        raise DomainError(f"t_max={sol.t_max:g} is too small for {int(n)} levels: their radii coincide")
+    return series
 
 
 def capacity_scaling_check(sol: PotentialSolution, t_grid) -> float:

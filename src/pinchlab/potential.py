@@ -37,6 +37,9 @@ log = logging.getLogger(__name__)
 #: a queried I(s), relative to I at the top of the queried range
 TAIL_BUDGET = 1e-10
 
+#: knots per panel of the level map's seed: the worst level residual is ~4e-11 with 2, ~4e-12 with 3
+SEED_KNOTS_PER_PANEL = 3
+
 
 def _tail_law(metric: WarpFunction):
     """(c, beta) of the tail law f ~ c s^beta, with beta in (1/2, 1] and c^-2 finite."""
@@ -55,6 +58,11 @@ def _tail_law(metric: WarpFunction):
         raise NumericError(f"{metric.label}: tail coefficient c={c:g} is too small; "
                            "f^-2 ~ c^-2 s^(-2 beta) cannot be represented")
     return c, beta
+
+
+def _hermite_end(s, ds, d2s, x, dt):
+    """One end's part of a quintic Hermite interpolant, at the fraction x and distance dt from that end."""
+    return s * (1.0 + x * (3.0 + 6.0 * x)) + dt * (ds * (1.0 + 3.0 * x) + 0.5 * dt * d2s)
 
 
 def _outward(radii, mismatch, s):
@@ -111,9 +119,7 @@ class TailIntegrator:
         """I(s); vectorized over s within [grid start, usable_hi]."""
         s_arr = np.asarray(s, float)
         if not np.all(s_arr <= self.usable_hi * (1.0 + 1e-9)):
-            raise DomainError(
-                f"tail integral queried beyond usable radius {self.usable_hi:g}"
-            )
+            raise DomainError(f"tail integral queried beyond usable radius {self.usable_hi:g}")
         return self.quad.integral_to_end(s_arr) + self.tail_const
 
 
@@ -154,21 +160,28 @@ class PotentialSolution:
                 f"{metric.label}: the level t={self.t_max:g} lies near s=1e{log_s / math.log(10):.1f}, "
                 f"past s={radii[-1]:.3g} where the tail-law probe ends"
             )
-        integ = TailIntegrator(metric, s0, max(s_level, float(s_max or 0.0)))
+        with np.errstate(over="ignore", invalid="ignore"):  # f^-2 overflows near a tiny s0, I(s0) with it
+            integ = TailIntegrator(metric, s0, max(s_level, float(s_max or 0.0)))
         self._integ = integ
         self._i0 = i0 = float(integ.value(s0))
+        if not i0 < math.inf:
+            raise NumericError(f"{metric.label}: I(s0), the integral of f^-2, overflows at s0={s0:g}")
         self.ncap = 1.0 / i0
         self.s_cut = integ.s_cut
 
-        edges = integ.quad.edges
-        i_edges = integ.quad.suffix + integ.tail_const
-        mask = (edges >= s0 * (1 - 1e-12)) & (edges <= integ.usable_hi * (1 + 1e-12))
-        t_seed = np.log(i0 / i_edges[mask])
-        keep = np.concatenate([[True], np.diff(t_seed) > 1e-13])
-        self._t_seed, self._s_seed = t_seed[keep], edges[mask][keep]
-        # the level map's slope ds/dt = 1 / |grad w| = I f^2 at the same edges
-        self._dsdt_seed = i_edges[mask][keep] * metric.f(self._s_seed) ** 2
-        self.t_usable = float(self._t_seed[-1])
+        quad = integ.quad
+        n = int(np.searchsorted(quad.edges, integ.usable_hi * (1 + 1e-12), side="right")) - 1
+        frac = np.arange(SEED_KNOTS_PER_PANEL) / SEED_KNOTS_PER_PANEL
+        s = np.append(quad.edges[:n, None] + np.diff(quad.edges[:n + 1])[:, None] * frac, quad.edges[n])
+        tail = np.append(quad.integral_to_end_at(2.0 * frac - 1.0, n), quad.suffix[n]) + integ.tail_const
+        t = np.maximum(np.log(i0 / tail), 0.0)  # at s0 the panel sums may differ from i0 in the last digit
+        keep = np.concatenate([[True], np.diff(t) > 1e-13])
+        t, s, tail = t[keep], s[keep], tail[keep]
+        # the seed: (t, s, s', s'') per knot, with s' = 1 / |grad w| = I f^2 and s'' = s' (2 I f f' - 1)
+        f = metric.f(s)
+        ds = tail * f * f
+        self._seed = np.stack([t, s, ds, ds * (2.0 * tail * f * metric.df(s) - 1.0)])
+        self.t_usable = float(self._seed[0, -1])
         if self.t_usable < self.t_max:
             if integ.usable_hi < metric.domain_end:
                 raise NumericError(f"{metric.label}: the tail grid reaches t={self.t_usable:.4g} "
@@ -210,45 +223,34 @@ class PotentialSolution:
     # -- level-set parametrization -------------------------------------------
 
     def s_of_t(self, t):
-        """Radius of the level set {w = t}, shaped like t; the radius ``_level_map`` checked."""
+        """Radius of the level set {w = t}, shaped like t: the quintic seed ``_level_map`` checked."""
         s, _ = self._level_map(t)
         return float(s[0]) if np.ndim(t) == 0 else s
 
     def _level_map(self, t):
         """(s, I(s)) at the level radii of t (at least 1-d); s0 and I(s0) at t = 0.
 
-        Seeded by the cubic Hermite interpolant of the (t, s) pairs at the
-        panel edges, with the closed-form slopes ds/dt = I f^2 there, and
-        polished by one Newton step on the closed-form residual: the seed errs
-        by ~1e-7 relative, so the step reaches roundoff.  Raises NumericError
-        when the residual at the stepped radius exceeds 1e-10 (the round trip).
-        """
+        The radius is the quintic Hermite seed, which errs by ~1e-12 in t or less
+        and so takes no Newton step; one I(s) query there gives I and the residual.
+        Raises NumericError when the residual exceeds 1e-10 (the round trip)."""
         t_arr = np.atleast_1d(np.asarray(t, float))
         if not np.all((-1e-12 <= t_arr) & (t_arr <= self.t_usable + 1e-9)):
-            raise DomainError(
-                f"level value outside [0, {self.t_usable:g}] (grid never extrapolates)"
-            )
+            raise DomainError(f"level value outside [0, {self.t_usable:g}] (grid never extrapolates)")
         tc = np.clip(t_arr, 0.0, self.t_usable)
-        s = np.clip(self._hermite_seed(tc), self.s0, self._integ.usable_hi)
-        tail = self._integ.value(s)
-        # Newton step: dw/ds = |grad w| = f^-2 / I
-        s = s - (np.log(self._i0 / tail) - tc) * tail * self.metric.f(s) ** 2
-        s = np.where(tc == 0.0, self.s0, np.clip(s, self.s0, self._integ.usable_hi))
+        k = np.clip(np.searchsorted(self._seed[0], tc, side="right") - 1, 0, self._seed.shape[1] - 2)
+        lo, hi = self._seed.take(k, axis=1), self._seed.take(k + 1, axis=1)  # (t, s, s', s'') at k, k + 1
+        h = hi[0] - lo[0]
+        u = (tc - lo[0]) / h
+        w = 1.0 - u
+        s = w * w * w * _hermite_end(*lo[1:], u, h * u) + u * u * u * _hermite_end(*hi[1:], w, -h * w)
+        del k, h, u, w, lo, hi  # before the query, the level map's memory peak
+        s = np.clip(s, self.s0, self._integ.usable_hi)
         tail = self._integ.value(s)
         worst = float(np.abs(np.log(self._i0 / tail) - tc).max(initial=0.0))
         if not worst <= 1e-10:
             raise NumericError(f"{self.metric.label}: the level map did not converge "
-                               f"(residual {worst:.2e} > 1e-10 after the Newton step)")
+                               f"(residual {worst:.2e} > 1e-10 at the seed)")
         return s, tail
-
-    def _hermite_seed(self, tc):
-        """Cubic Hermite interpolant of s(t) through the panel-edge pairs."""
-        k = np.clip(np.searchsorted(self._t_seed, tc, side="right") - 1, 0, len(self._t_seed) - 2)
-        t_k, h = self._t_seed[k], self._t_seed[k + 1] - self._t_seed[k]
-        s_k, d = self._s_seed[k], self._s_seed[k + 1] - self._s_seed[k]
-        u = (tc - t_k) / h
-        return s_k + u * d + u * (1.0 - u) * (
-            (1.0 - u) * (h * self._dsdt_seed[k] - d) + u * (d - h * self._dsdt_seed[k + 1]))
 
     # -- construction diagnostics ---------------------------------------------
 
@@ -259,7 +261,7 @@ class PotentialSolution:
         -1/I(s0) everywhere; differencing quadrature-evaluated u values
         probes the consistency of the tail integrals to ~1e-8.
         """
-        t_diag = np.linspace(min(0.2, 0.5 * self.t_max), 0.9 * min(self.t_max, 6.0), 12)
+        t_diag = np.linspace(min(0.2, 0.5 * self.t_usable), 0.9 * min(self.t_usable, 6.0), 12)
         s_diag = np.atleast_1d(self.s_of_t(t_diag))
         # the stencil reaches 2 h either side; it stays outside the boundary
         # sphere and off the profile's breakpoints, where the derivatives of u jump

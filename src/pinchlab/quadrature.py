@@ -134,3 +134,8 @@ class PanelQuadrature:
     def integral_to_end(self, x):
         """Integral of fn over [x, edges[-1]], vectorized in x."""
         return self._query(x, False)
+
+    def integral_to_end_at(self, xi, n):
+        """Integrals to the grid end from the points xi (an array) of each of the first n panels."""
+        val = chebyshev.chebvander(xi, GL_ORDER - 1) @ self.S[:, :n]  # S(xi): a dot per point, no gather
+        return self.suffix[1:n + 1, None] + 0.5 * (1.0 - xi) * np.diff(self.edges[:n + 1])[:, None] * val.T

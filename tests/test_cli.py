@@ -366,6 +366,43 @@ def test_unrepresentable_tail_coefficient_is_precondition_failure(tmp_path, caps
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("kind, param", [("cone", "a=1e-100"), ("cone", "a=1e-60"),
+                                         ("power", "c=1e-80")])
+def test_chain_constant_underflow_is_precondition_failure(tmp_path, capsys, kind, param):
+    # kappa divides by (4 pi ncap)^3, which underflows to 0 for ncap below about 1e-108
+    argv = ["refute", "--kind", kind, "--param", param, "--out-dir", str(tmp_path)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "(4 pi ncap)^3 in kappa underflows at ncap=" in err, err
+
+
+def test_tiny_cone_slope_above_the_underflow_still_refutes(tmp_path):
+    argv = ["refute", "--kind", "cone", "--param", "a=1e-54", "--out-dir", str(tmp_path)]
+    assert cli.main(argv) == 0
+    doc = json.loads((tmp_path / "refutation.json").read_text())
+    assert doc["conclusion"] == "pinching fails (margin min 0, witness s = 1)"
+    assert 1e216 < doc["chain"]["kappa"] < 1e217
+
+
+@pytest.mark.parametrize("kind", ["flat", "cone", "power", "schwarzschild", "sphere_cap_blend"])
+def test_tiny_s0_or_t_max_names_the_cause(tmp_path, capsys, kind):
+    # near a tiny s0, I(s0) = integral of f^-2 or the level-set fields (power
+    # at 1e-160) overflow, except on Schwarzschild, whose f is 2m at the
+    # horizon; below t_max ~ 1e-13 the radii of 2001 levels coincide
+    for command in ("refute", "solve"):
+        for flag, value in (("--s0", "1e-300"), ("--s0", "1e-200"), ("--s0", "1e-160"),
+                            ("--t-max", "1e-300"), ("--t-max", "1e-200")):
+            argv = [command, "--kind", kind, flag, value, "--out-dir", str(tmp_path)]
+            code = cli.main(argv)
+            err = capsys.readouterr().err
+            if flag == "--t-max":
+                assert code == 2 and f"t_max={value} is too small" in err, (command, value, err)
+            elif kind == "schwarzschild":
+                assert code == 0, err
+            else:
+                assert code == 2 and "overflow" in err and f"s0={value}" in err, (command, value, err)
+
+
 def test_param_path_is_a_file_name(tmp_path, monkeypatch):
     # --param path=3 opens the file named 3, not the number 3.0
     monkeypatch.chdir(tmp_path)
@@ -390,8 +427,8 @@ def _or_bad(valid):
 def _metric_doc(kind):
     names = sorted(metrics.CATALOG[kind]["params"]) or ["a"]
     value = st.floats(0.6, 1.0)
-    if kind in ("cone", "power"):  # a tail coefficient whose square underflows
-        value = st.one_of(value, st.just(1e-300))
+    if kind in ("cone", "power"):  # a tail coefficient whose square or capacity underflows
+        value = st.one_of(value, st.sampled_from([1e-300, 1e-100]))
     params = st.dictionaries(st.sampled_from(names), _or_bad(value), max_size=2)
     return st.fixed_dictionaries({"kind": st.just(kind)}, optional={"params": _or_bad(params)})
 
@@ -401,9 +438,9 @@ _AXES = {"kind": st.sampled_from(["flat", "cone", "saddle"]),
 
 _CONFIG_VALUES = {
     "metric": _or_bad(st.sampled_from(sorted(metrics.CATALOG)).flatmap(_metric_doc)),
-    "s0": _or_bad(st.floats(0.5, 2.0)),
+    "s0": _or_bad(st.one_of(st.floats(0.5, 2.0), st.sampled_from([1e-300, 1e-200]))),
     "epsilon": _or_bad(st.floats(0.05, 1.0 / 3.0)),
-    "t_max": _or_bad(st.floats(0.5, 2.0)),
+    "t_max": _or_bad(st.one_of(st.floats(0.5, 2.0), st.sampled_from([1e-300, 1e-200]))),
     "n_samples": _or_bad(st.integers(3, 50)),
     "growth_window": _or_bad(st.tuples(st.floats(10.0, 100.0), st.floats(200.0, 1000.0)).map(list)),
     "chain_points": _or_bad(st.integers(2, 10)),
@@ -423,6 +460,12 @@ _CONFIG_VALUES = {
 @example(doc={"out_dir": os.path.join("cfg.json", "out")}, command="refute")
 @example(doc={"metric": {"kind": "cone", "params": {"a": 1e-300}}}, command="refute")
 @example(doc={"metric": {"kind": "power", "params": {"c": 1e-300}}}, command="solve")
+@example(doc={"metric": {"kind": "cone", "params": {"a": 1e-100}}}, command="refute")
+@example(doc={"metric": {"kind": "power", "params": {"c": 1e-100}}}, command="refute")
+@example(doc={"s0": 1e-300}, command="solve")
+@example(doc={"s0": 1e-200, "metric": {"kind": "power", "params": {"beta": 0.6}}}, command="refute")
+@example(doc={"t_max": 1e-300}, command="refute")
+@example(doc={"t_max": 1e-200}, command="solve")
 def test_any_config_document_ends_in_a_documented_code(tmp_path_factory, doc, command):
     out = tmp_path_factory.mktemp("config")
     doc.setdefault("out_dir", str(out))
@@ -495,7 +538,7 @@ def test_level_map_non_convergence_exits_2(tmp_path, capsys, monkeypatch):
     harmonic_check = potential.PotentialSolution._verify_harmonic
 
     def seed_at_boundary(sol):
-        sol._s_seed = np.full_like(sol._s_seed, sol.s0)
+        sol._seed[1:] = [[sol.s0], [0.0], [0.0]]  # every level seeded at the boundary
         harmonic_check(sol)
 
     monkeypatch.setattr(potential.PotentialSolution, "_verify_harmonic", seed_at_boundary)

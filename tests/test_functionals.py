@@ -46,19 +46,19 @@ def _counting_solution(kind):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_series_profile_evaluations_per_level(kind):
-    # I(s) queries read the quadrature's stored series, so a level costs a
-    # few profile evaluations, not 16 per query: f for the one Newton step,
-    # and f, f' and f'' once for the fields
+    # I(s) queries read the quadrature's stored series and the level map's
+    # seed needs no Newton step, so a level costs f, f' and f'' once, for
+    # the fields, and no profile evaluation in the level map
     sol, points = _counting_solution(kind)
     points.clear()
     pl.build_series(sol, n=2001)
-    assert sum(points) <= 4 * 2001
+    assert sum(points) <= 3 * 2001
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_series_makes_two_quadrature_queries(monkeypatch, kind):
-    # the level map returns I at the radius it checked, and |grad w| is
-    # formed from that I: no third query at the series radii
+    # the level map makes one query, at the seed radius it checks and
+    # returns, and |grad w| is formed from that I: no second query
     sol = pl.PotentialSolution(pl.ExteriorDomain(pl.build_metric(kind), 1.0), t_max=5.0)
     queries = []
     integral_to_end = PanelQuadrature.integral_to_end
@@ -69,7 +69,7 @@ def test_series_makes_two_quadrature_queries(monkeypatch, kind):
 
     monkeypatch.setattr(PanelQuadrature, "integral_to_end", spy)
     series = pl.build_series(sol, n=2001)
-    assert queries == [2001, 2001]
+    assert queries == [2001]
     monkeypatch.undo()
     assert np.array_equal(series.grad_w, sol.grad_w(series.s))
     assert np.abs(sol.w(series.s) - series.t).max() <= 1e-12
