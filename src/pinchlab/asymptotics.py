@@ -178,8 +178,11 @@ def series_pinching(sol: PotentialSolution, series: FunctionalSeries, epsilon) -
 
 def windowed_growth(metric, growth_window) -> GrowthReport:
     """Growth fit over the window, its top clipped to the domain end and its
-    bottom to at most 1/50 of the top."""
+    bottom to at most 1/50 of the top, which must lie past the domain start."""
     r_hi = min(float(growth_window[1]), metric.domain_end)
+    if not r_hi / 50.0 > metric.domain_start:
+        raise DomainError(f"{metric.label}: the growth fit needs radii down to r_hi/50 = {r_hi / 50.0:.4g}, "
+                          f"below the profile's start s={metric.domain_start:g}")
     return growth_fit(metric, min(float(growth_window[0]), r_hi / 50.0), r_hi)
 
 

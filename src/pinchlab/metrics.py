@@ -649,14 +649,13 @@ def volume_ball(metric: WarpFunction, r):
     profiles (verified against closed forms in the tests).
     """
     r_arr = np.atleast_1d(np.asarray(r, float))
-    if np.any(r_arr <= metric.domain_start) or np.any(r_arr > metric.domain_end):
+    if not np.all((metric.domain_start < r_arr) & (r_arr <= metric.domain_end)):
         raise DomainError(f"ball radius outside domain of {metric.label}")
     hi = min(max(4.0 * float(np.max(r_arr)), 100.0), metric.domain_end)
     # each radius is a panel edge, so each volume is a sum of whole panels
     quad = PanelQuadrature(lambda s: metric.f(s) ** 2,
                            panel_edges(metric.domain_start, hi, (*metric.breakpoints, *r_arr)))
-    vol = 4.0 * math.pi * quad.integral_from_start(r_arr)
-    return float(vol[0]) if np.asarray(r).ndim == 0 else vol
+    return 4.0 * math.pi * quad.integral_from_start(r)
 
 
 @dataclass(frozen=True)

@@ -164,8 +164,9 @@ class PotentialSolution:
             integ = TailIntegrator(metric, s0, max(s_level, float(s_max or 0.0)))
         self._integ = integ
         self._i0 = i0 = float(integ.value(s0))
-        if not i0 < math.inf:
-            raise NumericError(f"{metric.label}: I(s0), the integral of f^-2, overflows at s0={s0:g}")
+        if not 0.0 < i0 < math.inf:
+            raise NumericError(f"{metric.label}: I(s0), the integral of f^-2, "
+                               f"{'underflows to 0' if i0 == 0.0 else 'overflows'} at s0={s0:g}")
         self.ncap = 1.0 / i0
         self.s_cut = integ.s_cut
 

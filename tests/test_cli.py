@@ -403,6 +403,33 @@ def test_tiny_s0_or_t_max_names_the_cause(tmp_path, capsys, kind):
                 assert code == 2 and "overflow" in err and f"s0={value}" in err, (command, value, err)
 
 
+@pytest.mark.parametrize("command", ["solve", "refute"])
+@pytest.mark.parametrize("case", ["c=1e170", "c=1e300", "table"])
+def test_underflowing_green_integral_is_precondition_failure(tmp_path, capsys, command, case):
+    # f^-2 underflows to 0 on every node, so I(s0) = 0 and the capacity 1/I(s0) has no value
+    kind = ["--kind", "power", "--param", case]
+    if case == "table":
+        s = np.geomspace(0.5, 500.0, 400)
+        path = _write(tmp_path / "t.csv", "s,f\n" + "".join(f"{v!r},{1e200 * v ** 0.8!r}\n" for v in s.tolist()))
+        kind = ["--kind", "user_table", "--param", f"path={path}"]
+    assert cli.main([command, *kind, "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "I(s0), the integral of f^-2, underflows to 0 at s0=1" in err, err
+
+
+def test_table_shorter_than_the_growth_window_names_its_start(tmp_path, capsys):
+    # the table spans [0.1, 4.52], less than a factor 50, so the growth fit
+    # cannot start at r_hi/50 = 0.0904; solve reports no exponent
+    s = np.geomspace(0.1, 4.52, 100)
+    path = _write(tmp_path / "t.csv", "s,f\n" + "".join(f"{v!r},{v ** 0.8!r}\n" for v in s.tolist()))
+    base = ["--kind", "user_table", "--param", f"path={path}", "--s0", "1"]
+    assert cli.main(["refute", *base, "--out-dir", str(tmp_path / "refute")]) == 2
+    err = capsys.readouterr().err
+    assert "r_hi/50 = 0.0904, below the profile's start s=0.1" in err and "bad growth window" not in err, err
+    assert cli.main(["solve", *base, "--out-dir", str(tmp_path / "solve")]) == 0
+    assert json.loads((tmp_path / "solve" / "summary.json").read_text())["alpha_fit"] is None
+
+
 def test_param_path_is_a_file_name(tmp_path, monkeypatch):
     # --param path=3 opens the file named 3, not the number 3.0
     monkeypatch.chdir(tmp_path)

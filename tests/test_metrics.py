@@ -362,6 +362,20 @@ def test_volume_small_balls_closed_form(metric, a):
         assert abs(pl.volume_ball(metric, radius) / vol - 1.0) <= 1e-13
 
 
+def test_volume_ball_at_a_radius_next_to_a_grid_edge():
+    # 0.5 is an edge of the linear panels on [0, 1]; the radius one float
+    # above it must become an edge of its own, not be merged into 0.5
+    r = np.nextafter(0.5, 1.0)
+    assert abs(pl.volume_ball(pl.flat_space(), r) / (4 * math.pi / 3 * r**3) - 1.0) <= 1e-15
+
+
+@pytest.mark.parametrize("metric", [pl.flat_space(), pl.power_law(1.0, 0.8)], ids=["flat", "power"])
+def test_volume_ball_nan_radius_is_outside_domain(metric):
+    for r in (math.nan, np.array([1.0, math.nan])):
+        with pytest.raises(DomainError, match="ball radius outside domain"):
+            pl.volume_ball(metric, r)
+
+
 def test_volume_ball_is_history_independent():
     fresh = pl.power_law(1.0, 0.8)
     used = pl.power_law(1.0, 0.8)
