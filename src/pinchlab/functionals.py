@@ -93,12 +93,13 @@ class FunctionalSeries:
 
 
 def _fields_at(sol: PotentialSolution, t_arr):
-    """The FunctionalSample fields after t as arrays, from one f, f', f'' and one I per radius."""
+    """The FunctionalSample fields after t as arrays, from one profile jet and one I per radius."""
     s, tail = sol._level_map(t_arr)
     metric = sol.metric
-    f, df = metric.f(s), metric.df(s)
+    f, df, d2f = metric.jet(s)
     with np.errstate(over="ignore", invalid="ignore"):  # terms like s^-2 overflow near a tiny s0
-        _, _, ric_rad, ric_tan, scalar = metrics._curvature(f, df, metric.d2f(s))
+        _, _, ric_rad, ric_tan, scalar = metrics._curvature(f, df, d2f)
+        del d2f
         area = FOUR_PI * f * f
         H = 2.0 * df / f
         gw = f ** -2.0 / tail  # sol.grad_w(s), from the f and I already at hand

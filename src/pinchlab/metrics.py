@@ -1,8 +1,8 @@
 """Rotationally symmetric 3-metrics g = ds^2 + f(s)^2 g_{S^2}.
 
 Every metric in the package is a warp profile: a positive function f of
-the radial arclength s, carried together with its first two derivatives
-and its power-law tail behaviour f(s) ~ c * s^beta.  All curvature of
+the radial arclength s, carried together with its jet (f, f', f'') and
+its power-law tail behaviour f(s) ~ c * s^beta.  All curvature of
 the warped metric is determined by f:
 
     sectional (radial planes)     K_rad   = -f''/f
@@ -51,6 +51,11 @@ class WarpFunction:
     pole-smooth profiles additionally satisfy f(0) = 0, f'(0) = 1 so the
     metric closes up smoothly at the pole.
 
+    ``fn`` maps a float array of radii to f there, for the quadrature
+    integrands; ``jet`` maps it to the triple (f, f', f'') in one call, so
+    a caller that needs two or three of them evaluates the profile once.
+    ``df`` and ``d2f`` read one entry of the jet.
+
     ``tail_coefficient``/``tail_exponent`` describe the asymptotic law
     f(s) ~ c * s^beta used for analytic tail corrections; profiles fed to
     the exterior-potential solver must have beta in (1/2, 1].
@@ -66,17 +71,16 @@ class WarpFunction:
     breakpoints: Tuple[float, ...]
     domain_end: float
     fn: Callable = field(repr=False)
-    dfn: Callable = field(repr=False)
-    d2fn: Callable = field(repr=False)
+    jet: Callable = field(repr=False)
 
     def f(self, s):
         return self.fn(np.asarray(s, float))
 
     def df(self, s):
-        return self.dfn(np.asarray(s, float))
+        return self.jet(np.asarray(s, float))[1]
 
     def d2f(self, s):
-        return self.d2fn(np.asarray(s, float))
+        return self.jet(np.asarray(s, float))[2]
 
     @cached_property
     def law_mismatch(self):
@@ -112,11 +116,11 @@ class WarpFunction:
         return f"WarpFunction<{self.label}>"
 
 
-def from_callables(kind, fn, dfn, d2fn, *, params=None, domain_start=0.0,
+def from_callables(kind, fn, jet, *, params=None, domain_start=0.0,
                    pole_smooth=False, inclusive_start=False,
                    tail_coefficient=1.0, tail_exponent=1.0,
                    breakpoints=(), domain_end=math.inf) -> WarpFunction:
-    """Wrap arbitrary vectorized callables (f, f', f'') as a warp profile.
+    """Wrap vectorized callables s -> f and s -> (f, f', f'') as a warp profile.
 
     Intended for tests and one-off experiments; the catalog constructors
     below should be preferred for the standard geometries.
@@ -125,7 +129,7 @@ def from_callables(kind, fn, dfn, d2fn, *, params=None, domain_start=0.0,
         kind=kind, params=dict(params or {}), domain_start=float(domain_start),
         pole_smooth=pole_smooth, inclusive_start=inclusive_start,
         tail_coefficient=float(tail_coefficient), tail_exponent=float(tail_exponent),
-        breakpoints=tuple(breakpoints), domain_end=float(domain_end), fn=fn, dfn=dfn, d2fn=d2fn,
+        breakpoints=tuple(breakpoints), domain_end=float(domain_end), fn=fn, jet=jet,
     )
 
 
@@ -134,8 +138,7 @@ def flat_space() -> WarpFunction:
     return from_callables(
         "flat",
         lambda s: s,
-        lambda s: np.ones_like(s),
-        lambda s: np.zeros_like(s),
+        lambda s: (s, np.ones_like(s), np.zeros_like(s)),
         pole_smooth=True, tail_coefficient=1.0, tail_exponent=1.0,
     )
 
@@ -152,8 +155,7 @@ def cone(slope: float) -> WarpFunction:
     return from_callables(
         "cone",
         lambda s: a * s,
-        lambda s: np.full_like(s, a),
-        lambda s: np.zeros_like(s),
+        lambda s: (a * s, np.full_like(s, a), np.zeros_like(s)),
         params={"a": a}, tail_coefficient=a, tail_exponent=1.0,
     )
 
@@ -172,8 +174,7 @@ def power_law(coefficient: float, exponent: float) -> WarpFunction:
     return from_callables(
         "power",
         lambda s: c * s ** b,
-        lambda s: c * b * s ** (b - 1.0),
-        lambda s: c * b * (b - 1.0) * s ** (b - 2.0),
+        lambda s: (c * s ** b, c * b * s ** (b - 1.0), c * b * (b - 1.0) * s ** (b - 2.0)),
         params={"c": c, "beta": b}, tail_coefficient=c, tail_exponent=b,
     )
 
@@ -194,7 +195,8 @@ def schwarzschild_slice(mass: float) -> WarpFunction:
 
         f'(s) = sqrt(1 - 2m/r),      f''(s) = m / r^2,
 
-    which makes the slice scalar-flat: R = -4m/r^3 + 4m/r^3 = 0.
+    which makes the slice scalar-flat: R = -4m/r^3 + 4m/r^3 = 0.  The jet
+    inverts each radius once and reads f' and f'' off that r.
     """
     m = float(mass)
     if not 0 < m < math.inf:
@@ -230,11 +232,12 @@ def schwarzschild_slice(mass: float) -> WarpFunction:
                                f"(last relative step {worst:.2e} > 1e-13)")
         return two_m + xi * xi
 
+    def jet(s):
+        r = r_of_s(s)
+        return r, np.sqrt(1.0 - 2.0 * m / r), m / r ** 2
+
     return from_callables(
-        "schwarzschild",
-        r_of_s,
-        lambda s: np.sqrt(1.0 - 2.0 * m / r_of_s(s)),
-        lambda s: m / r_of_s(s) ** 2,
+        "schwarzschild", r_of_s, jet,
         params={"m": m}, inclusive_start=True,
         tail_coefficient=1.0, tail_exponent=1.0,
     )
@@ -274,26 +277,21 @@ def sphere_cap_blend(cap_radius: float, blend_width: float) -> WarpFunction:
     f_b = sin_c + w * cos_c - (w * w / 4.0) * sin_c
     intercept = f_b - slope * s_b
 
-    def fn(s):
+    def branches(s):
+        """x in the blend, the cap and tail masks, sin on the cap, and f."""
         x = (np.clip(s, sc, s_b) - sc) / w
+        cap, tail, sin = s <= sc, s >= s_b, np.sin(np.minimum(s, sc))
         blend = sin_c + w * cos_c * x - w * w * sin_c * (x**2 / 2 - x**3 / 3 + x**4 / 12)
-        return np.where(s <= sc, np.sin(np.minimum(s, sc)),
-                        np.where(s >= s_b, slope * s + intercept, blend))
+        return x, cap, tail, sin, np.where(cap, sin, np.where(tail, slope * s + intercept, blend))
 
-    def dfn(s):
-        x = (np.clip(s, sc, s_b) - sc) / w
-        blend = cos_c - w * sin_c * (x - x**2 + x**3 / 3)
-        return np.where(s <= sc, np.cos(np.minimum(s, sc)),
-                        np.where(s >= s_b, np.full_like(s, slope), blend))
-
-    def d2fn(s):
-        x = (np.clip(s, sc, s_b) - sc) / w
-        blend = -sin_c * (1.0 - x) ** 2
-        return np.where(s <= sc, -np.sin(np.minimum(s, sc)),
-                        np.where(s >= s_b, np.zeros_like(s), blend))
+    def jet(s):
+        x, cap, tail, sin, f = branches(s)
+        df = np.where(cap, np.cos(np.minimum(s, sc)),
+                      np.where(tail, slope, cos_c - w * sin_c * (x - x**2 + x**3 / 3)))
+        return f, df, np.where(cap, -sin, np.where(tail, 0.0, -sin_c * (1.0 - x) ** 2))
 
     return from_callables(
-        "sphere_cap_blend", fn, dfn, d2fn,
+        "sphere_cap_blend", lambda s: branches(s)[-1], jet,
         params={"s_cap": sc, "blend_width": w},
         pole_smooth=True, breakpoints=(sc, s_b),
         tail_coefficient=slope, tail_exponent=1.0,
@@ -396,16 +394,18 @@ def from_table(s_samples, f_samples, *, tail_coefficient=None, tail_exponent=Non
     edges, series = _quintic_pieces(s, fvals)
     mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
 
-    def piecewise(coef):
-        def fn(x):
-            x = np.asarray(x, float)
-            if not np.all((x >= s[0] - 1e-12) & (x <= s[-1] * (1 + 1e-12))):
-                raise DomainError(f"tabulated profile defined only on [{s[0]}, {s[-1]}]")
-            i = np.searchsorted(edges[1:-1], x.ravel(), side="right")
-            return _chebyshev_sum(coef.take(i, axis=1), (x.ravel() - mid[i]) / half[i]).reshape(x.shape)
-        return fn
+    def piecewise(x, coefs):
+        """The series ``coefs`` (of f, f', f'' in turn) at x, from one range check and one piece lookup."""
+        x = np.asarray(x, float)
+        if not np.all((x >= s[0] - 1e-12) & (x <= s[-1] * (1 + 1e-12))):
+            raise DomainError(f"tabulated profile defined only on [{s[0]}, {s[-1]}]")
+        i = np.searchsorted(edges[1:-1], x.ravel(), side="right")
+        xi = (x.ravel() - mid[i]) / half[i]
+        return tuple(_chebyshev_sum(coef.take(i, axis=1), xi).reshape(x.shape) for coef in coefs)
 
-    fn, dfn, d2fn = map(piecewise, series)
+    def fn(x):
+        return piecewise(x, series[:1])[0]
+
     if np.any(fn(np.linspace(s[0], s[-1], 4096)) <= 0):
         raise UsageError("quintic interpolant of the table dips below zero; refine the table")
 
@@ -424,7 +424,7 @@ def from_table(s_samples, f_samples, *, tail_coefficient=None, tail_exponent=Non
         log.info("fitted table tail law f ~ %.6g * s^%.6g", tail_coefficient, tail_exponent)
 
     return from_callables(
-        "user_table", fn, dfn, d2fn,
+        "user_table", fn, lambda x: piecewise(x, series),
         params={"n_rows": float(len(s))},
         domain_start=float(s[0]), inclusive_start=True, domain_end=float(s[-1]),
         tail_coefficient=float(tail_coefficient), tail_exponent=float(tail_exponent),
@@ -477,13 +477,11 @@ class CurvaturePoint:
 
 
 def _curvature(f, df, d2f):
-    """(k_rad, k_tan, ric_rad, ric_tan, scalar) from f, f' and f''."""
+    """(k_rad, k_tan, ric_rad, ric_tan, scalar) from f, f' and f''; scaling
+    by 2 and 4 is exact, so these equal the formulas written out in full."""
     k_rad = -d2f / f
     k_tan = (1.0 - df * df) / (f * f)
-    ric_rad = -2.0 * d2f / f
-    ric_tan = -d2f / f + (1.0 - df * df) / (f * f)
-    scalar = -4.0 * d2f / f + 2.0 * (1.0 - df * df) / (f * f)
-    return k_rad, k_tan, ric_rad, ric_tan, scalar
+    return k_rad, k_tan, 2.0 * k_rad, k_rad + k_tan, 4.0 * k_rad + 2.0 * k_tan
 
 
 def _point(s, f, df, d2f) -> CurvaturePoint:
@@ -502,8 +500,7 @@ def curvature_at(metric: WarpFunction, s) -> CurvaturePoint:
     metric.require_contains(s)
     # a 0-d radius is evaluated as a 1-element array: numpy's scalar x**2 and
     # its array square can differ in the last bit, and both paths must agree
-    x = np.atleast_1d(s)
-    return _point(s, metric.f(x), metric.df(x), metric.d2f(x))
+    return _point(s, *metric.jet(np.atleast_1d(s)))
 
 
 def finite_difference_curvature_oracle(metric: WarpFunction, s, h) -> CurvaturePoint:
@@ -649,9 +646,9 @@ def volume_ball(metric: WarpFunction, r):
     profiles (verified against closed forms in the tests).
     """
     r_arr = np.atleast_1d(np.asarray(r, float))
-    if not np.all((metric.domain_start < r_arr) & (r_arr <= metric.domain_end)):
+    if not np.all((metric.domain_start < r_arr) & (r_arr <= metric.domain_end) & np.isfinite(r_arr)):
         raise DomainError(f"ball radius outside domain of {metric.label}")
-    hi = min(max(4.0 * float(np.max(r_arr)), 100.0), metric.domain_end)
+    hi = min(max(4.0 * float(np.max(r_arr)), 100.0), metric.domain_end, np.finfo(float).max)
     # each radius is a panel edge, so each volume is a sum of whole panels
     quad = PanelQuadrature(lambda s: metric.f(s) ** 2,
                            panel_edges(metric.domain_start, hi, (*metric.breakpoints, *r_arr)))
@@ -680,7 +677,10 @@ def growth_fit(metric: WarpFunction, r_lo: float, r_hi: float) -> GrowthReport:
     if not metric.domain_start < r_lo < r_hi:
         raise DomainError(f"bad growth window [{r_lo}, {r_hi}]")
     r = np.geomspace(r_lo, r_hi, 25)
-    vol = volume_ball(metric, r)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vol = volume_ball(metric, r)
+    if not np.all(np.isfinite(vol)):
+        raise DomainError(f"{metric.label}: ball volumes overflow up to the growth window top r={r_hi:g}")
     slope, intercept = np.polyfit(np.log(r), np.log(vol), 1)
     alpha = float(slope - 1.0)
     avr = None

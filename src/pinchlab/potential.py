@@ -179,9 +179,9 @@ class PotentialSolution:
         keep = np.concatenate([[True], np.diff(t) > 1e-13])
         t, s, tail = t[keep], s[keep], tail[keep]
         # the seed: (t, s, s', s'') per knot, with s' = 1 / |grad w| = I f^2 and s'' = s' (2 I f f' - 1)
-        f = metric.f(s)
+        f, df = metric.jet(s)[:2]
         ds = tail * f * f
-        self._seed = np.stack([t, s, ds, ds * (2.0 * tail * f * metric.df(s) - 1.0)])
+        self._seed = np.stack([t, s, ds, ds * (2.0 * tail * f * df - 1.0)])
         self.t_usable = float(self._seed[0, -1])
         if self.t_usable < self.t_max:
             if integ.usable_hi < metric.domain_end:

@@ -76,9 +76,9 @@ def panel_edges(lo, hi, breakpoints=()):
     interior = np.asarray([b for b in breakpoints if lo < b < hi], float)
     edges = np.unique(np.concatenate([*pieces, interior]))
     # drop grid edges nearly coincident with an inserted breakpoint; relative,
-    # so an inserted edge close to a zero lo stays, and no breakpoint is dropped
+    # so an inserted edge close to a zero lo stays, and neither a breakpoint nor hi is dropped
     keep = np.concatenate([[True], np.diff(edges) > 1e-14 * edges[1:]])
-    keep[np.searchsorted(edges, interior)] = True
+    keep[np.searchsorted(edges, interior)] = keep[-1] = True
     return edges[keep]
 
 

@@ -177,8 +177,7 @@ def _recording(metric):
             return fn(s)
         return wrapped
 
-    return dataclasses.replace(metric, fn=record(metric.fn), dfn=record(metric.dfn),
-                               d2fn=record(metric.d2fn)), radii
+    return dataclasses.replace(metric, fn=record(metric.fn), jet=record(metric.jet)), radii
 
 
 @pytest.mark.parametrize("kind, s0, epsilon", [

@@ -430,6 +430,21 @@ def test_table_shorter_than_the_growth_window_names_its_start(tmp_path, capsys):
     assert json.loads((tmp_path / "solve" / "summary.json").read_text())["alpha_fit"] is None
 
 
+@pytest.mark.parametrize("kind, top", [("flat", 1e103), ("sphere_cap_blend", 1e103), ("power", 1e160),
+                                       ("cone", 1e160), ("schwarzschild", 1e300), ("power", 1e300),
+                                       ("flat", 1e308)])
+def test_huge_growth_window_top_is_a_precondition_failure(tmp_path, capsys, kind, top):
+    # the ball volumes overflow below the window top: refute exits 2 naming
+    # it, solve writes a null exponent, and no RuntimeWarning escapes
+    config = _write(tmp_path / "c.json", json.dumps({"growth_window": [100.0, top]}))
+    base = ["--kind", kind, "--config", str(config), "--t-max", "3", "--n-samples", "101"]
+    assert cli.main(["refute", *base, "--out-dir", str(tmp_path / "refute")]) == 2
+    err = capsys.readouterr().err
+    assert f"ball volumes overflow up to the growth window top r={top:g}" in err, err
+    assert cli.main(["solve", *base, "--out-dir", str(tmp_path / "solve")]) == 0
+    assert json.loads((tmp_path / "solve" / "summary.json").read_text())["alpha_fit"] is None
+
+
 def test_param_path_is_a_file_name(tmp_path, monkeypatch):
     # --param path=3 opens the file named 3, not the number 3.0
     monkeypatch.chdir(tmp_path)

@@ -23,19 +23,19 @@ KINDS = ["flat", "cone", "power", "schwarzschild", "sphere_cap_blend"]
 
 
 def _counting_solution(kind):
-    """A solve on the catalog profile, with a list that grows by the number of
-    points of every f, f' and f'' evaluation."""
+    """A solve on the catalog profile, with a list that grows by the name
+    ("fn" or "jet") and the number of points of every profile evaluation."""
     metric = pl.build_metric(kind)
     points = []
 
-    def counting(fn):
+    def counting(name, fn):
         def wrapped(s):
-            points.append(np.size(s))
+            points.append((name, np.size(s)))
             return fn(s)
         return wrapped
 
     counted = pl.from_callables(
-        metric.kind, counting(metric.fn), counting(metric.dfn), counting(metric.d2fn),
+        metric.kind, counting("fn", metric.fn), counting("jet", metric.jet),
         params=metric.params, domain_start=metric.domain_start,
         pole_smooth=metric.pole_smooth, inclusive_start=metric.inclusive_start,
         tail_coefficient=metric.tail_coefficient, tail_exponent=metric.tail_exponent,
@@ -47,12 +47,30 @@ def _counting_solution(kind):
 @pytest.mark.parametrize("kind", KINDS)
 def test_series_profile_evaluations_per_level(kind):
     # I(s) queries read the quadrature's stored series and the level map's
-    # seed needs no Newton step, so a level costs f, f' and f'' once, for
-    # the fields, and no profile evaluation in the level map
+    # seed needs no Newton step, so the series costs one jet of f, f' and
+    # f'' at its level radii, for the fields, and no profile evaluation in
+    # the level map
     sol, points = _counting_solution(kind)
     points.clear()
     pl.build_series(sol, n=2001)
-    assert sum(points) <= 3 * 2001
+    assert points == [("jet", 2001)]
+
+
+def test_schwarzschild_series_inverts_each_level_radius_once(monkeypatch):
+    # fn is r(s) itself, and the jet calls it through its closure: count both
+    metric = pl.build_metric("schwarzschild")
+    inverted, r_of_s = [], metric.fn
+
+    def counting(s):
+        inverted.append(np.size(s))
+        return r_of_s(s)
+
+    jet = metric.jet
+    monkeypatch.setattr(jet.__closure__[jet.__code__.co_freevars.index("r_of_s")], "cell_contents", counting)
+    sol = pl.PotentialSolution(pl.ExteriorDomain(dataclasses.replace(metric, fn=counting), 1.0), t_max=5.0)
+    inverted.clear()
+    pl.build_series(sol, n=2001)
+    assert inverted == [2001]
 
 
 @pytest.mark.parametrize("kind", KINDS)

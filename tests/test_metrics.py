@@ -111,6 +111,25 @@ def test_schwarzschild_profile_is_bit_identical_to_reference(mass):
     assert metric.f(0.0) == 2.0 * mass
 
 
+_TABLE_S = np.geomspace(0.5, 500.0, 400)
+
+
+@pytest.mark.parametrize("metric", [*(pl.build_metric(kind) for kind in
+                                      ("flat", "cone", "power", "schwarzschild", "sphere_cap_blend")),
+                                    pl.from_table(_TABLE_S, _TABLE_S**0.8 * (1.0 + 0.1 * np.sin(_TABLE_S)))],
+                         ids=lambda metric: metric.kind)
+def test_jet_equals_f_df_d2f(metric):
+    # fn and the jet are separate code paths; they agree to the bit at the
+    # domain start, at every breakpoint and on a grid through both
+    hi = 50.0 if math.isinf(metric.domain_end) else metric.domain_end
+    s = np.unique(np.concatenate([[metric.domain_start, hi], metric.breakpoints,
+                                  np.linspace(metric.domain_start, hi, 1001)]))
+    with np.errstate(divide="ignore"):  # a power law's f' and f'' are infinite at s = 0
+        jet = metric.jet(s)
+        for got, want in zip(jet, (metric.f(s), metric.df(s), metric.d2f(s))):
+            assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("point", [np.inf, np.array([1.0, np.inf])])
 def test_schwarzschild_unconvergeable_radius_raises(point):
     # at s = inf the Newton step is nan; the inversion says so instead of
@@ -374,6 +393,13 @@ def test_volume_ball_nan_radius_is_outside_domain(metric):
     for r in (math.nan, np.array([1.0, math.nan])):
         with pytest.raises(DomainError, match="ball radius outside domain"):
             pl.volume_ball(metric, r)
+
+
+def test_volume_ball_infinite_radius_is_outside_domain():
+    # the domain of flat space is infinite, but no panel grid reaches r = inf
+    for r in (math.inf, np.array([1.0, math.inf])):
+        with pytest.raises(DomainError, match="ball radius outside domain"):
+            pl.volume_ball(pl.flat_space(), r)
 
 
 def test_volume_ball_is_history_independent():

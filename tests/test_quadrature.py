@@ -81,6 +81,13 @@ def test_requested_breakpoints_are_never_dropped():
     assert r in edges and 0.5 in edges
 
 
+def test_grid_ends_at_hi_next_to_a_breakpoint():
+    # a breakpoint one float below hi stays an edge, and so does hi
+    b = np.nextafter(10.0, 0.0)
+    edges = panel_edges(1.0, 10.0, (b,))
+    assert edges[-1] == 10.0 and b in edges
+
+
 def test_integrand_is_evaluated_only_at_construction():
     metric = pl.build_metric("power")
     points = []
