@@ -12,6 +12,7 @@ stdout only and never written to files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import logging
@@ -28,8 +29,17 @@ from .verify import run_verify
 # Subcommands
 # ---------------------------------------------------------------------------
 
+@contextlib.contextmanager
+def _writing(path):
+    """Wrap a write of path: an OSError becomes a usage error that names the path."""
+    try:
+        yield
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror}") from None
+
+
 def _write_json(path, obj):
-    with open(path, "w") as fh:
+    with _writing(path), open(path, "w") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -75,7 +85,8 @@ def cmd_solve(cfg: ScenarioConfig) -> int:
     sol = potential.PotentialSolution(domain, t_max=cfg.t_max)
     series = functionals.build_series(sol, n=cfg.n_samples)
     csv_path = os.path.join(_out_dir(cfg), "series.csv")
-    series.to_csv(csv_path)
+    with _writing(csv_path):
+        series.to_csv(csv_path)
     alpha, avr = _summary_growth(metric, cfg)
     bw = functionals.boundary_willmore(sol)
     summary = {
@@ -131,7 +142,7 @@ def cmd_sweep(cfg: ScenarioConfig) -> int:
 
     runs = list(zip(grid, reports))
     csv_path = os.path.join(_out_dir(cfg), "sweep.csv")
-    with open(csv_path, "w", newline="") as fh:
+    with _writing(csv_path), open(csv_path, "w", newline="") as fh:
         fh.write("kind,s0,epsilon,alpha_fit,boundary_willmore,conclusion\n")
         for (kind, s0, eps), rep in runs:
             fh.write(f"{kind},{s0:.17g},{eps:.17g},{rep.growth.alpha_fit:.17g},"

@@ -84,6 +84,10 @@ class FunctionalSeries:
     def dt(self) -> float:
         return float(self.t[1] - self.t[0])
 
+    def d_dt(self, y):
+        """``grid_derivative`` of a column, cut at the first level past each breakpoint (y'' jumps)."""
+        return grid_derivative(y, self.dt, np.searchsorted(self.s, self.metric.breakpoints))
+
     def to_csv(self, path):
         """Write the series CSV (17 significant digits, fixed column order)."""
         with open(path, "w", newline="") as fh:
@@ -169,35 +173,19 @@ def check_monotonicity(series: FunctionalSeries) -> MonotonicityReport:
     """Verify F is nonincreasing (steps up to 1e-7) and F' matches the
     explicit formula (to 1e-4).
 
-    The derivative comparison uses central differences on the series
-    grid at interior nodes, relative to max(1, |dF_explicit|).  F'' jumps
-    where f''' does, at the profile's breakpoints, so a node whose central
-    stencil straddles one takes the second-order one-sided stencil from
-    the side that crosses none.
+    F' is matched at interior nodes by ``FunctionalSeries.d_dt``, relative to max(1, |dF_explicit|).
     """
     hypothesis = bool(np.all(series.ric_ok))
     increments = np.diff(series.F)
     max_increase = float(increments.max(initial=-np.inf))
     monotone_ok = bool(np.all(increments <= 1e-7)) if hypothesis else None
 
-    fd = _seam_derivative(series.F, series.s, series.dt, series.metric.breakpoints)[1:-1]
+    fd = series.d_dt(series.F)[1:-1]
     ref = series.dF_explicit[1:-1]
     err = np.abs(fd - ref) / np.maximum(1.0, np.abs(ref))
     max_err = float(err.max())
     return MonotonicityReport(hypothesis, monotone_ok, max_increase,
                               max_err <= 1e-4, max_err)
-
-
-def _seam_derivative(y, s, dt, breakpoints):
-    """``grid_derivative`` of samples y at radii s, one-sided next to breakpoints."""
-    out = grid_derivative(y, dt)
-    for b in breakpoints:
-        k = int(np.searchsorted(s, b))  # s[k-1] < b <= s[k]
-        if 3 <= k < len(s) and s[k] > b:  # b right of node k-1: look left
-            out[k - 1] = (3.0 * y[k - 1] - 4.0 * y[k - 2] + y[k - 3]) / (2.0 * dt)
-        if 1 <= k <= len(s) - 3:  # b left of node k (or on it): look right
-            out[k] = (-3.0 * y[k] + 4.0 * y[k + 1] - y[k + 2]) / (2.0 * dt)
-    return out
 
 
 def check_G_ode(series: FunctionalSeries) -> float:
@@ -206,7 +194,7 @@ def check_G_ode(series: FunctionalSeries) -> float:
     The identity holds for every warp profile regardless of curvature
     sign, so it is a pure consistency check of the numerics.
     """
-    fd = grid_derivative(series.G, series.dt)[1:-1]
+    fd = series.d_dt(series.G)[1:-1]
     resid = np.abs(fd - (series.G - series.F)[1:-1])
     return float((resid / np.maximum(1.0, np.abs(series.F[1:-1]))).max())
 

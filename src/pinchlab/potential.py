@@ -29,7 +29,7 @@ import numpy as np
 from .errors import DomainError, NonparabolicityError, NumericError
 from .metrics import WarpFunction
 from .quadrature import PanelQuadrature, panel_edges
-from .stencils import five_point_first
+from .stencils import five_point_first, step
 
 log = logging.getLogger(__name__)
 
@@ -215,10 +215,11 @@ class PotentialSolution:
         s_arr = np.asarray(s, float)
         return self.metric.f(s_arr) ** -2.0 / self.tail(s_arr)
 
-    def flux_residual(self, s, h):
-        """|f^2 u' I(s0) + 1|, u' by a five-point stencil of step h; the radial
-        flux f^2 u' equals -1/I(s0), so this measures the numerics only."""
+    def flux_residual(self, s):
+        """|f^2 u' I(s0) + 1|, u' five-point with h = step(s, 0.003, s0, breakpoints); the
+        radial flux f^2 u' equals -1/I(s0), so this measures the numerics only."""
         s = np.asarray(s, float)
+        h = step(s, 0.003, self.s0, self.metric.breakpoints)
         return np.abs(self.metric.f(s) ** 2 * five_point_first(self.u, s, h) * self._i0 + 1.0)
 
     # -- level-set parametrization -------------------------------------------
@@ -263,13 +264,7 @@ class PotentialSolution:
         probes the consistency of the tail integrals to ~1e-8.
         """
         t_diag = np.linspace(min(0.2, 0.5 * self.t_usable), 0.9 * min(self.t_usable, 6.0), 12)
-        s_diag = np.atleast_1d(self.s_of_t(t_diag))
-        # the stencil reaches 2 h either side; it stays outside the boundary
-        # sphere and off the profile's breakpoints, where the derivatives of u jump
-        h = np.minimum(0.01 * s_diag, 0.5 * (s_diag - self.s0))
-        for b in self.metric.breakpoints:
-            h = np.minimum(h, 0.5 * np.abs(s_diag - b))
-        worst = float(self.flux_residual(s_diag, h).max())
+        worst = float(self.flux_residual(self.s_of_t(t_diag)).max())
         if worst > 1e-6:
             raise NumericError(
                 f"{self.metric.label}: radial harmonic identity violated "

@@ -1,4 +1,4 @@
-"""Finite-difference stencils used for cross-checks.
+"""Finite-difference stencils used for cross-checks, all O(h^4), and their one step rule.
 
 These exist to probe closed-form quantities independently; production
 evaluation paths never difference anything (gradients and derivatives all
@@ -8,6 +8,17 @@ have closed radial forms).
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import DomainError
+
+_ONE_SIDED = np.array([[-25, 48, -36, 16, -3], [-3, -10, 18, -6, 1]]) / 12.0  # forward, first two samples
+
+
+def step(x, rel, lo, seams=()):
+    """min(rel x, (x - lo) / 2, |x - b| / 2 for each seam b): a stencil of this
+    step reads x +- 2h on the smooth piece that holds x, never below lo."""
+    x = np.asarray(x, float)
+    return np.min([rel * x, 0.5 * (x - lo), *(0.5 * np.abs(x - b) for b in seams)], axis=0)
 
 
 def five_point_first(fn, x, h):
@@ -28,15 +39,19 @@ def five_point_second(fn, x, h):
     return (-v[..., 0] + 16 * v[..., 1] - 30 * v[..., 2] + 16 * v[..., 3] - v[..., 4]) / (12 * h * h)
 
 
-def grid_derivative(y, dt):
-    """Second-order derivative of samples on a uniform grid.
-
-    Central differences in the interior, one-sided three-point stencils
-    at the two endpoints.
-    """
+def grid_derivative(y, dt, cuts=()):
+    """O(dt^4) derivative on a uniform grid, split before each cut index that leaves 5 samples or
+    more on both sides: five-point stencils, central inside a piece, one-sided at its two ends."""
     y = np.asarray(y, float)
+    if len(y) < 5:
+        raise DomainError(f"a five-point series derivative needs 5 samples, got {len(y)}")
+    bounds = [0]
+    for k in sorted(cuts):
+        if k - bounds[-1] >= 5 and len(y) - k >= 5:
+            bounds.append(k)
     out = np.empty_like(y)
-    out[1:-1] = (y[2:] - y[:-2]) / (2.0 * dt)
-    out[0] = (-3.0 * y[0] + 4.0 * y[1] - y[2]) / (2.0 * dt)
-    out[-1] = (3.0 * y[-1] - 4.0 * y[-2] + y[-3]) / (2.0 * dt)
-    return out
+    out[2:-2] = (y[:-4] - 8.0 * y[1:-3] + 8.0 * y[3:-1] - y[4:]) / 12.0
+    for a, b in zip(bounds, bounds[1:] + [len(y)]):
+        out[a:a + 2] = _ONE_SIDED @ y[a:a + 5]
+        out[b - 2:b] = -(_ONE_SIDED @ y[b - 5:b][::-1])[::-1]
+    return out / dt

@@ -3,7 +3,7 @@ import pytest
 
 import pinchlab as pl
 
-#: grid spacing fine enough for second-order differencing of the blend
+#: grid spacing fine enough for the series derivatives of the blend
 #: profile (|F'''| ~ 3e3 in the transition region)
 DENSE_N = 20001
 T_MAX = 5.0

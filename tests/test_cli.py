@@ -354,6 +354,24 @@ def test_out_dir_that_cannot_be_created_is_usage_error(tmp_path, monkeypatch, ca
     assert cli.main([command, "--config", "cfg.json", "--out-dir", ""]) == 64
 
 
+@pytest.mark.parametrize("command, name", [
+    ("solve", "series.csv"), ("solve", "summary.json"), ("refute", "refutation.json"),
+    ("sweep", "sweep.csv"), ("sweep", "sweep.json"), ("verify", "results.json"),
+    ("verify", "missing/results.json")])
+def test_output_that_cannot_be_written_is_usage_error(tmp_path, monkeypatch, capsys, command, name):
+    # a directory where the file should go, or a directory that does not exist
+    monkeypatch.chdir(tmp_path)
+    path = os.path.join("out", name)
+    if "missing" not in name:
+        os.makedirs(path)
+    doc = {"out_dir": "out", "t_max": 1.0, "n_samples": 21, "sweep": {"s0": [1.0]}}
+    (tmp_path / "cfg.json").write_text(json.dumps(doc))
+    flags = ["--suite", "identities", "--kind", "cone", "--json-out", path] if command == "verify" else []
+    assert cli.main([command, "--config", "cfg.json", *flags]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: cannot write {path}: "), err
+
+
 @pytest.mark.parametrize("command", ["solve", "refute"])
 @pytest.mark.parametrize("kind, param", [("cone", "a"), ("power", "c")])
 def test_unrepresentable_tail_coefficient_is_precondition_failure(tmp_path, capsys,
