@@ -69,7 +69,7 @@ def decay_check(series: FunctionalSeries, epsilon: float,
     window levels (``series_pinching``); regardless of it, the pointwise
     inequality is tested at each level radius from the same columns, so
     partially pinched profiles still exercise the estimate where it
-    applies.
+    applies.  ``decay_rate`` is the ``metrics.line_fit`` slope of log F past t_tilde.
     """
     epsilon = float(epsilon)
     if epsilon <= 0:
@@ -101,7 +101,7 @@ def decay_check(series: FunctionalSeries, epsilon: float,
     rate = None
     pos = tail_F > 0
     if pos.sum() >= 3:
-        rate = float(np.polyfit(tail_t[pos], np.log(tail_F[pos]), 1)[0])
+        rate = metrics.line_fit(tail_t[pos], np.log(tail_F[pos]))[0]
     return DecayFit(t_tilde, constant, rate, passed, True, pinch.passed,
                     pointwise_ok, max_violation, int(gate.sum()))
 
@@ -111,8 +111,8 @@ def decay_check(series: FunctionalSeries, epsilon: float,
 # ---------------------------------------------------------------------------
 
 def li_yau_fit(sol: PotentialSolution, r_lo: float, r_hi: float) -> float:
-    """Least-squares decay exponent of the potential: slope of log u vs log s
-    at 40 log-spaced radii.
+    """Least-squares decay exponent of the potential: the ``metrics.line_fit``
+    slope of log u against log s at 40 log-spaced radii.
 
     For a warp tail f ~ c s^beta the exact value is 1 - 2 beta, i.e.
     1 - alpha in terms of the volume-growth exponent alpha = 2 beta.
@@ -121,7 +121,7 @@ def li_yau_fit(sol: PotentialSolution, r_lo: float, r_hi: float) -> float:
     if not sol.s0 <= r_lo < r_hi:
         raise DomainError(f"bad fit window [{r_lo}, {r_hi}]")
     s = np.geomspace(r_lo, r_hi, 40)
-    return float(np.polyfit(np.log(s), np.log(sol.u(s)), 1)[0])
+    return metrics.line_fit(np.log(s), np.log(sol.u(s)))[0]
 
 
 def coarea_check(sol: PotentialSolution, t_grid) -> float:
@@ -311,8 +311,16 @@ def refute(domain: ExteriorDomain, config: Optional[ScenarioConfig] = None) -> R
             kappa_g = float(np.max(series.G * np.exp(2.0 * series.t)))
         fit_s = np.geomspace(max(2.0 * domain.s0, 1.0), series.s[-1], 30)
         kappa_ly = float(np.max(sol.u(fit_s) * fit_s ** (alpha - 1.0)))
-        if not (FOUR_PI * sol.ncap) ** 3 > 0.0:
-            raise NumericError(f"{metric.label}: (4 pi ncap)^3 in kappa underflows at ncap={sol.ncap:.3g}")
+        # range-test kappa and its factors in logs, where nothing can overflow
+        logs = (2.0 * math.log(kappa_g), math.log(7.0 * growth.c_vol_fit), exponent * math.log(kappa_ly),
+                3.0 * math.log(FOUR_PI * sol.ncap))
+        under = logs[3] < 0.0 and (FOUR_PI * sol.ncap) ** 3 == 0.0
+        if under or not max(*logs, sum(logs[:3]) - logs[3]) < np.log(np.finfo(float).max):
+            raise NumericError(
+                f"{metric.label}: {'(4 pi ncap)^3 in kappa underflows' if under else 'kappa or a factor overflows'}"
+                f" at ncap={sol.ncap:.3g} (s0={domain.s0:g}, t_max={t_max:g}, tail coefficient "
+                f"{metric.tail_coefficient:g}; logs of kappa_g^2, 7 c_vol, kappa_ly^{exponent:.4g}, (4 pi ncap)^3: "
+                f"{', '.join(f'{v:.4g}' for v in logs)})")
         kappa = (7.0 * kappa_g**2 * growth.c_vol_fit *
                  kappa_ly**exponent / (FOUR_PI * sol.ncap) ** 3)
         if exponent < 7.0:

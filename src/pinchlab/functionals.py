@@ -29,7 +29,7 @@ import numpy as np
 
 from . import metrics
 from .errors import DomainError, NumericError
-from .potential import PotentialSolution
+from .potential import ExteriorDomain, PotentialSolution
 from .stencils import grid_derivative
 
 FOUR_PI = 4.0 * math.pi
@@ -234,12 +234,12 @@ class BoundaryWillmore:
     below_threshold: bool
 
 
-def boundary_willmore(sol: PotentialSolution) -> BoundaryWillmore:
+def boundary_willmore(at: ExteriorDomain | PotentialSolution) -> BoundaryWillmore:
     """Willmore energy of the boundary {s = s0}; strict bound against 16 pi.
 
     Equal to 16 pi f'(s0)^2 for a warp profile, hence exactly 16 pi on
     flat space (the borderline case) and below it wherever the profile
-    has started to bend (f' < 1).
+    has started to bend (f' < 1).  Reads only ``metric`` and ``s0``.
     """
-    value = float(SIXTEEN_PI * sol.metric.df(sol.s0) ** 2)
+    value = float(SIXTEEN_PI * at.metric.df(at.s0) ** 2)
     return BoundaryWillmore(value, bool(value < SIXTEEN_PI))

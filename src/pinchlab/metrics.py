@@ -188,10 +188,11 @@ def schwarzschild_slice(mass: float) -> WarpFunction:
 
         s(r) = sqrt(r (r - 2m)) + 2m log((sqrt(r) + xi) / sqrt(2m)),
 
-    and invert it by 12 Newton steps in xi (where ds/dxi = 2 sqrt(r) is
+    and invert it by 6 Newton steps in xi (where ds/dxi = 2 sqrt(r) is
     smooth and positive even at the horizon), so f(s) = r(s) is accurate
     to machine precision; a radius whose last step is not at roundoff
-    raises NumericError.  Then
+    raises NumericError.  The count is even: converged iterates can
+    alternate between adjacent floats, and odd counts land on the other.  Then
 
         f'(s) = sqrt(1 - 2m/r),      f''(s) = m / r^2,
 
@@ -215,7 +216,7 @@ def schwarzschild_slice(mass: float) -> WarpFunction:
         # arrays, so large grids allocate no temporaries per iteration.
         xi = np.sqrt(s, out=np.empty_like(s))
         a, b, root_r = np.empty_like(xi), np.empty_like(xi), np.empty_like(xi)
-        for _ in range(12):
+        for _ in range(6):
             np.sqrt(np.add(np.multiply(xi, xi, out=root_r), two_m, out=root_r), out=root_r)
             np.log(np.divide(np.add(root_r, xi, out=b), sqrt2m, out=b), out=b)
             b *= two_m  # 2m log((sqrt(r) + xi) / sqrt(2m))
@@ -413,14 +414,10 @@ def from_table(s_samples, f_samples, *, tail_coefficient=None, tail_exponent=Non
         log_lo = np.log(max(s[0], 1e-12))
         cut = np.log(s[-1]) - 0.25 * (np.log(s[-1]) - log_lo)
         mask = np.log(np.maximum(s, 1e-12)) >= cut  # a row at s = 0 stays out
-        if mask.sum() < 5:
-            mask = np.zeros_like(s, bool)
-            mask[-5:] = True
-        coeffs = np.polyfit(np.log(s[mask]), np.log(fvals[mask]), 1)
-        fitted_beta = float(coeffs[0])
-        fitted_c = float(np.exp(coeffs[1]))
+        mask[-5:] = True  # the outer quarter ends the table; fit at least 5 rows
+        fitted_beta, log_c = line_fit(np.log(s[mask]), np.log(fvals[mask]))
         tail_exponent = fitted_beta if tail_exponent is None else tail_exponent
-        tail_coefficient = fitted_c if tail_coefficient is None else tail_coefficient
+        tail_coefficient = math.exp(log_c) if tail_coefficient is None else tail_coefficient
         log.info("fitted table tail law f ~ %.6g * s^%.6g", tail_coefficient, tail_exponent)
 
     return from_callables(
@@ -671,8 +668,16 @@ class GrowthReport:
     fit_window: Tuple[float, float]
 
 
+def line_fit(x, y) -> Tuple[float, float]:
+    """Least-squares (slope, intercept) of the arrays y against x, centred on
+    the mean of x; ufunc sums, since a BLAS dot bills every core on long tails."""
+    dx, y_mean = x - x.mean(), y.mean()
+    slope = float((dx * (y - y_mean)).sum() / (dx * dx).sum())
+    return slope, float(y_mean - slope * x.mean())
+
+
 def growth_fit(metric: WarpFunction, r_lo: float, r_hi: float) -> GrowthReport:
-    """Fit the growth exponent to ball volumes at 25 log-spaced radii."""
+    """Fit the growth exponent to ball volumes at 25 log-spaced radii (``line_fit`` in logs)."""
     r_lo, r_hi = float(r_lo), float(r_hi)
     if not metric.domain_start < r_lo < r_hi:
         raise DomainError(f"bad growth window [{r_lo}, {r_hi}]")
@@ -681,8 +686,8 @@ def growth_fit(metric: WarpFunction, r_lo: float, r_hi: float) -> GrowthReport:
         vol = volume_ball(metric, r)
     if not np.all(np.isfinite(vol)):
         raise DomainError(f"{metric.label}: ball volumes overflow up to the growth window top r={r_hi:g}")
-    slope, intercept = np.polyfit(np.log(r), np.log(vol), 1)
-    alpha = float(slope - 1.0)
+    slope, intercept = line_fit(np.log(r), np.log(vol))
+    alpha = slope - 1.0
     avr = None
     if metric.pole_smooth and 1.98 <= alpha <= 2.02:
         avr = float(3.0 * vol[-1] / (4.0 * math.pi * r_hi**3))

@@ -239,8 +239,7 @@ def _small_sphere_willmore():
     below 16 pi and decreasing in s0; a broken property counts as 1."""
     cap = metrics.build_metric("sphere_cap_blend")
     radii = (0.05, 0.1, 0.2)
-    bws = [functionals.boundary_willmore(potential.PotentialSolution(
-        potential.ExteriorDomain(cap, s0), t_max=1.0)) for s0 in radii]
+    bws = [functionals.boundary_willmore(potential.ExteriorDomain(cap, s0)) for s0 in radii]
     worst = max(abs(bw.value - SIXTEEN_PI * math.cos(s0) ** 2) for s0, bw in zip(radii, bws))
     if not all(bw.below_threshold for bw in bws) or not bws[0].value > bws[1].value > bws[2].value:
         worst = max(worst, 1.0)

@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import json
 import math
 import sys
@@ -9,6 +10,7 @@ import pytest
 import pinchlab as pl
 from pinchlab import asymptotics
 from pinchlab.config import ScenarioConfig
+from pinchlab.verify import run_verify
 
 from test_metrics import capped_cone, schw_arclength
 
@@ -392,3 +394,18 @@ def test_all_kinds_refute_without_scipy(monkeypatch, tmp_path):
                                     ScenarioConfig())
         assert not report.conclusion.startswith("CONTRADICTION"), kind
         assert report.failed_hypotheses() or report.crossing_t is not None, kind
+
+
+def test_fits_run_without_polyfit(monkeypatch):
+    # every line fit is metrics.line_fit, so no numpy least-squares solve runs
+    def no_polyfit(*args, **kwargs):
+        raise AssertionError("np.polyfit called")
+
+    monkeypatch.setattr(np, "polyfit", no_polyfit)
+    for kind in ("flat", "cone", "power", "schwarzschild", "sphere_cap_blend"):
+        report = asymptotics.refute(pl.ExteriorDomain(pl.build_metric(kind), 1.0), ScenarioConfig())
+        assert not report.conclusion.startswith("CONTRADICTION"), kind
+    s = np.geomspace(0.1, 1e4, 400)
+    assert pl.from_table(s, s**0.8).tail_exponent == pytest.approx(0.8, rel=1e-12)
+    _, code = run_verify(ScenarioConfig(suite="all"), stream=io.StringIO())
+    assert code == 0

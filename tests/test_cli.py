@@ -526,6 +526,9 @@ _CONFIG_VALUES = {
 @example(doc={"s0": 1e-200, "metric": {"kind": "power", "params": {"beta": 0.6}}}, command="refute")
 @example(doc={"t_max": 1e-300}, command="refute")
 @example(doc={"t_max": 1e-200}, command="solve")
+@example(doc={"metric": {"kind": "power", "params": {"c": 1e52}}}, command="refute")
+@example(doc={"metric": {"kind": "cone"}, "s0": 1e104}, command="refute")
+@example(doc={"t_max": 200.0}, command="refute")
 def test_any_config_document_ends_in_a_documented_code(tmp_path_factory, doc, command):
     out = tmp_path_factory.mktemp("config")
     doc.setdefault("out_dir", str(out))

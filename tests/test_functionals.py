@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pinchlab as pl
-from pinchlab import asymptotics, metrics
+from pinchlab import asymptotics, metrics, verify
 from pinchlab.config import ScenarioConfig
 from pinchlab.functionals import FOUR_PI, SIXTEEN_PI, CSV_COLUMNS
 from pinchlab.quadrature import PanelQuadrature
@@ -327,6 +327,20 @@ def test_small_sphere_willmore_limit(solve_cache):
     # increases back to 16 pi as the boundary sphere shrinks
     assert values[0] > values[1] > values[2]
     assert SIXTEEN_PI - values[0] < SIXTEEN_PI - values[1]
+
+
+def test_small_sphere_willmore_check_solves_nothing(monkeypatch, solve_cache):
+    # the check reads f'(s0) off a domain; its value is the one it read off solutions
+    radii = (0.05, 0.1, 0.2)
+    solved = [pl.boundary_willmore(solve_cache("sphere_cap_blend", s0, t_max=1.0)).value for s0 in radii]
+    want = max(abs(v - SIXTEEN_PI * math.cos(s0) ** 2) for s0, v in zip(radii, solved))
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the boundary Willmore check solved for a potential")
+
+    monkeypatch.setattr(pl.PotentialSolution, "__init__", no_solve)
+    check = next(c for c in verify.CATALOG_CHECKS if c.name.endswith("/small_sphere_willmore"))
+    assert check.measure() == (want, 1e-7)
 
 
 def test_F0_below_4pi_whenever_boundary_willmore_below_16pi(catalog_bundle):

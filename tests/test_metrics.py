@@ -90,7 +90,7 @@ def _reference_r_of_s(m, s):
         return xi * np.sqrt(r) + 2.0 * m * np.log((np.sqrt(r) + xi) / sqrt2m)
 
     xi = np.sqrt(s)
-    for _ in range(12):
+    for _ in range(6):
         xi = xi - (s_of_xi(xi) - s) / (2.0 * np.sqrt(2.0 * m + xi * xi))
         xi = np.maximum(xi, 0.0)
     return 2.0 * m + xi * xi
@@ -109,6 +109,31 @@ def test_schwarzschild_profile_is_bit_identical_to_reference(mass):
         assert np.ndim(value) == 0
         assert value == _reference_r_of_s(mass, point)
     assert metric.f(0.0) == 2.0 * mass
+
+
+def _mp_r_of_s(m, s):
+    # r(s) by Newton in xi at 40 digits, from the same upper seed sqrt(s);
+    # independent of the float loop, so it measures the inversion's error
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        m, s = mpmath.mpf(m), mpmath.mpf(s)
+        xi = mpmath.sqrt(s)
+        for _ in range(200):
+            r = 2 * m + xi * xi
+            step = (xi * mpmath.sqrt(r) + 2 * m * mpmath.log((mpmath.sqrt(r) + xi) / mpmath.sqrt(2 * m))
+                    - s) / (2 * mpmath.sqrt(r))
+            xi -= step
+            if abs(step) <= abs(xi) * mpmath.mpf(10) ** -38:
+                break
+        return float(2 * m + xi * xi)
+
+
+@pytest.mark.parametrize("mass", [0.01, 1.0, 100.0])
+def test_schwarzschild_r_of_s_matches_high_precision_inversion(mass):
+    metric = pl.schwarzschild_slice(mass)
+    s = np.concatenate([[0.0], np.geomspace(1e-12, 1e300, 60)])
+    want = np.array([_mp_r_of_s(mass, x) for x in s])
+    assert np.abs(metric.f(s) / want - 1.0).max() <= 4.5e-16
 
 
 _TABLE_S = np.geomspace(0.5, 500.0, 400)
@@ -442,6 +467,18 @@ def test_growth_fit_capped_cone():
     report = pl.growth_fit(capped_cone(0.5, 0.3), 100.0, 10000.0)
     assert report.alpha_fit == pytest.approx(2.0, abs=0.02)
     assert report.avr == pytest.approx(0.25, abs=0.01)
+
+
+def test_line_fit_matches_polyfit(catalog_bundle, solve_cache):
+    # the growth, Li-Yau, decay-tail and table-tail fits, against numpy's least squares
+    metric, _, series = catalog_bundle["power"]
+    r, s = np.geomspace(10.0, 1000.0, 25), np.geomspace(10.0, 1000.0, 40)
+    sol = solve_cache("power", 2.0, t_max=2.0, s_max=1000.0, beta=0.8)  # u = (s/2)^-0.6, intercept not 0
+    rows = _TABLE_S[-5:]
+    for x, y in [(np.log(r), np.log(pl.volume_ball(metric, r))), (np.log(s), np.log(sol.u(s))),
+                 (series.t[1:], np.log(series.F[1:])), (np.log(rows), np.log(rows**0.8 * (1.0 + 0.1 * np.sin(rows))))]:
+        want = np.polyfit(x, y, 1)
+        assert np.allclose(pl.metrics.line_fit(x, y), want, rtol=1e-12, atol=0.0), len(x)
 
 
 def test_bishop_gromov_volume_ratio_monotone():
