@@ -22,7 +22,7 @@ import numpy as np
 
 from . import metrics
 from .config import ScenarioConfig
-from .errors import DomainError, NumericError, UsageError
+from .errors import DomainError, UsageError
 from .functionals import (FOUR_PI, SIXTEEN_PI, BoundaryWillmore,
                           FunctionalSeries, boundary_willmore, build_series,
                           sample_at)
@@ -306,36 +306,26 @@ def refute(domain: ExteriorDomain, config: Optional[ScenarioConfig] = None) -> R
     if alpha > 1.02:
         exponent = (alpha + 1.0) / (alpha - 1.0)
         if decay.threshold_reached:
-            kappa_g = decay.decay_constant
+            log_kappa_g = math.log(decay.decay_constant)
         else:
-            kappa_g = float(np.max(series.G * np.exp(2.0 * series.t)))
+            log_kappa_g = float(np.max(np.log(series.G) + 2.0 * series.t))
         fit_s = np.geomspace(max(2.0 * domain.s0, 1.0), series.s[-1], 30)
         kappa_ly = float(np.max(sol.u(fit_s) * fit_s ** (alpha - 1.0)))
-        # range-test kappa and its factors in logs, where nothing can overflow
-        logs = (2.0 * math.log(kappa_g), math.log(7.0 * growth.c_vol_fit), exponent * math.log(kappa_ly),
-                3.0 * math.log(FOUR_PI * sol.ncap))
-        under = logs[3] < 0.0 and (FOUR_PI * sol.ncap) ** 3 == 0.0
-        if under or not max(*logs, sum(logs[:3]) - logs[3]) < np.log(np.finfo(float).max):
-            raise NumericError(
-                f"{metric.label}: {'(4 pi ncap)^3 in kappa underflows' if under else 'kappa or a factor overflows'}"
-                f" at ncap={sol.ncap:.3g} (s0={domain.s0:g}, t_max={t_max:g}, tail coefficient "
-                f"{metric.tail_coefficient:g}; logs of kappa_g^2, 7 c_vol, kappa_ly^{exponent:.4g}, (4 pi ncap)^3: "
-                f"{', '.join(f'{v:.4g}' for v in logs)})")
-        kappa = (7.0 * kappa_g**2 * growth.c_vol_fit *
-                 kappa_ly**exponent / (FOUR_PI * sol.ncap) ** 3)
+        # kappa = 7 kappa_g^2 c_vol kappa_ly^exponent / (4 pi ncap)^3, in logs, where nothing can overflow
+        log_kappa = (2.0 * log_kappa_g + math.log(7.0 * growth.c_vol_fit) + exponent * math.log(kappa_ly)
+                     - 3.0 * math.log(FOUR_PI * sol.ncap))
+        log_max = np.log(np.finfo(float).max)
+        kappa = math.exp(log_kappa) if log_kappa < log_max else math.inf
         if exponent < 7.0:
-            t_star_est = math.log(max(kappa, 2.0)) / (7.0 - exponent)
+            t_star_est = max(log_kappa, math.log(2.0)) / (7.0 - exponent)
             hi = min(max(2.0 * t_star_est, 4.0), 90.0)
         else:
             hi = min(3.0 * t_max, 90.0)
         chain_t = np.geomspace(min(0.25, hi / 50.0), hi, int(config.chain_points))
-        # end the grid a factor e before e^(exponent t) or the right side
-        # overflows; there the right side exceeds min(kappa, 1) e^708 and the
-        # left stays below e^630 (t <= 90), so for kappa > e^-78 no crossing is lost
-        room = np.log(np.finfo(float).max) - 1.0 - math.log(max(kappa, 1.0))
-        chain_t = chain_t[exponent * chain_t < room]
+        # where the right side leaves the float range, the left stays below e^630 (t <= 90): no crossing is lost
+        chain_t = chain_t[log_kappa + exponent * chain_t < log_max]
         chain_lhs = np.expm1(7.0 * chain_t)
-        chain_rhs = kappa * np.exp(exponent * chain_t)
+        chain_rhs = np.exp(log_kappa + exponent * chain_t)
         crossed = chain_lhs > chain_rhs
         crossing = float(chain_t[np.argmax(crossed)]) if crossed.any() else None
 

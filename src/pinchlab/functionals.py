@@ -100,8 +100,8 @@ def _fields_at(sol: PotentialSolution, t_arr):
     """The FunctionalSample fields after t as arrays, from one profile jet and one I per radius."""
     s, tail = sol._level_map(t_arr)
     metric = sol.metric
-    f, df, d2f = metric.jet(s)
     with np.errstate(over="ignore", invalid="ignore"):  # terms like s^-2 overflow near a tiny s0
+        f, df, d2f = metric.jet(s)
         _, _, ric_rad, ric_tan, scalar = metrics._curvature(f, df, d2f)
         del d2f
         area = FOUR_PI * f * f

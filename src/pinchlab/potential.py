@@ -160,7 +160,8 @@ class PotentialSolution:
                 f"{metric.label}: the level t={self.t_max:g} lies near s=1e{log_s / math.log(10):.1f}, "
                 f"past s={radii[-1]:.3g} where the tail-law probe ends"
             )
-        with np.errstate(over="ignore", invalid="ignore"):  # f^-2 overflows near a tiny s0, I(s0) with it
+        # f^-2 overflows near a tiny s0 (or divides by an f that underflows to 0), I(s0) with it
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             integ = TailIntegrator(metric, s0, max(s_level, float(s_max or 0.0)))
         self._integ = integ
         self._i0 = i0 = float(integ.value(s0))
@@ -175,11 +176,16 @@ class PotentialSolution:
         frac = np.arange(SEED_KNOTS_PER_PANEL) / SEED_KNOTS_PER_PANEL
         s = np.append(quad.edges[:n, None] + np.diff(quad.edges[:n + 1])[:, None] * frac, quad.edges[n])
         tail = np.append(quad.integral_to_end_at(2.0 * frac - 1.0, n), quad.suffix[n]) + integ.tail_const
+        with np.errstate(over="ignore"):
+            f, df = metric.jet(s)[:2]
+        if not f.max() <= 2.0 ** 510:  # past it f^-2 is subnormal and the area 4 pi f^2 overflows
+            k = int(np.argmax(f))
+            raise NumericError(f"{metric.label}: f={f[k]:.3g} at s={s[k]:.3g} passes 2^510 on the tail grid sized "
+                               f"for t_max={self.t_max:g} (s0={s0:g}, tail coefficient {metric.tail_coefficient:g})")
         t = np.maximum(np.log(i0 / tail), 0.0)  # at s0 the panel sums may differ from i0 in the last digit
         keep = np.concatenate([[True], np.diff(t) > 1e-13])
-        t, s, tail = t[keep], s[keep], tail[keep]
+        t, s, tail, f, df = t[keep], s[keep], tail[keep], f[keep], df[keep]
         # the seed: (t, s, s', s'') per knot, with s' = 1 / |grad w| = I f^2 and s'' = s' (2 I f f' - 1)
-        f, df = metric.jet(s)[:2]
         ds = tail * f * f
         self._seed = np.stack([t, s, ds, ds * (2.0 * tail * f * df - 1.0)])
         self.t_usable = float(self._seed[0, -1])

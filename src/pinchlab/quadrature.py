@@ -71,7 +71,7 @@ def panel_edges(lo, hi, breakpoints=()):
     if lin_hi > lo:
         pieces.append(np.linspace(lo, lin_hi, 65))
     if hi > lin_hi:
-        n_log = max(8, int(np.ceil(40 * np.log10(hi / lin_hi))))
+        n_log = max(8, int(np.ceil(40 * (np.log10(hi) - np.log10(lin_hi)))))
         pieces.append(np.geomspace(lin_hi, hi, n_log + 1))
     interior = np.asarray([b for b in breakpoints if lo < b < hi], float)
     edges = np.unique(np.concatenate([*pieces, interior]))

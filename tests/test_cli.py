@@ -18,6 +18,15 @@ from pinchlab.config import SUITES, ScenarioConfig
 from pinchlab.errors import UsageError
 
 
+def _no_bare_constant(name):
+    raise AssertionError(f"a written JSON file holds a bare {name}")
+
+
+def read_json(path):
+    """A JSON file the CLI wrote; a bare Infinity, -Infinity or NaN, which is not JSON, fails the test."""
+    return json.loads(path.read_text(), parse_constant=_no_bare_constant)
+
+
 def read_csv_column(path, column):
     lines = path.read_text().splitlines()
     header = lines[0].split(",")
@@ -61,7 +70,7 @@ def test_solve_flat_writes_constant_series(tmp_path, capsys):
     assert code == 0
     F = read_csv_column(tmp_path / "series.csv", "F")
     assert np.abs(F - 4 * math.pi).max() < 1e-7
-    summary = json.loads((tmp_path / "summary.json").read_text())
+    summary = read_json(tmp_path / "summary.json")
     assert summary["ncap"] == pytest.approx(1.0, abs=1e-8)
     assert summary["alpha_fit"] == pytest.approx(2.0, abs=0.01)
     assert summary["config"]["metric_kind"] == "flat"
@@ -78,7 +87,7 @@ def test_solve_schwarzschild_summary(tmp_path, capsys):
     code = cli.main(["solve", "--kind", "schwarzschild", "--s0", "0", "--t-max", "3",
                      "--n-samples", "101", "--out-dir", str(tmp_path)])
     assert code == 0
-    summary = json.loads((tmp_path / "summary.json").read_text())
+    summary = read_json(tmp_path / "summary.json")
     assert summary["ncap"] == pytest.approx(1.0, abs=1e-6)
 
 
@@ -142,7 +151,7 @@ def test_verify_json_out_has_no_runtimes(tmp_path, capsys):
     code = cli.main(["verify", "--suite", "identities", "--kind", "cone",
                      "--t-max", "5", "--json-out", str(path)])
     assert code == 0
-    doc = json.loads(path.read_text())
+    doc = read_json(path)
     assert len(doc) >= 6
     assert all("runtime" not in entry for entry in doc)
     assert all(entry["status"] == "PASS" for entry in doc)
@@ -180,7 +189,7 @@ def test_refute_cone_certificate(tmp_path, capsys):
                      "--out-dir", str(tmp_path)])
     assert code == 0
     assert "pinching fails" in capsys.readouterr().out
-    doc = json.loads((tmp_path / "refutation.json").read_text())
+    doc = read_json(tmp_path / "refutation.json")
     for key in ("pinching", "growth", "boundary_willmore", "chain", "conclusion"):
         assert key in doc
     assert doc["pinching"]["pass"] is False
@@ -204,7 +213,7 @@ def test_sweep_grid_and_determinism(tmp_path):
     rows = csv_bytes.decode().splitlines()
     assert len(rows) == 5  # header + 4 scenarios
     assert rows[1].startswith("flat,0.5")
-    docs = json.loads(json_bytes)
+    docs = json.loads(json_bytes, parse_constant=_no_bare_constant)
     assert [d["scenario"]["kind"] for d in docs] == ["flat", "flat", "cone", "cone"]
     assert cli.main(["sweep", "--config", str(cfg_path)]) == 0
     assert (tmp_path / "sweep.csv").read_bytes() == csv_bytes
@@ -273,7 +282,7 @@ def test_cli_flags_override_config(tmp_path, capsys):
     code = cli.main(["solve", "--config", str(cfg_path), "--s0", "1.0",
                      "--out-dir", str(tmp_path)])
     assert code == 0
-    summary = json.loads((tmp_path / "summary.json").read_text())
+    summary = read_json(tmp_path / "summary.json")
     assert summary["config"]["s0"] == 1.0
     assert summary["config"]["metric_kind"] == "cone"
     assert summary["ncap"] == pytest.approx(0.25, rel=1e-8)
@@ -384,20 +393,48 @@ def test_unrepresentable_tail_coefficient_is_precondition_failure(tmp_path, caps
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("kind, param", [("cone", "a=1e-100"), ("cone", "a=1e-60"),
-                                         ("power", "c=1e-80")])
-def test_chain_constant_underflow_is_precondition_failure(tmp_path, capsys, kind, param):
-    # kappa divides by (4 pi ncap)^3, which underflows to 0 for ncap below about 1e-108
+@pytest.mark.parametrize("kind, param, kappa", [("cone", "a=1e-60", 2.333e240), ("cone", "a=1e-100", None),
+                                                ("power", "c=1e-80", None)])
+def test_tiny_tail_coefficient_refutes_with_kappa_formed_in_logs(tmp_path, kind, param, kappa):
+    # (4 pi ncap)^3 underflows for ncap below about 1e-108, log(4 pi ncap) does not; a kappa
+    # past the float range is written as "inf" and leaves no chain point in range
     argv = ["refute", "--kind", kind, "--param", param, "--out-dir", str(tmp_path)]
-    assert cli.main(argv) == 2
-    err = capsys.readouterr().err
-    assert "(4 pi ncap)^3 in kappa underflows at ncap=" in err, err
+    assert cli.main(argv) == 0
+    doc = read_json(tmp_path / "refutation.json")
+    assert doc["conclusion"].startswith("pinching fails"), doc["conclusion"]
+    if kappa is None:
+        assert doc["chain"]["kappa"] == "inf" and doc["chain"]["t"] == doc["chain"]["rhs"] == []
+    else:
+        assert doc["chain"]["kappa"] == pytest.approx(kappa, rel=1e-3) and doc["chain"]["t"]
+
+
+def test_kappa_whose_partial_products_overflow_keeps_its_chain(tmp_path):
+    # log kappa is about 704, while 7 kappa_g^2 c_vol alone is about e^712
+    argv = ["refute", "--kind", "flat", "--s0", "1e8", "--t-max", "176", "--out-dir", str(tmp_path)]
+    assert cli.main(argv) == 0
+    chain = read_json(tmp_path / "refutation.json")["chain"]
+    assert chain["kappa"] == pytest.approx(1.29e306, rel=1e-2)
+    assert chain["t"] and all(math.isfinite(v) for v in chain["lhs"] + chain["rhs"])
+
+
+@pytest.mark.parametrize("kind, small, large", [
+    pytest.param("flat", ["--s0", "1"], ["--s0", "1e104"], id="flat-s0"),
+    pytest.param("power", ["--param", "c=1e52"], ["--param", "c=1e100"], id="power-c")])
+def test_chain_constant_is_scale_invariant(tmp_path, kind, small, large):
+    # flat space looks the same at every s0; in a power tail's c, ncap, G (so kappa_g)
+    # and c_vol scale as c^2, so kappa = 7 kappa_g^2 c_vol kappa_ly^exponent / (4 pi ncap)^3 does not
+    chains = []
+    for name, flags in (("small", small), ("large", large)):
+        assert cli.main(["refute", "--kind", kind, *flags, "--out-dir", str(tmp_path / name)]) == 0
+        chains.append(read_json(tmp_path / name / "refutation.json")["chain"])
+    assert chains[1]["kappa"] == pytest.approx(chains[0]["kappa"], rel=1e-12)
+    assert chains[1]["crossing_t"] == pytest.approx(chains[0]["crossing_t"], rel=1e-12)
 
 
 def test_tiny_cone_slope_above_the_underflow_still_refutes(tmp_path):
     argv = ["refute", "--kind", "cone", "--param", "a=1e-54", "--out-dir", str(tmp_path)]
     assert cli.main(argv) == 0
-    doc = json.loads((tmp_path / "refutation.json").read_text())
+    doc = read_json(tmp_path / "refutation.json")
     assert doc["conclusion"] == "pinching fails (margin min 0, witness s = 1)"
     assert 1e216 < doc["chain"]["kappa"] < 1e217
 
@@ -445,7 +482,7 @@ def test_table_shorter_than_the_growth_window_names_its_start(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "r_hi/50 = 0.0904, below the profile's start s=0.1" in err and "bad growth window" not in err, err
     assert cli.main(["solve", *base, "--out-dir", str(tmp_path / "solve")]) == 0
-    assert json.loads((tmp_path / "solve" / "summary.json").read_text())["alpha_fit"] is None
+    assert read_json(tmp_path / "solve" / "summary.json")["alpha_fit"] is None
 
 
 @pytest.mark.parametrize("kind, top", [("flat", 1e103), ("sphere_cap_blend", 1e103), ("power", 1e160),
@@ -460,7 +497,7 @@ def test_huge_growth_window_top_is_a_precondition_failure(tmp_path, capsys, kind
     err = capsys.readouterr().err
     assert f"ball volumes overflow up to the growth window top r={top:g}" in err, err
     assert cli.main(["solve", *base, "--out-dir", str(tmp_path / "solve")]) == 0
-    assert json.loads((tmp_path / "solve" / "summary.json").read_text())["alpha_fit"] is None
+    assert read_json(tmp_path / "solve" / "summary.json")["alpha_fit"] is None
 
 
 def test_param_path_is_a_file_name(tmp_path, monkeypatch):
@@ -471,7 +508,7 @@ def test_param_path_is_a_file_name(tmp_path, monkeypatch):
     argv = ["solve", "--kind", "user_table", "--param", "path=3", "--s0", "1", "--t-max", "3",
             "--n-samples", "101", "--out-dir", "out"]
     assert cli.main(argv) == 0
-    assert json.loads((tmp_path / "out" / "summary.json").read_text())["config"]["metric_params"] \
+    assert read_json(tmp_path / "out" / "summary.json")["config"]["metric_params"] \
         == {"path": "3"}
 
 
@@ -484,11 +521,17 @@ def _or_bad(valid):
     return st.one_of(valid, _BAD)
 
 
+# a tail coefficient whose square or capacity underflows, or whose f passes 2^510 on the tail
+# grid; a Schwarzschild mass whose tail law never comes within 1/3 of f
+_EXTREME_PARAMS = {"cone": [1e-300, 1e-100], "power": [1e-300, 1e-100, 1e52, 1e154, 1e160],
+                   "schwarzschild": [1e300]}
+
+
 def _metric_doc(kind):
     names = sorted(metrics.CATALOG[kind]["params"]) or ["a"]
     value = st.floats(0.6, 1.0)
-    if kind in ("cone", "power"):  # a tail coefficient whose square or capacity underflows
-        value = st.one_of(value, st.sampled_from([1e-300, 1e-100]))
+    if kind in _EXTREME_PARAMS:
+        value = st.one_of(value, st.sampled_from(_EXTREME_PARAMS[kind]))
     params = st.dictionaries(st.sampled_from(names), _or_bad(value), max_size=2)
     return st.fixed_dictionaries({"kind": st.just(kind)}, optional={"params": _or_bad(params)})
 
@@ -498,9 +541,9 @@ _AXES = {"kind": st.sampled_from(["flat", "cone", "saddle"]),
 
 _CONFIG_VALUES = {
     "metric": _or_bad(st.sampled_from(sorted(metrics.CATALOG)).flatmap(_metric_doc)),
-    "s0": _or_bad(st.one_of(st.floats(0.5, 2.0), st.sampled_from([1e-300, 1e-200]))),
+    "s0": _or_bad(st.one_of(st.floats(0.5, 2.0), st.sampled_from([1e-300, 1e-200, 1e104, 1e200, 1e300]))),
     "epsilon": _or_bad(st.floats(0.05, 1.0 / 3.0)),
-    "t_max": _or_bad(st.one_of(st.floats(0.5, 2.0), st.sampled_from([1e-300, 1e-200]))),
+    "t_max": _or_bad(st.one_of(st.floats(0.5, 2.0), st.sampled_from([1e-300, 1e-200, 180.0, 400.0, 1e4]))),
     "n_samples": _or_bad(st.integers(3, 50)),
     "growth_window": _or_bad(st.tuples(st.floats(10.0, 100.0), st.floats(200.0, 1000.0)).map(list)),
     "chain_points": _or_bad(st.integers(2, 10)),
@@ -529,6 +572,24 @@ _CONFIG_VALUES = {
 @example(doc={"metric": {"kind": "power", "params": {"c": 1e52}}}, command="refute")
 @example(doc={"metric": {"kind": "cone"}, "s0": 1e104}, command="refute")
 @example(doc={"t_max": 200.0}, command="refute")
+@example(doc={"metric": {"kind": "cone", "params": {"a": 1e-60}}}, command="refute")
+@example(doc={"metric": {"kind": "power", "params": {"c": 1e-80}}}, command="refute")
+@example(doc={"metric": {"kind": "power", "params": {"c": 1e100}}}, command="refute")
+@example(doc={"metric": {"kind": "power", "params": {"c": 1e154}}}, command="refute")
+@example(doc={"metric": {"kind": "power", "params": {"c": 1e160}}}, command="solve")
+@example(doc={"metric": {"kind": "power"}, "s0": 1e200}, command="refute")
+@example(doc={"metric": {"kind": "power", "params": {"c": 1e100}}, "s0": 1e-200}, command="refute")
+@example(doc={"metric": {"kind": "cone", "params": {"a": 1e-100}}, "s0": 1e-300}, command="refute")
+@example(doc={"metric": {"kind": "schwarzschild", "params": {"m": 1e300}}}, command="refute")
+@example(doc={"s0": 1e104}, command="refute")
+@example(doc={"s0": 1e200}, command="solve")
+@example(doc={"s0": 1e8, "t_max": 176.0}, command="refute")
+@example(doc={"s0": 1e-100, "t_max": 360.0}, command="refute")
+@example(doc={"s0": 1e-100, "t_max": 370.0}, command="refute")
+@example(doc={"s0": 1e-100, "t_max": 500.0}, command="solve")
+@example(doc={"t_max": 354.0}, command="solve")
+@example(doc={"t_max": 400.0}, command="refute")
+@example(doc={"t_max": 1e4}, command="refute")
 def test_any_config_document_ends_in_a_documented_code(tmp_path_factory, doc, command):
     out = tmp_path_factory.mktemp("config")
     doc.setdefault("out_dir", str(out))
@@ -538,6 +599,9 @@ def test_any_config_document_ends_in_a_documented_code(tmp_path_factory, doc, co
             contextlib.redirect_stderr(err):
         code = cli.main(["sweep" if "sweep" in doc else command, "--config", "cfg.json"])
     assert code in (0, 2, 64), err.getvalue()
+    for path in out.rglob("*.json"):  # what the CLI wrote, not the document under test
+        if path.name != "cfg.json":
+            read_json(path)
 
 
 def test_user_table_through_cli(tmp_path):
@@ -551,7 +615,7 @@ def test_user_table_through_cli(tmp_path):
                      "--s0", "1", "--t-max", "3", "--n-samples", "101",
                      "--out-dir", str(tmp_path)])
     assert code == 0
-    summary = json.loads((tmp_path / "summary.json").read_text())
+    summary = read_json(tmp_path / "summary.json")
     assert summary["ncap"] == pytest.approx(1.0, rel=1e-6)
 
 
@@ -591,10 +655,39 @@ def test_refute_chain_stays_in_float_range(tmp_path, capsys):
             "--param", "c=0.415959320944788", "--s0", "1.2023716770750505",
             "--epsilon", "0.09602681458240747", "--out-dir", str(tmp_path)]
     assert cli.main(argv) == 0
-    doc = json.loads((tmp_path / "refutation.json").read_text())
+    doc = read_json(tmp_path / "refutation.json")
     assert doc["chain"]["rhs"] and all(math.isfinite(v) for v in doc["chain"]["rhs"])
     assert doc["conclusion"] == ("pinching fails (margin min 8.027e-51, witness s = 1.20237); "
                                  "growth fails (alpha = 1.067 <= 4/3)")
+
+
+def _flags_id(flags):
+    """'--kind flat --s0 1e-100 --param a=1' as 'flat-s0=1e-100-a=1'."""
+    return flags.replace("--kind ", "").replace(" --param ", "-").replace(" --", "-").replace(" ", "=")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["solve", "refute"])
+@pytest.mark.parametrize("flags, cause", [pytest.param(flags.split(), cause, id=_flags_id(flags)) for flags, cause in [
+    *[(f"--kind {kind} --t-max 400", "passes 2^510 on the tail grid sized for t_max=400 (s0=1, ")
+      for kind in ("flat", "cone", "power", "schwarzschild", "sphere_cap_blend")],
+    ("--kind power --param c=1e154",
+     "f=4.9e+158 at s=7.29e+05 passes 2^510 on the tail grid sized for t_max=8 (s0=1, tail coefficient 1e+154)"),
+    ("--kind power --param c=1e160", "passes 2^510 on the tail grid sized for t_max=8 (s0=1, "),
+    ("--kind power --s0 1e200", "passes 2^510 on the tail grid sized for t_max=8 (s0=1e+200, "),
+    ("--kind flat --s0 1e200", "f=3.29e+203 at s=3.29e+203 passes 2^510"),
+    ("--kind flat --t-max 354", "passes 2^510 on the tail grid sized for t_max=354 (s0=1, "),
+    # the panel grid spans s0 = 1e-100 to s = 1e211, more than the float range
+    ("--kind flat --s0 1e-100 --t-max 500", "passes 2^510 on the tail grid sized for t_max=500"),
+    ("--kind power --param c=1e100 --s0 1e-200", "the level-set fields overflow near s0=1e-200"),
+    ("--kind cone --param a=1e-100 --s0 1e-300", "I(s0), the integral of f^-2, overflows at s0=1e-300"),
+]])
+def test_large_or_tiny_scale_exits_2_naming_the_cause(tmp_path, capsys, command, flags, cause):
+    # f past 2^510 on the tail grid leaves f^-2 subnormal and overflows the area 4 pi f^2;
+    # the message names that cause, not a consequence, and no RuntimeWarning escapes
+    assert cli.main([command, *flags, "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("precondition failure: ") and cause in err, err
 
 
 def test_level_map_non_convergence_exits_2(tmp_path, capsys, monkeypatch):
@@ -652,7 +745,7 @@ def test_refute_terminates_over_input_box(tmp_path_factory, scenario, s0, epsilo
     assert code in (0, 2, 64), err.getvalue()
     assert "did not converge" not in err.getvalue()
     if code == 0:
-        doc = json.loads((out / "refutation.json").read_text())
+        doc = read_json(out / "refutation.json")
         assert not doc["conclusion"].startswith("CONTRADICTION")
 
 
@@ -664,8 +757,8 @@ def test_table_below_growth_window_reports_one_alpha(tmp_path, capsys):
     base = ["--kind", "user_table", "--param", f"path={path}", "--s0", "1"]
     assert cli.main(["solve", *base, "--out-dir", str(tmp_path / "solve")]) == 0
     assert cli.main(["refute", *base, "--out-dir", str(tmp_path / "refute")]) == 0
-    summary = json.loads((tmp_path / "solve" / "summary.json").read_text())
-    report = json.loads((tmp_path / "refute" / "refutation.json").read_text())
+    summary = read_json(tmp_path / "solve" / "summary.json")
+    report = read_json(tmp_path / "refute" / "refutation.json")
     assert report["growth"]["window"] == [1.0, 50.0]
     assert summary["alpha_fit"] == report["growth"]["alpha_fit"]
 

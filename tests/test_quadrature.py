@@ -88,6 +88,12 @@ def test_grid_ends_at_hi_next_to_a_breakpoint():
     assert edges[-1] == 10.0 and b in edges
 
 
+def test_range_wider_than_the_float_range_gets_40_panels_per_decade():
+    # hi / lo = 1e600 overflows; the decade count is a difference of logs
+    edges = panel_edges(1e-300, 1e300)
+    assert edges.size == 40 * 600 + 1 and edges[0] == 1e-300 and edges[-1] == 1e300
+
+
 def test_integrand_is_evaluated_only_at_construction():
     metric = pl.build_metric("power")
     points = []
