@@ -219,18 +219,7 @@ class RefutationReport:
     chain_kappa: Optional[float]
     chain_exponent: Optional[float]
     crossing_t: Optional[float]
-    decay: DecayFit
     conclusion: str
-
-    def failed_hypotheses(self):
-        out = []
-        if not self.pinching_pass:
-            out.append("pinching")
-        if not self.growth_pass:
-            out.append("growth")
-        if not self.boundary.below_threshold:
-            out.append("boundary")
-        return out
 
     def to_json_dict(self):
         def clean(x):
@@ -279,22 +268,28 @@ class RefutationReport:
 
 
 def refute(domain: ExteriorDomain, config: Optional[ScenarioConfig] = None) -> RefutationReport:
-    """Run all three hypothesis checks and evaluate the closing comparison.
+    """Solve the exterior potential on ``domain`` and ``judge`` it.
 
-    Reads epsilon, t_max, n_samples, growth_window and chain_points from
-    ``config``, a default ScenarioConfig when omitted.
+    Reads t_max, n_samples and growth_window for the solve, the series and
+    the growth fit, and hands ``config``, a default ScenarioConfig when
+    omitted, on to ``judge``.
     """
     config = config or ScenarioConfig()
-    epsilon, t_max = config.epsilon, config.t_max
-
-    metric = domain.metric
-    sol = PotentialSolution(domain, t_max=t_max)
+    sol = PotentialSolution(domain, t_max=config.t_max)
     series = build_series(sol, n=config.n_samples)
+    return judge(sol, series, windowed_growth(domain.metric, config.growth_window), config)
 
+
+def judge(sol: PotentialSolution, series: FunctionalSeries, growth: GrowthReport,
+          config: ScenarioConfig) -> RefutationReport:
+    """Judge the three hypotheses on a solved potential and evaluate the closing comparison.
+
+    Reads epsilon, chain_points and t_max from ``config``; t_max bounds the
+    chain when its exponent is 7 or more, also where ``sol`` ends below it.
+    """
+    epsilon, t_max = config.epsilon, config.t_max
     pinch = series_pinching(sol, series, epsilon)
     decay = decay_check(series, epsilon, pinch)
-
-    growth = windowed_growth(metric, config.growth_window)
     growth_pass = growth.alpha_fit > ALPHA_THRESHOLD
     boundary = boundary_willmore(sol)
 
@@ -309,7 +304,7 @@ def refute(domain: ExteriorDomain, config: Optional[ScenarioConfig] = None) -> R
             log_kappa_g = math.log(decay.decay_constant)
         else:
             log_kappa_g = float(np.max(np.log(series.G) + 2.0 * series.t))
-        fit_s = np.geomspace(max(2.0 * domain.s0, 1.0), series.s[-1], 30)
+        fit_s = np.geomspace(max(2.0 * sol.s0, 1.0), series.s[-1], 30)
         kappa_ly = float(np.max(sol.u(fit_s) * fit_s ** (alpha - 1.0)))
         # kappa = 7 kappa_g^2 c_vol kappa_ly^exponent / (4 pi ncap)^3, in logs, where nothing can overflow
         log_kappa = (2.0 * log_kappa_g + math.log(7.0 * growth.c_vol_fit) + exponent * math.log(kappa_ly)
@@ -359,13 +354,12 @@ def refute(domain: ExteriorDomain, config: Optional[ScenarioConfig] = None) -> R
     else:
         conclusion = "CONTRADICTION - inconsistent inputs"
         log.error("%s s0=%g: refutation found no failing hypothesis and no "
-                  "chain crossing", metric.label, domain.s0)
+                  "chain crossing", sol.metric.label, sol.s0)
 
     return RefutationReport(
-        metric_label=metric.label, s0=domain.s0,
+        metric_label=sol.metric.label, s0=sol.s0,
         pinching=pinch, pinching_pass=pinch.passed,
         growth=growth, growth_pass=growth_pass, boundary=boundary,
         chain_t=chain_t, chain_lhs=chain_lhs, chain_rhs=chain_rhs,
-        chain_kappa=kappa, chain_exponent=exponent, crossing_t=crossing,
-        decay=decay, conclusion=conclusion,
+        chain_kappa=kappa, chain_exponent=exponent, crossing_t=crossing, conclusion=conclusion,
     )

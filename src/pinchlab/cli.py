@@ -130,17 +130,23 @@ def cmd_refute(cfg: ScenarioConfig) -> int:
 def cmd_sweep(cfg: ScenarioConfig) -> int:
     if not cfg.sweep:
         raise UsageError("sweep requires a config file with a 'sweep' section")
-    grid = list(itertools.product(cfg.sweep.get("kind", [cfg.metric_kind]),
-                                  cfg.sweep.get("s0", [cfg.s0]),
-                                  cfg.sweep.get("epsilon", [cfg.epsilon])))
+    kinds = cfg.sweep.get("kind", [cfg.metric_kind])
+    s0s, epsilons = cfg.sweep.get("s0", [cfg.s0]), cfg.sweep.get("epsilon", [cfg.epsilon])
+    # the whole grid and every metric are checked before the first solve
+    for kind, s0, eps in itertools.product(kinds, s0s, epsilons):
+        cfg.with_overrides(metric_kind=kind, s0=s0, epsilon=eps).validate()
+    built = {k: metrics.build_metric(k, cfg.metric_params if k == cfg.metric_kind else {}) for k in kinds}
 
-    reports = []
-    for kind, s0, eps in grid:
-        sub = cfg.with_overrides(metric_kind=kind, s0=s0, epsilon=eps).validate()
-        metric = metrics.build_metric(kind, sub.metric_params if kind == cfg.metric_kind else {})
-        reports.append(asymptotics.refute(potential.ExteriorDomain(metric, s0), sub))
+    runs = []
+    for kind in kinds:
+        growth = None  # fitted once per kind, after its first solve and series as in refute
+        for s0 in s0s:
+            sol = potential.PotentialSolution(potential.ExteriorDomain(built[kind], s0), t_max=cfg.t_max)
+            series = functionals.build_series(sol, n=cfg.n_samples)
+            growth = growth or asymptotics.windowed_growth(built[kind], cfg.growth_window)
+            runs += [((kind, s0, eps), asymptotics.judge(sol, series, growth, cfg.with_overrides(epsilon=eps)))
+                     for eps in epsilons]
 
-    runs = list(zip(grid, reports))
     csv_path = os.path.join(_out_dir(cfg), "sweep.csv")
     with _writing(csv_path), open(csv_path, "w", newline="") as fh:
         fh.write("kind,s0,epsilon,alpha_fit,boundary_willmore,conclusion\n")

@@ -106,10 +106,8 @@ class _Scenario:
     def __init__(self, metric, cfg: ScenarioConfig):
         self.metric = metric
         self.cfg = cfg
-        s0 = float(cfg.s0)
-        self.t_max = float(min(cfg.t_max, 5.0))
-        self.domain = potential.ExteriorDomain(metric, s0)
-        self.sol = potential.PotentialSolution(self.domain, t_max=self.t_max)
+        self.sol = potential.PotentialSolution(potential.ExteriorDomain(metric, float(cfg.s0)),
+                                               t_max=min(cfg.t_max, 5.0))
         self.t_max = self.sol.t_max  # a table may end below the requested level
         n = max(2001, int(round(self.t_max / SUITE_DT)) + 1)
         self.series = functionals.build_series(self.sol, n=n)
@@ -222,7 +220,8 @@ def _decay_estimate(sc):
 
 
 def _refutation_soundness(sc):
-    rep = asymptotics.refute(sc.domain, sc.cfg)
+    growth = asymptotics.windowed_growth(sc.metric, sc.cfg.growth_window)
+    rep = asymptotics.judge(sc.sol, sc.series, growth, sc.cfg)
     return Reading(None, None, not rep.conclusion.startswith("CONTRADICTION"), rep.conclusion)
 
 

@@ -11,11 +11,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import pinchlab.asymptotics as asymptotics
 import pinchlab.cli as cli
 import pinchlab.metrics as metrics
 import pinchlab.potential as potential
 from pinchlab.config import SUITES, ScenarioConfig
 from pinchlab.errors import UsageError
+from pinchlab.verify import run_verify
 
 
 def _no_bare_constant(name):
@@ -25,6 +27,18 @@ def _no_bare_constant(name):
 def read_json(path):
     """A JSON file the CLI wrote; a bare Infinity, -Infinity or NaN, which is not JSON, fails the test."""
     return json.loads(path.read_text(), parse_constant=_no_bare_constant)
+
+
+def counting_solves(monkeypatch):
+    """A list that gains an entry at each PotentialSolution construction."""
+    solves, init = [], potential.PotentialSolution.__init__
+
+    def counted(self, *args, **kwargs):
+        solves.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(potential.PotentialSolution, "__init__", counted)
+    return solves
 
 
 def read_csv_column(path, column):
@@ -180,6 +194,21 @@ def test_verify_decay_and_chain_suites(capsys):
     assert "pinching fails" in out
 
 
+def test_verify_chain_judges_the_scenario_it_solved(capsys):
+    # the level t=8 of beta=0.505 lies past s=1e300; the scenario ends at t=5 and is judged there
+    code = cli.main(["verify", "--suite", "chain", "--kind", "power", "--param", "beta=0.505"])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert "power/refutation_soundness" in out and "growth fails" in out
+
+
+def test_verify_chain_solves_each_scenario_once(monkeypatch):
+    solves = counting_solves(monkeypatch)
+    _, code = run_verify(ScenarioConfig(suite="chain"), stream=io.StringIO())
+    assert code == 0
+    assert len(solves) == 7  # the 5 catalog scenarios and the 2 Li-Yau fits
+
+
 # ---------------------------------------------------------------------------
 # refute
 # ---------------------------------------------------------------------------
@@ -218,6 +247,36 @@ def test_sweep_grid_and_determinism(tmp_path):
     assert cli.main(["sweep", "--config", str(cfg_path)]) == 0
     assert (tmp_path / "sweep.csv").read_bytes() == csv_bytes
     assert (tmp_path / "sweep.json").read_bytes() == json_bytes
+
+
+def test_sweep_solves_each_kind_and_s0_once(tmp_path, monkeypatch):
+    solves, fits, growth_fit = counting_solves(monkeypatch), [], asymptotics.growth_fit
+    monkeypatch.setattr(asymptotics, "growth_fit", lambda *args: fits.append(args) or growth_fit(*args))
+    sweep = {"kind": ["cone", "power"], "s0": [0.5, 2.0], "epsilon": [0.05, 0.2, 1.0 / 3.0]}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"t_max": 4.0, "n_samples": 501, "out_dir": str(tmp_path), "sweep": sweep}))
+    assert cli.main(["sweep", "--config", str(cfg_path)]) == 0
+    assert (len(solves), len(fits)) == (4, 2)
+    docs = read_json(tmp_path / "sweep.json")
+    grid = [(kind, s0, eps) for kind in sweep["kind"] for s0 in sweep["s0"] for eps in sweep["epsilon"]]
+    assert [(d["scenario"]["kind"], d["scenario"]["s0"], d["scenario"]["epsilon"]) for d in docs] == grid
+    for doc, (kind, s0, eps) in zip(docs, grid):
+        cfg = ScenarioConfig(metric_kind=kind, s0=s0, epsilon=eps, t_max=4.0, n_samples=501)
+        report = asymptotics.refute(potential.ExteriorDomain(metrics.build_metric(kind), s0), cfg)
+        assert {k: v for k, v in doc.items() if k != "scenario"} == json.loads(json.dumps(report.to_json_dict()))
+
+
+@pytest.mark.parametrize("sweep, named", [
+    ({"kind": ["flat", "cone"], "s0": [-1.0], "epsilon": [0.1, 0.5]}, "epsilon must lie in (0, 1/3], got 0.5"),
+    ({"kind": ["flat", "nosuch"]}, "unknown metric kind 'nosuch'"),
+])
+def test_sweep_checks_the_whole_grid_before_the_first_solve(tmp_path, monkeypatch, capsys, sweep, named):
+    solves = counting_solves(monkeypatch)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"out_dir": str(tmp_path), "sweep": sweep}))
+    assert cli.main(["sweep", "--config", str(cfg_path)]) == 64
+    assert named in capsys.readouterr().err
+    assert solves == []
 
 
 def test_sweep_non_finite_axis_is_usage_error(tmp_path, capsys):
