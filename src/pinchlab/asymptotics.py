@@ -22,7 +22,7 @@ import numpy as np
 
 from . import metrics
 from .config import ScenarioConfig
-from .errors import DomainError, UsageError
+from .errors import DomainError
 from .functionals import (FOUR_PI, SIXTEEN_PI, BoundaryWillmore,
                           FunctionalSeries, boundary_willmore, build_series,
                           sample_at)
@@ -42,11 +42,11 @@ class DecayFit:
 
     Once F drops below 8 pi eps / (2 + 2 eps), the pinched differential
     inequality forces F' <= -2F, hence F(t) <= decay_constant * e^(-2t)
-    with decay_constant = 4 pi e^(2 t_tilde).  ``passed`` is None when
-    the threshold is never reached inside the window (then there is
-    nothing to bound) and when it is reached the bound is checked
-    directly on the samples.  ``pointwise_ok`` reports the genus-zero
-    branch F' <= eps (2F - 8 pi), checked at every interior level where
+    with decay_constant = 4 pi e^(2 t_tilde).  ``t_tilde`` and ``passed``
+    are None when the threshold is never reached inside the window (then
+    there is nothing to bound); when it is reached the bound is checked
+    directly on the samples.  ``max_pointwise_violation`` measures the
+    genus-zero branch F' <= eps (2F - 8 pi) at every interior level where
     the pinching condition holds at the level radius and F <= 4 pi.
     """
 
@@ -54,41 +54,33 @@ class DecayFit:
     decay_constant: Optional[float]
     decay_rate: Optional[float]
     passed: Optional[bool]
-    threshold_reached: bool
-    hypothesis_met: bool
-    pointwise_ok: bool
     max_pointwise_violation: float
     n_pointwise_checked: int
 
 
-def decay_check(series: FunctionalSeries, epsilon: float,
-                pinch: PinchReport) -> DecayFit:
+def decay_check(series: FunctionalSeries, epsilon: float) -> DecayFit:
     """Check the exponential decay estimate for F on a sampled series.
 
-    ``pinch`` carries the pinching verdict read from the series over the
-    window levels (``series_pinching``); regardless of it, the pointwise
-    inequality is tested at each level radius from the same columns, so
-    partially pinched profiles still exercise the estimate where it
-    applies.  ``decay_rate`` is the ``metrics.line_fit`` slope of log F past t_tilde.
+    The pointwise inequality is tested at each level radius where the
+    series margins show the pinching condition, so partially pinched
+    profiles still exercise the estimate where it applies; the verdict
+    over the window is ``series_pinching``'s.  ``decay_rate`` is the
+    ``metrics.line_fit`` slope of log F past t_tilde.
     """
-    epsilon = float(epsilon)
-    if epsilon <= 0:
-        raise UsageError("decay check needs a positive pinching constant")
+    epsilon = metrics.positive_epsilon(epsilon)
     threshold = 8.0 * math.pi * epsilon / (2.0 + 2.0 * epsilon)
 
-    pinched = metrics.pinched_where(series.eps_star, series.ric_ok, epsilon)
+    pinched = metrics.pinched_where(series.eps_star, epsilon)
     # F = 4 pi exactly on flat space; the slack keeps rounding from picking levels
     gate = pinched & (series.F <= FOUR_PI * (1.0 + 1e-12))
     gate[[0, -1]] = False
     slack = series.dF_explicit - epsilon * (2.0 * series.F - 8.0 * math.pi)
     violations = slack[gate] if gate.any() else np.array([0.0])
     max_violation = float(violations.max(initial=0.0))
-    pointwise_ok = max_violation <= 1e-9
 
     below = series.F <= threshold * (1.0 - 1e-6)
     if not below.any():
-        return DecayFit(None, None, None, None, False, pinch.passed,
-                        pointwise_ok, max_violation, int(gate.sum()))
+        return DecayFit(None, None, None, None, max_violation, int(gate.sum()))
 
     i_tilde = int(np.argmax(below))
     t_tilde = float(series.t[i_tilde])
@@ -102,8 +94,7 @@ def decay_check(series: FunctionalSeries, epsilon: float,
     pos = tail_F > 0
     if pos.sum() >= 3:
         rate = metrics.line_fit(tail_t[pos], np.log(tail_F[pos]))[0]
-    return DecayFit(t_tilde, constant, rate, passed, True, pinch.passed,
-                    pointwise_ok, max_violation, int(gate.sum()))
+    return DecayFit(t_tilde, constant, rate, passed, max_violation, int(gate.sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +164,7 @@ def pinching_window(sol: PotentialSolution, series: FunctionalSeries) -> int:
 def series_pinching(sol: PotentialSolution, series: FunctionalSeries, epsilon) -> PinchReport:
     """``check_pinching`` on the margins the series carries over the pinching window."""
     i = pinching_window(sol, series)
-    return check_pinching(sol.metric, epsilon, series.s[i:], series.eps_star[i:], series.ric_ok[i:])
+    return check_pinching(sol.metric, epsilon, series.s[i:], series.eps_star[i:])
 
 
 def windowed_growth(metric, growth_window) -> GrowthReport:
@@ -209,7 +200,6 @@ class RefutationReport:
     metric_label: str
     s0: float
     pinching: PinchReport
-    pinching_pass: bool
     growth: GrowthReport
     growth_pass: bool
     boundary: BoundaryWillmore
@@ -234,7 +224,7 @@ class RefutationReport:
             "metric": self.metric_label,
             "s0": self.s0,
             "pinching": {
-                "pass": self.pinching_pass,
+                "pass": self.pinching.passed,
                 "epsilon": self.pinching.epsilon_requested,
                 "first_failure_s": clean(self.pinching.first_failure_s),
                 "eps_star_min": clean(self.pinching.eps_star_min),
@@ -289,7 +279,7 @@ def judge(sol: PotentialSolution, series: FunctionalSeries, growth: GrowthReport
     """
     epsilon, t_max = config.epsilon, config.t_max
     pinch = series_pinching(sol, series, epsilon)
-    decay = decay_check(series, epsilon, pinch)
+    decay = decay_check(series, epsilon)
     growth_pass = growth.alpha_fit > ALPHA_THRESHOLD
     boundary = boundary_willmore(sol)
 
@@ -300,7 +290,7 @@ def judge(sol: PotentialSolution, series: FunctionalSeries, growth: GrowthReport
     alpha = growth.alpha_fit
     if alpha > 1.02:
         exponent = (alpha + 1.0) / (alpha - 1.0)
-        if decay.threshold_reached:
+        if decay.t_tilde is not None:
             log_kappa_g = math.log(decay.decay_constant)
         else:
             log_kappa_g = float(np.max(np.log(series.G) + 2.0 * series.t))
@@ -358,7 +348,7 @@ def judge(sol: PotentialSolution, series: FunctionalSeries, growth: GrowthReport
 
     return RefutationReport(
         metric_label=sol.metric.label, s0=sol.s0,
-        pinching=pinch, pinching_pass=pinch.passed,
+        pinching=pinch,
         growth=growth, growth_pass=growth_pass, boundary=boundary,
         chain_t=chain_t, chain_lhs=chain_lhs, chain_rhs=chain_rhs,
         chain_kappa=kappa, chain_exponent=exponent, crossing_t=crossing, conclusion=conclusion,

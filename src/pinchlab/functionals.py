@@ -43,7 +43,8 @@ CSV_COLUMNS = ("t", "s", "area", "H", "grad_w", "F", "G", "willmore",
 class FunctionalSample:
     """All level-set quantities at a single level t, or arrays of them at an
     array of levels.  ``ric_rad`` is Ric(nu, nu) at the level radius, and
-    ``eps_star`` and ``ric_ok`` are the pinching margins there (``metrics.pinched``)."""
+    ``eps_star`` (the pinching margin) and ``ric_ok`` (Ric >= 0) are the
+    margins of ``metrics._pinch_margins`` there."""
 
     t: float
     s: float
@@ -61,22 +62,9 @@ class FunctionalSample:
 
 
 @dataclass(frozen=True)
-class FunctionalSeries:
-    """Samples on a uniform level grid, with provenance for serialization."""
+class FunctionalSeries(FunctionalSample):
+    """Samples on a uniform level grid, each field an array, with provenance for serialization."""
 
-    t: np.ndarray
-    s: np.ndarray
-    area: np.ndarray
-    H: np.ndarray
-    grad_w: np.ndarray
-    F: np.ndarray
-    G: np.ndarray
-    willmore: np.ndarray
-    dF_explicit: np.ndarray
-    ncap_t: np.ndarray
-    ric_rad: np.ndarray
-    eps_star: np.ndarray
-    ric_ok: np.ndarray
     metric: metrics.WarpFunction
     s0: float
 
@@ -158,34 +146,24 @@ class MonotonicityReport:
     """Monotonicity of F and the match of its explicit derivative.
 
     F is nonincreasing when the Ricci curvature is nonnegative at every
-    sampled level radius; when it is not, the report flags the hypothesis
-    as unmet and only the derivative cross-check is meaningful.
+    sampled level radius (``hypothesis_met``); when it is not, only the
+    derivative cross-check is meaningful.
     """
 
     hypothesis_met: bool
-    monotone_ok: Optional[bool]
     max_increase: float
-    derivative_ok: bool
     max_derivative_error: float
 
 
 def check_monotonicity(series: FunctionalSeries) -> MonotonicityReport:
-    """Verify F is nonincreasing (steps up to 1e-7) and F' matches the
-    explicit formula (to 1e-4).
-
-    F' is matched at interior nodes by ``FunctionalSeries.d_dt``, relative to max(1, |dF_explicit|).
-    """
-    hypothesis = bool(np.all(series.ric_ok))
-    increments = np.diff(series.F)
-    max_increase = float(increments.max(initial=-np.inf))
-    monotone_ok = bool(np.all(increments <= 1e-7)) if hypothesis else None
-
+    """Measure how far F steps up between levels and F' misses the explicit
+    formula, at interior nodes by ``FunctionalSeries.d_dt`` relative to
+    max(1, |dF_explicit|); the verify table holds the tolerances."""
+    max_increase = float(np.diff(series.F).max(initial=-np.inf))
     fd = series.d_dt(series.F)[1:-1]
     ref = series.dF_explicit[1:-1]
     err = np.abs(fd - ref) / np.maximum(1.0, np.abs(ref))
-    max_err = float(err.max())
-    return MonotonicityReport(hypothesis, monotone_ok, max_increase,
-                              max_err <= 1e-4, max_err)
+    return MonotonicityReport(bool(np.all(series.ric_ok)), max_increase, float(err.max()))
 
 
 def check_G_ode(series: FunctionalSeries) -> float:
@@ -213,17 +191,17 @@ class GenusZeroResult:
     rhs: float
     passed: Optional[bool]
     hypothesis_met: bool
-    eps_star: float
 
 
 def genus_zero_inequality_check(sol: PotentialSolution, t: float,
                                 epsilon: float) -> GenusZeroResult:
+    epsilon = metrics.positive_epsilon(epsilon)
     smp = sample_at(sol, float(t))
-    hypothesis = bool(metrics.pinched_where(smp.eps_star, smp.ric_ok, epsilon))
+    hypothesis = bool(metrics.pinched_where(smp.eps_star, epsilon))
     lhs = 2.0 * smp.area * smp.ric_rad
     rhs = epsilon * (SIXTEEN_PI - smp.willmore)
     passed = bool(lhs >= rhs - 1e-9) if hypothesis else None
-    return GenusZeroResult(lhs, rhs, passed, hypothesis, smp.eps_star)
+    return GenusZeroResult(lhs, rhs, passed, hypothesis)
 
 
 @dataclass(frozen=True)

@@ -562,7 +562,7 @@ def _pinch_margins(ric_rad, ric_tan, scalar):
     min_ric = np.minimum(ric_rad, ric_tan)
     scale = np.abs(ric_rad) + 2.0 * np.abs(ric_tan) + 1e-300
     r_positive = scalar > PINCH_SLACK * scale
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # the ratio is read only where r_positive
         ratio = min_ric / scalar
     ratio = np.where(ratio == 0.0, 0.0, ratio)  # normalize -0.0
     eps_star = np.where(
@@ -573,42 +573,49 @@ def _pinch_margins(ric_rad, ric_tan, scalar):
     return eps_star, ric_ok
 
 
-def pinched_where(eps_star, ric_ok, epsilon: float):
-    """Where Ric >= 0 and Ric >= eps R g hold, from the margins of ``_pinch_margins``."""
-    return ric_ok & (eps_star >= epsilon - PINCH_SLACK)
+def positive_epsilon(epsilon) -> float:
+    """``epsilon`` as a float; a usage error unless it is positive, NaN included."""
+    if not float(epsilon) > 0:
+        raise UsageError(f"pinching constant must be positive, got {epsilon}")
+    return float(epsilon)
+
+
+def pinched_where(eps_star, epsilon: float):
+    """Where Ric >= eps R g holds, from the margin ``eps_star`` of ``_pinch_margins``.
+    For eps > 0 that implies ``ric_ok`` (Ric >= 0): where R > 0, min Ric >= -PINCH_SLACK R
+    and R <= |ric_rad| + 2 |ric_tan|; elsewhere eps_star is +inf only with ``ric_ok``."""
+    return eps_star >= epsilon - PINCH_SLACK
 
 
 def pinched(metric: WarpFunction, s, epsilon: float):
-    """Where Ric >= 0 and Ric >= eps R g hold at the radii s, and the margins.
+    """Where Ric >= eps R g holds at the radii s, and the margins.
 
     Returns (mask, eps_star) with eps_star as in ``PinchReport``.
     """
     point = curvature_at(metric, s)
-    eps_star, ric_ok = _pinch_margins(point.ric_rad, point.ric_tan, point.scalar)
-    return pinched_where(eps_star, ric_ok, epsilon), eps_star
+    eps_star = _pinch_margins(point.ric_rad, point.ric_tan, point.scalar)[0]
+    return pinched_where(eps_star, epsilon), eps_star
 
 
-def check_pinching(metric: WarpFunction, epsilon: float, s, eps_star, ric_ok) -> PinchReport:
-    """Whether Ric >= 0 and Ric >= eps * R * g hold at ascending radii s whose
-    margins ``(eps_star, ric_ok)`` are given, as a series carries them.
+def check_pinching(metric: WarpFunction, epsilon: float, s, eps_star) -> PinchReport:
+    """Whether Ric >= eps * R * g, and with it Ric >= 0, holds at ascending
+    radii s whose margins ``eps_star`` are given, as a series carries them.
 
-    Passing means every given radius satisfies both conditions; a smooth
+    Passing means every given radius satisfies the condition; a smooth
     margin between sign changes makes the verdict reliable for the catalog
     profiles.  Only the first failure is evaluated anew: it is refined
     between the radius before it and itself, one ``pinched`` call of 32
     radii per round, to 1e-6, or to adjacent floats where 1e-6 is below
     one ulp.
     """
-    epsilon = float(epsilon)
-    if epsilon <= 0:
-        raise UsageError(f"pinching constant must be positive, got {epsilon}")
+    epsilon = positive_epsilon(epsilon)
     s = np.asarray(s, float)
     if s.size < 2:
         raise UsageError("pinching check needs at least 2 radii")
     if s[0] <= 0 or not np.all(s[1:] > s[:-1]):
         raise DomainError("pinching radii must be positive and strictly increasing")
 
-    ok = pinched_where(eps_star, ric_ok, epsilon)
+    ok = pinched_where(eps_star, epsilon)
     passed = bool(np.all(ok))
     i = int(np.argmin(ok))  # first False; 0 when every radius passes
     first_failure = None if passed else float(s[0])

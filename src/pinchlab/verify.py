@@ -106,10 +106,10 @@ class _Scenario:
     def __init__(self, metric, cfg: ScenarioConfig):
         self.metric = metric
         self.cfg = cfg
+        # sol.t_max, not cfg.t_max: a table may end below the requested level
         self.sol = potential.PotentialSolution(potential.ExteriorDomain(metric, float(cfg.s0)),
                                                t_max=min(cfg.t_max, 5.0))
-        self.t_max = self.sol.t_max  # a table may end below the requested level
-        n = max(2001, int(round(self.t_max / SUITE_DT)) + 1)
+        n = max(2001, int(round(self.sol.t_max / SUITE_DT)) + 1)
         self.series = functionals.build_series(self.sol, n=n)
         self.s_window = self.series.s[[asymptotics.pinching_window(self.sol, self.series), -1]]
 
@@ -118,16 +118,19 @@ class _Scenario:
         return np.geomspace(lo, self.s_window[1], n)
 
     def interior_levels(self, n=25):
-        return np.linspace(0.05, 0.95, n) * self.t_max
+        return np.linspace(0.05, 0.95, n) * self.sol.t_max
 
     @cached_property
     def monotonicity(self):
         return functionals.check_monotonicity(self.series)
 
     @cached_property
+    def pinching(self):
+        return asymptotics.series_pinching(self.sol, self.series, self.cfg.epsilon)
+
+    @cached_property
     def decay(self):
-        pinch = asymptotics.series_pinching(self.sol, self.series, self.cfg.epsilon)
-        return asymptotics.decay_check(self.series, self.cfg.epsilon, pinch)
+        return asymptotics.decay_check(self.series, self.cfg.epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +196,7 @@ def _functional_bounds(sc):
     ser = sc.series
     return {
         "flux_le_willmore_quarter": (float((ser.F - ser.willmore / 4.0).max()), 1e-9),
-        "ncap_flux_agreement": (float(sc.sol.flux_residual(sc.sol.s_of_t(0.05 * sc.t_max))), 1e-9),
+        "ncap_flux_agreement": (float(sc.sol.flux_residual(sc.sol.s_of_t(0.05 * sc.sol.t_max))), 1e-9),
     }
 
 
@@ -207,15 +210,15 @@ def _unless(holds, status, reason):
 
 
 def _decay_gate(sc):
-    return (_unless(sc.decay.threshold_reached, "SKIP", "threshold not reached in the window")
-            or _unless(sc.decay.hypothesis_met, "UNMET",
+    return (_unless(sc.decay.t_tilde is not None, "SKIP", "threshold not reached in the window")
+            or _unless(sc.pinching.passed, "UNMET",
                        f"pinching fails on the window; bound held: {sc.decay.passed}"))
 
 
 def _decay_estimate(sc):
     fit = sc.decay
     note = (f"t_tilde={fit.t_tilde:.3g}, constant={fit.decay_constant:.3g}"
-            if fit.threshold_reached else "")
+            if fit.t_tilde is not None else "")
     return Reading(fit.decay_rate, None, fit.passed, note)
 
 
@@ -254,7 +257,7 @@ SCENARIO_CHECKS = (
     Check("identities", "curvature_fd_oracle", _curvature_fd_oracle),
     Check("identities", "potential_identities", _potential_identities),
     Check("identities", "capacity_scaling", lambda sc: (
-        functionals.capacity_scaling_check(sc.sol, np.linspace(0.0, sc.t_max, 41)), 1e-6)),
+        functionals.capacity_scaling_check(sc.sol, np.linspace(0.0, sc.sol.t_max, 41)), 1e-6)),
     Check("identities", "integral_geometry", _integral_geometry),
     Check("identities", "level_roundtrip", _level_roundtrip),
     Check("identities", "functional_bounds", _functional_bounds),

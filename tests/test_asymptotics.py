@@ -20,42 +20,42 @@ from test_metrics import capped_cone, schw_arclength
 # ---------------------------------------------------------------------------
 
 def _pinch_on_series(series, epsilon):
-    return pl.check_pinching(series.metric, epsilon, series.s, series.eps_star, series.ric_ok)
+    return pl.check_pinching(series.metric, epsilon, series.s, series.eps_star)
 
 
 def test_decay_flat_threshold_never_reached(catalog_bundle):
     # F = 4 pi > pi = threshold(1/3): the excluded trivial case, fit skipped
     _, _, series = catalog_bundle["flat"]
-    fit = asymptotics.decay_check(series, 1.0 / 3.0, _pinch_on_series(series, 1.0 / 3.0))
-    assert not fit.threshold_reached
+    fit = asymptotics.decay_check(series, 1.0 / 3.0)
+    assert fit.t_tilde is None
     assert fit.passed is None
-    assert fit.hypothesis_met  # vacuously pinched (R = 0)
-    assert fit.pointwise_ok
+    assert _pinch_on_series(series, 1.0 / 3.0).passed  # vacuously pinched (R = 0)
+    assert fit.max_pointwise_violation <= 1e-9
 
 
 def test_decay_pointwise_checks_every_interior_flat_level(catalog_bundle):
     # F = 4 pi at every level, so last-bit rounding must not pick the levels
     _, _, series = catalog_bundle["flat"]
-    fit = asymptotics.decay_check(series, 1.0 / 3.0, _pinch_on_series(series, 1.0 / 3.0))
+    fit = asymptotics.decay_check(series, 1.0 / 3.0)
     assert fit.n_pointwise_checked == len(series.t) - 2
-    assert fit.pointwise_ok
+    assert fit.max_pointwise_violation <= 1e-9
 
 
 def test_decay_cone_sits_exactly_on_threshold(catalog_bundle):
     # F = pi equals the eps = 1/3 threshold; the strict margin keeps the
     # threshold detection from flapping on roundoff
     _, _, series = catalog_bundle["cone"]
-    fit = asymptotics.decay_check(series, 1.0 / 3.0, _pinch_on_series(series, 1.0 / 3.0))
-    assert not fit.threshold_reached
+    fit = asymptotics.decay_check(series, 1.0 / 3.0)
+    assert fit.t_tilde is None
 
 
 def test_decay_power_hypothesis_unmet(catalog_bundle):
     # F decays like e^{-2t/3}, slower than the e^{-2t} bound; consistent
     # because the fixed-eps pinching hypothesis fails along the tail
     _, _, series = catalog_bundle["power"]
-    fit = asymptotics.decay_check(series, 1.0 / 3.0, _pinch_on_series(series, 1.0 / 3.0))
-    assert fit.threshold_reached
-    assert not fit.hypothesis_met
+    fit = asymptotics.decay_check(series, 1.0 / 3.0)
+    assert fit.t_tilde is not None
+    assert not _pinch_on_series(series, 1.0 / 3.0).passed
     assert fit.passed is False
     assert fit.decay_rate == pytest.approx(-2.0 / 3.0, abs=1e-3)
 
@@ -68,20 +68,18 @@ def test_decay_pointwise_inequality_power_with_window_margin(solve_cache):
     eps = float(series.eps_star.min()) * 0.999
     pinch = _pinch_on_series(series, eps)
     assert pinch.passed
-    fit = asymptotics.decay_check(series, eps, pinch)
-    assert fit.hypothesis_met
+    fit = asymptotics.decay_check(series, eps)
     assert fit.n_pointwise_checked > 1000
-    assert fit.pointwise_ok
+    assert fit.max_pointwise_violation <= 1e-9
 
 
 def test_decay_pointwise_on_round_cap(solve_cache):
     # levels inside the sine cap are pinched at exactly 1/3
     sol = solve_cache("sphere_cap_blend", 0.2)
     series = pl.build_series(sol, n=2001)
-    pinch = _pinch_on_series(series, 1.0 / 3.0)
-    fit = asymptotics.decay_check(series, 1.0 / 3.0, pinch)
+    fit = asymptotics.decay_check(series, 1.0 / 3.0)
     assert fit.n_pointwise_checked > 100
-    assert fit.pointwise_ok
+    assert fit.max_pointwise_violation <= 1e-9
 
 
 def test_decay_bound_passes_where_hypothesis_holds():
@@ -93,15 +91,14 @@ def test_decay_bound_passes_where_hypothesis_holds():
     sol = pl.PotentialSolution(pl.ExteriorDomain(metric, 1.0), t_max=0.9)
     series = pl.build_series(sol, n=2001)
     eps = float(series.eps_star.min()) * 0.999
-    pinch = pl.check_pinching(metric, eps, series.s, series.eps_star, series.ric_ok)
+    pinch = pl.check_pinching(metric, eps, series.s, series.eps_star)
     assert pinch.passed
-    fit = asymptotics.decay_check(series, eps, pinch)
-    assert fit.hypothesis_met
-    assert fit.threshold_reached
+    fit = asymptotics.decay_check(series, eps)
+    assert fit.t_tilde is not None
     assert fit.passed
     assert fit.decay_constant == pytest.approx(4 * math.pi * math.exp(2 * fit.t_tilde), rel=1e-12)
     assert fit.decay_rate == pytest.approx(-9.0, abs=1e-2)
-    assert fit.pointwise_ok
+    assert fit.max_pointwise_violation <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +167,7 @@ PARAMETRIC_KINDS = ["flat", "cone", "power", "schwarzschild", "sphere_cap_blend"
 
 def _failed(report):
     """The hypotheses a certificate finds failing, in the order pinching, growth, boundary."""
-    return [name for name, held in (("pinching", report.pinching_pass), ("growth", report.growth_pass),
+    return [name for name, held in (("pinching", report.pinching.passed), ("growth", report.growth_pass),
                                     ("boundary", report.boundary.below_threshold)) if not held]
 
 
@@ -202,7 +199,7 @@ def test_margin_curve_contract(kind, s0, epsilon):
     s, eps_star = series.s[i:], series.eps_star[i:]
     if epsilon is None:
         epsilon = float(eps_star.min()) * 0.999
-    fails = ~pl.metrics.pinched_where(eps_star, series.ric_ok[i:], epsilon)
+    fails = ~pl.metrics.pinched_where(eps_star, epsilon)
     assert fails.any() == (kind != "power")
 
     report = asymptotics.series_pinching(sol, series, epsilon)
@@ -227,7 +224,7 @@ def test_series_verdict_matches_dense_scan(kind, s0):
     # an independent scan of the window, twice as dense as its levels
     s = np.geomspace(report.pinching.margin_s[0], report.pinching.margin_s[-1], 4000)
     ok = pl.metrics.pinched(metric, s, config.epsilon)[0]
-    assert report.pinching_pass == ok.all()
+    assert report.pinching.passed == ok.all()
     others = [h for h in _failed(report) if h != "pinching"]
     assert _failed(report) == ([] if ok.all() else ["pinching"]) + others
     if not ok.all():
@@ -250,7 +247,7 @@ def test_failing_table_refute_refines_in_few_pinched_calls(monkeypatch):
     monkeypatch.setattr(pl.metrics, "pinched", counting)
     report = asymptotics.refute(pl.ExteriorDomain(metric, 1.0), ScenarioConfig(epsilon=0.1))
     witness = report.pinching.first_failure_s
-    assert not report.pinching_pass
+    assert not report.pinching.passed
     assert witness > report.pinching.margin_s[0]  # a failure inside the window, refined
     assert 1 <= len(sizes) <= 6
     assert max(sizes) <= 32
@@ -279,7 +276,7 @@ def test_check_pinching_evaluates_only_inside_the_witness_bracket(kind, epsilon)
 
 def test_refute_cone():
     report = asymptotics.refute(pl.ExteriorDomain(pl.cone(0.5), 1.0), ScenarioConfig())
-    assert not report.pinching_pass
+    assert not report.pinching.passed
     assert report.growth_pass
     assert report.growth.alpha_fit == pytest.approx(2.0, abs=0.02)
     assert report.boundary.below_threshold
@@ -291,7 +288,7 @@ def test_refute_cone():
 def test_refute_power():
     report = asymptotics.refute(pl.ExteriorDomain(pl.power_law(1.0, 0.8), 1.0),
                                 ScenarioConfig())
-    assert not report.pinching_pass  # margin tends to zero along the tail
+    assert not report.pinching.passed  # margin tends to zero along the tail
     assert report.growth_pass       # alpha = 1.6 > 4/3
     assert report.boundary.below_threshold
     assert report.conclusion.startswith("pinching fails")
@@ -299,7 +296,7 @@ def test_refute_power():
 
 def test_refute_flat_boundary_equality():
     report = asymptotics.refute(pl.ExteriorDomain(pl.flat_space(), 1.0), ScenarioConfig())
-    assert report.pinching_pass     # vacuous, R = 0
+    assert report.pinching.passed     # vacuous, R = 0
     assert report.growth_pass
     assert not report.boundary.below_threshold
     assert report.boundary.value == pytest.approx(16 * math.pi, abs=1e-12)

@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pinchlab as pl
-from pinchlab import asymptotics, metrics, verify
+from pinchlab import metrics, verify
 from pinchlab.config import ScenarioConfig
-from pinchlab.functionals import FOUR_PI, SIXTEEN_PI, CSV_COLUMNS
+from pinchlab.errors import UsageError
+from pinchlab.functionals import FOUR_PI, SIXTEEN_PI, CSV_COLUMNS, FunctionalSample
 from pinchlab.quadrature import PanelQuadrature
 from pinchlab.verify import run_verify
 
@@ -99,9 +100,8 @@ def test_series_checks_evaluate_no_profile(kind):
     # that read it evaluate no f, f' or f''
     sol, points = _counting_solution(kind)
     series = pl.build_series(sol, n=2001)
-    pinch = asymptotics.series_pinching(sol, series, 1.0 / 3.0)
     points.clear()
-    pl.decay_check(series, 1.0 / 3.0, pinch)
+    pl.decay_check(series, 1.0 / 3.0)
     pl.check_monotonicity(series)
     assert points == []
 
@@ -120,7 +120,7 @@ def test_series_pinching_columns_match_profile(catalog_bundle, kind):
     for epsilon in (0.01, 1.0 / 3.0):
         mask, eps_ref = metrics.pinched(metric, s, epsilon)
         assert np.array_equal(series.eps_star, eps_ref)
-        assert np.array_equal(metrics.pinched_where(series.eps_star, series.ric_ok, epsilon), mask)
+        assert np.array_equal(metrics.pinched_where(series.eps_star, epsilon), mask)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -174,6 +174,18 @@ def test_explicit_dF_power_at_boundary(solve_cache):
     assert pl.sample_at(sol, 0.0).dF_explicit == pytest.approx(-1.6 * math.pi, abs=1e-9)
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_series_fields_match_sample_at_bit_for_bit(solve_cache, kind):
+    # FunctionalSeries extends FunctionalSample: each shared field of the
+    # series is the array sample_at gives at the series levels
+    sol = solve_cache(kind, 1.0)
+    series = pl.build_series(sol, n=201)
+    smp = pl.sample_at(sol, series.t)
+    for fld in dataclasses.fields(FunctionalSample):
+        got, want = getattr(series, fld.name), getattr(smp, fld.name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), fld.name
+
+
 def test_explicit_dF_matches_series_column(solve_cache):
     sol = solve_cache("power", 1.0)
     series = pl.build_series(sol, n=11)
@@ -222,8 +234,7 @@ def test_monotonicity_power(catalog_bundle):
     _, _, series = catalog_bundle["power"]
     report = pl.check_monotonicity(series)
     assert report.hypothesis_met
-    assert report.monotone_ok
-    assert report.derivative_ok
+    assert report.max_increase <= 1e-7
     assert report.max_derivative_error < 1e-4
 
 
@@ -231,17 +242,15 @@ def test_monotonicity_flat_constant(catalog_bundle):
     _, _, series = catalog_bundle["flat"]
     report = pl.check_monotonicity(series)
     assert report.hypothesis_met
-    assert report.monotone_ok
-    assert report.max_increase < 1e-10
+    assert report.max_increase < 1e-10  # well inside the 1e-7 step tolerance
 
 
 def test_monotonicity_schwarzschild_hypothesis_unmet(catalog_bundle):
     _, _, series = catalog_bundle["schwarzschild"]
     report = pl.check_monotonicity(series)
     assert not report.hypothesis_met
-    assert report.monotone_ok is None
     # the derivative cross-check still runs and passes
-    assert report.derivative_ok
+    assert report.max_derivative_error <= 1e-4
     # F genuinely increases here (it starts negative near the horizon)
     assert series.F[-1] > series.F[0]
 
@@ -293,6 +302,18 @@ def test_genus_zero_unpinched_cone(solve_cache):
     res = pl.genus_zero_inequality_check(sol, 0.5, 0.01)
     assert not res.hypothesis_met
     assert res.passed is None
+
+
+@pytest.mark.parametrize("epsilon", [0.0, -0.1, math.nan])
+@pytest.mark.parametrize("check", ["check_pinching", "decay_check", "genus_zero_inequality_check"])
+def test_pinching_constant_must_be_positive(catalog_bundle, check, epsilon):
+    # pinching implies Ric >= 0 only for eps > 0, and NaN compares false
+    _, sol, series = catalog_bundle["cone"]
+    call = {"check_pinching": lambda: pl.check_pinching(series.metric, epsilon, series.s, series.eps_star),
+            "decay_check": lambda: pl.decay_check(series, epsilon),
+            "genus_zero_inequality_check": lambda: pl.genus_zero_inequality_check(sol, 1.0, epsilon)}
+    with pytest.raises(UsageError, match="pinching constant must be positive"):
+        call[check]()
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ def scan(metric, epsilon, s_range, n):
     s = np.geomspace(*s_range, n)
     p = pl.curvature_at(metric, s)
     return pl.check_pinching(metric, epsilon, s,
-                             *pl.metrics._pinch_margins(p.ric_rad, p.ric_tan, p.scalar))
+                             pl.metrics._pinch_margins(p.ric_rad, p.ric_tan, p.scalar)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -345,9 +345,9 @@ def test_pinching_usage_errors():
     with pytest.raises(UsageError):
         scan(pl.flat_space(), -0.1, (1.0, 2.0), 10)
     with pytest.raises(DomainError):
-        pl.check_pinching(pl.flat_space(), 0.1, np.array([0.0, 2.0]), np.full(2, np.inf), np.ones(2, bool))
+        pl.check_pinching(pl.flat_space(), 0.1, np.array([0.0, 2.0]), np.full(2, np.inf))
     with pytest.raises(DomainError):
-        pl.check_pinching(pl.flat_space(), 0.1, np.array([2.0, 1.0]), np.full(2, np.inf), np.ones(2, bool))
+        pl.check_pinching(pl.flat_space(), 0.1, np.array([2.0, 1.0]), np.full(2, np.inf))
 
 
 def test_pinching_margin_curve_keeps_the_least_margin():
@@ -356,7 +356,7 @@ def test_pinching_margin_curve_keeps_the_least_margin():
     s = np.geomspace(1.0, 10.0, 1000)
     eps_star = np.full(1000, 0.3)
     eps_star[500] = 0.2
-    report = pl.check_pinching(pl.flat_space(), 0.1, s, eps_star, np.ones(1000, bool))
+    report = pl.check_pinching(pl.flat_space(), 0.1, s, eps_star)
     assert report.passed
     assert len(report.margin_s) <= 400
     assert report.margin_s[0] == s[0] and report.margin_s[-1] == s[-1]
@@ -372,6 +372,28 @@ def test_pinching_trace_bound():
         finite = np.isfinite(report.margin_eps_star)
         if finite.any():
             assert report.margin_eps_star[finite].max() <= 1.0 / 3.0 + 1e-12
+
+
+@settings(max_examples=500, deadline=None)
+@given(scale=st.floats(-15.0, 3.0), big=st.floats(-1.0, 1.0),
+       small=st.one_of(st.floats(-1.0, 1.0), st.floats(-3e-12, 3e-12)), small_is_radial=st.booleans(),
+       r_near_zero=st.booleans(), r_jitter=st.floats(-1.0, 1.0),
+       epsilon=st.one_of(st.floats(0.0, 1.0 / 3.0, exclude_min=True), st.floats(0.0, 3e-12, exclude_min=True)))
+def test_pinching_margin_implies_nonnegative_ricci(scale, big, small, small_is_radial, r_near_zero,
+                                                   r_jitter, epsilon):
+    # pinched_where reads eps_star alone: for eps > 0 the margin test must
+    # imply ric_ok, with R a rounded trace (1e-13 relative) or within
+    # PINCH_SLACK of 0 (the +-inf sentinel branch)
+    slack = pl.metrics.PINCH_SLACK
+    unit = 10.0 ** scale
+    ric_rad, ric_tan = (small * unit, big * unit) if small_is_radial else (big * unit, small * unit)
+    if r_near_zero:
+        scalar = r_jitter * slack * (abs(ric_rad) + 2.0 * abs(ric_tan))
+    else:
+        scalar = (ric_rad + 2.0 * ric_tan) * (1.0 + 1e-13 * r_jitter)
+    eps_star, ric_ok = pl.metrics._pinch_margins(np.array([ric_rad]), np.array([ric_tan]), np.array([scalar]))
+    if pl.metrics.pinched_where(eps_star, epsilon)[0]:
+        assert ric_ok[0]
 
 
 # ---------------------------------------------------------------------------
