@@ -22,7 +22,7 @@ import numpy as np
 
 from . import metrics
 from .config import ScenarioConfig
-from .errors import DomainError
+from .errors import DomainError, NumericError
 from .functionals import (FOUR_PI, SIXTEEN_PI, BoundaryWillmore,
                           FunctionalSeries, boundary_willmore, build_series,
                           sample_at)
@@ -126,7 +126,10 @@ def coarea_check(sol: PotentialSolution, t_grid) -> float:
     t = np.clip(np.asarray(t_grid, float), delta, sol.t_usable - delta)
     stencil = np.stack([t - delta, t, t + delta])
     s, tail = (a.reshape(stencil.shape) for a in sol._level_map(stencil.ravel()))
-    vol = volume_ball(sol.metric, s.ravel()).reshape(stencil.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vol = volume_ball(sol.metric, s.ravel()).reshape(stencil.shape)
+    if not np.all(np.isfinite(vol)):
+        raise NumericError(f"{sol.metric.label}: ball volumes overflow at the level radii up to s={s.max():g}")
     dvol = (vol[2] - vol[0]) / (2.0 * delta)
     f = sol.metric.f(s[1])
     rhs = FOUR_PI * f * f / (f ** -2.0 / tail[1])  # |grad w| as in sol.grad_w, from this f and I
@@ -136,15 +139,14 @@ def coarea_check(sol: PotentialSolution, t_grid) -> float:
 def holder_chain_check(sol: PotentialSolution, t_grid) -> float:
     """Saturation of the capacity Hoelder chain on round level sets.
 
-    e^{3t} ncap(0)^3 equals (integral |grad w|^-1) (integral |grad w|^2)^2
-    / (4 pi)^3 with equality because |grad w| is constant on each level
-    sphere; the returned deviation is |lhs/rhs - 1| maximized over the
-    grid and measures quadrature plus level-inversion error only.
+    e^{3t} (4 pi ncap(0))^3 equals (integral |grad w|^-1) (integral |grad w|^2)^2
+    with equality because |grad w| is constant on each level sphere; the
+    deviation |lhs/rhs - 1|, formed in logs, is maximized over the grid and
+    measures quadrature plus level-inversion error only.
     """
     smp = sample_at(sol, t_grid)
-    lhs = np.exp(3.0 * smp.t) * sol.ncap**3
-    rhs = (smp.area / smp.grad_w) * smp.G**2 / FOUR_PI**3
-    return float(np.abs(lhs / rhs - 1.0).max())
+    log_lhs = 3.0 * (smp.t + math.log(sol.ncap) + math.log(FOUR_PI))
+    return float(np.abs(np.expm1(log_lhs - np.log(smp.area / smp.grad_w) - 2.0 * np.log(smp.G))).max())
 
 
 # ---------------------------------------------------------------------------
@@ -154,17 +156,17 @@ def holder_chain_check(sol: PotentialSolution, t_grid) -> float:
 ALPHA_THRESHOLD = 4.0 / 3.0
 
 
-def pinching_window(sol: PotentialSolution, series: FunctionalSeries) -> int:
+def pinching_window(series: FunctionalSeries) -> int:
     """First series level the pinching check reads, which runs to the last
     level: the boundary, or level t_max/400 when the boundary is the domain
     start (pole or horizon).  A level index, so no rounded radius shifts it."""
-    return 0 if sol.s0 > sol.metric.domain_start else -(-(len(series.t) - 1) // 400)
+    return 0 if series.s0 > series.metric.domain_start else -(-(len(series.t) - 1) // 400)
 
 
-def series_pinching(sol: PotentialSolution, series: FunctionalSeries, epsilon) -> PinchReport:
+def series_pinching(series: FunctionalSeries, epsilon) -> PinchReport:
     """``check_pinching`` on the margins the series carries over the pinching window."""
-    i = pinching_window(sol, series)
-    return check_pinching(sol.metric, epsilon, series.s[i:], series.eps_star[i:])
+    i = pinching_window(series)
+    return check_pinching(series.metric, epsilon, series.s[i:], series.eps_star[i:])
 
 
 def windowed_growth(metric, growth_window) -> GrowthReport:
@@ -258,28 +260,28 @@ class RefutationReport:
 
 
 def refute(domain: ExteriorDomain, config: Optional[ScenarioConfig] = None) -> RefutationReport:
-    """Solve the exterior potential on ``domain`` and ``judge`` it.
+    """Solve the exterior potential on ``domain``, make its verdicts and ``judge`` them.
 
-    Reads t_max, n_samples and growth_window for the solve, the series and
-    the growth fit, and hands ``config``, a default ScenarioConfig when
-    omitted, on to ``judge``.
+    Reads t_max, n_samples, epsilon and growth_window for the solve, the
+    series, the two epsilon verdicts and the growth fit, and hands
+    ``config``, a default ScenarioConfig when omitted, on to ``judge``.
     """
     config = config or ScenarioConfig()
     sol = PotentialSolution(domain, t_max=config.t_max)
     series = build_series(sol, n=config.n_samples)
-    return judge(sol, series, windowed_growth(domain.metric, config.growth_window), config)
+    growth = windowed_growth(domain.metric, config.growth_window)
+    return judge(sol, series, series_pinching(series, config.epsilon), decay_check(series, config.epsilon),
+                 growth, config)
 
 
-def judge(sol: PotentialSolution, series: FunctionalSeries, growth: GrowthReport,
-          config: ScenarioConfig) -> RefutationReport:
-    """Judge the three hypotheses on a solved potential and evaluate the closing comparison.
+def judge(sol: PotentialSolution, series: FunctionalSeries, pinch: PinchReport, decay: DecayFit,
+          growth: GrowthReport, config: ScenarioConfig) -> RefutationReport:
+    """Combine the verdicts made on a solved potential and evaluate the closing comparison.
 
-    Reads epsilon, chain_points and t_max from ``config``; t_max bounds the
-    chain when its exponent is 7 or more, also where ``sol`` ends below it.
+    Takes ``series_pinching`` and ``decay_check`` of ``series`` at one
+    epsilon, and reads chain_points and t_max from ``config``.  t_max bounds
+    the chain when its exponent is 7 or more, also where ``sol`` ends below it.
     """
-    epsilon, t_max = config.epsilon, config.t_max
-    pinch = series_pinching(sol, series, epsilon)
-    decay = decay_check(series, epsilon)
     growth_pass = growth.alpha_fit > ALPHA_THRESHOLD
     boundary = boundary_willmore(sol)
 
@@ -305,7 +307,7 @@ def judge(sol: PotentialSolution, series: FunctionalSeries, growth: GrowthReport
             t_star_est = max(log_kappa, math.log(2.0)) / (7.0 - exponent)
             hi = min(max(2.0 * t_star_est, 4.0), 90.0)
         else:
-            hi = min(3.0 * t_max, 90.0)
+            hi = min(3.0 * config.t_max, 90.0)
         chain_t = np.geomspace(min(0.25, hi / 50.0), hi, int(config.chain_points))
         # where the right side leaves the float range, the left stays below e^630 (t <= 90): no crossing is lost
         chain_t = chain_t[log_kappa + exponent * chain_t < log_max]

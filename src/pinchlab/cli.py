@@ -144,7 +144,8 @@ def cmd_sweep(cfg: ScenarioConfig) -> int:
             sol = potential.PotentialSolution(potential.ExteriorDomain(built[kind], s0), t_max=cfg.t_max)
             series = functionals.build_series(sol, n=cfg.n_samples)
             growth = growth or asymptotics.windowed_growth(built[kind], cfg.growth_window)
-            runs += [((kind, s0, eps), asymptotics.judge(sol, series, growth, cfg.with_overrides(epsilon=eps)))
+            runs += [((kind, s0, eps), asymptotics.judge(sol, series, asymptotics.series_pinching(series, eps),
+                                                         asymptotics.decay_check(series, eps), growth, cfg))
                      for eps in epsilons]
 
     csv_path = os.path.join(_out_dir(cfg), "sweep.csv")

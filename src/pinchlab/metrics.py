@@ -652,10 +652,9 @@ def volume_ball(metric: WarpFunction, r):
     r_arr = np.atleast_1d(np.asarray(r, float))
     if not np.all((metric.domain_start < r_arr) & (r_arr <= metric.domain_end) & np.isfinite(r_arr)):
         raise DomainError(f"ball radius outside domain of {metric.label}")
-    hi = min(max(4.0 * float(np.max(r_arr)), 100.0), metric.domain_end, np.finfo(float).max)
-    # each radius is a panel edge, so each volume is a sum of whole panels
+    # each radius is a panel edge and the grid ends at the largest, so each volume is a sum of whole panels
     quad = PanelQuadrature(lambda s: metric.f(s) ** 2,
-                           panel_edges(metric.domain_start, hi, (*metric.breakpoints, *r_arr)))
+                           panel_edges(metric.domain_start, r_arr.max(), (*metric.breakpoints, *r_arr)))
     return 4.0 * math.pi * quad.integral_from_start(r)
 
 

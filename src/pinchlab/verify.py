@@ -81,9 +81,9 @@ def _run_check(name, check: Check, *args) -> SuiteResult:
     value = check.measure(*args)
     runtime = time.perf_counter() - start
     if isinstance(value, dict):
-        sub, (measured, tol) = max(value.items(), key=lambda kv: kv[1][0] / kv[1][1])
-        ok = all(m <= t for m, t in value.values())
-        note = f"worst sub-check: {sub}" if len(value) > 1 else ""
+        # failing sub-checks rank first, so the one reported decides the verdict, a NaN included
+        sub, (measured, tol) = max(value.items(), key=lambda kv: (not kv[1][0] <= kv[1][1], kv[1][0] / kv[1][1]))
+        ok, note = None, (f"worst sub-check: {sub}" if len(value) > 1 else "")
     else:
         measured, tol, ok, note = Reading(*value)
     if unmet:
@@ -111,7 +111,7 @@ class _Scenario:
                                                t_max=min(cfg.t_max, 5.0))
         n = max(2001, int(round(self.sol.t_max / SUITE_DT)) + 1)
         self.series = functionals.build_series(self.sol, n=n)
-        self.s_window = self.series.s[[asymptotics.pinching_window(self.sol, self.series), -1]]
+        self.s_window = self.series.s[[asymptotics.pinching_window(self.series), -1]]
 
     def curvature_grid(self, n=200):
         lo = max(self.s_window[0] * 0.5, 1e-3, self.metric.domain_start)
@@ -126,7 +126,7 @@ class _Scenario:
 
     @cached_property
     def pinching(self):
-        return asymptotics.series_pinching(self.sol, self.series, self.cfg.epsilon)
+        return asymptotics.series_pinching(self.series, self.cfg.epsilon)
 
     @cached_property
     def decay(self):
@@ -224,7 +224,7 @@ def _decay_estimate(sc):
 
 def _refutation_soundness(sc):
     growth = asymptotics.windowed_growth(sc.metric, sc.cfg.growth_window)
-    rep = asymptotics.judge(sc.sol, sc.series, growth, sc.cfg)
+    rep = asymptotics.judge(sc.sol, sc.series, sc.pinching, sc.decay, growth, sc.cfg)
     return Reading(None, None, not rep.conclusion.startswith("CONTRADICTION"), rep.conclusion)
 
 

@@ -194,7 +194,7 @@ def test_margin_curve_contract(kind, s0, epsilon):
     metric = pl.build_metric(kind, {"beta": 0.55} if kind == "power" else {})
     sol = pl.PotentialSolution(pl.ExteriorDomain(metric, s0), t_max=0.9 if kind == "power" else 5.0)
     series = pl.build_series(sol, n=20001)
-    i = asymptotics.pinching_window(sol, series)
+    i = asymptotics.pinching_window(series)
     assert i == (50 if s0 == metric.domain_start else 0)
     s, eps_star = series.s[i:], series.eps_star[i:]
     if epsilon is None:
@@ -202,7 +202,7 @@ def test_margin_curve_contract(kind, s0, epsilon):
     fails = ~pl.metrics.pinched_where(eps_star, epsilon)
     assert fails.any() == (kind != "power")
 
-    report = asymptotics.series_pinching(sol, series, epsilon)
+    report = asymptotics.series_pinching(series, epsilon)
     curve = report.margin_s
     assert report.passed == (not fails.any())
     assert len(curve) <= 400
@@ -261,7 +261,7 @@ def test_check_pinching_evaluates_only_inside_the_witness_bracket(kind, epsilon)
     sol = pl.PotentialSolution(pl.ExteriorDomain(metric, 0.5), t_max=5.0)
     series = pl.build_series(sol, n=2001)
     radii.clear()
-    report = asymptotics.series_pinching(sol, series, epsilon)
+    report = asymptotics.series_pinching(series, epsilon)
     if report.passed or report.first_failure_s == series.s[0]:
         assert radii == []
         return
@@ -312,6 +312,26 @@ def test_refute_chain_evaluation_crosses():
     assert report.crossing_t is not None
     i = int(np.searchsorted(report.chain_t, report.crossing_t))
     assert report.chain_lhs[i] > report.chain_rhs[i]
+
+
+@pytest.mark.parametrize("metric, s0", [(pl.power_law(1.0, 0.8), 1.0), (pl.cone(0.5), 1.0)],
+                         ids=["power", "cone"])
+def test_judge_combines_the_verdicts_it_is_given(monkeypatch, metric, s0):
+    config, domain = ScenarioConfig(epsilon=0.2), pl.ExteriorDomain(metric, s0)
+    sol = pl.PotentialSolution(domain, t_max=config.t_max)
+    series = pl.build_series(sol, n=config.n_samples)
+    pinch, decay = asymptotics.series_pinching(series, 0.2), asymptotics.decay_check(series, 0.2)
+    growth = asymptotics.windowed_growth(metric, config.growth_window)
+
+    def forbidden(*args):
+        raise AssertionError("judge made a verdict it was given")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(asymptotics, "series_pinching", forbidden)
+        patch.setattr(asymptotics, "decay_check", forbidden)
+        report = asymptotics.judge(sol, series, pinch, decay, growth, config)
+    assert report.pinching is pinch
+    assert report.to_json_dict() == asymptotics.refute(domain, config).to_json_dict()
 
 
 @pytest.mark.parametrize("metric, s0", [(pl.power_law(1.0, 0.8), 1.0),

@@ -17,7 +17,7 @@ import pinchlab.metrics as metrics
 import pinchlab.potential as potential
 from pinchlab.config import SUITES, ScenarioConfig
 from pinchlab.errors import UsageError
-from pinchlab.verify import run_verify
+from pinchlab.verify import Check, _run_check, run_verify
 
 
 def _no_bare_constant(name):
@@ -39,6 +39,15 @@ def counting_solves(monkeypatch):
 
     monkeypatch.setattr(potential.PotentialSolution, "__init__", counted)
     return solves
+
+
+def counting_verdicts(monkeypatch):
+    """Lists that gain an entry at each ``series_pinching`` and ``decay_check`` call."""
+    calls = {"series_pinching": [], "decay_check": []}
+    for name, seen in calls.items():
+        real = getattr(asymptotics, name)
+        monkeypatch.setattr(asymptotics, name, lambda *args, real=real, seen=seen: seen.append(args) or real(*args))
+    return calls
 
 
 def read_csv_column(path, column):
@@ -171,6 +180,35 @@ def test_verify_json_out_has_no_runtimes(tmp_path, capsys):
     assert all(entry["status"] == "PASS" for entry in doc)
 
 
+def test_verify_names_a_nan_sub_check():
+    check = Check("identities", "synthetic", lambda: {"a": (1e-9, 1e-6), "b": (math.nan, 1e-6)})
+    res = _run_check("synthetic", check)
+    assert res.status == "FAIL"
+    assert math.isnan(res.measured)
+    assert res.note == "worst sub-check: b"
+
+
+# inputs whose Hoelder products leave the float range (exit 0), and inputs whose ball volumes
+# overflow near the coarea levels (exit 2)
+_SCALE_INPUTS = [(["--kind", "power", "--param", f"c={c}"], 0) for c in ("1e52", "1e100", "1e120", "1e140")] + [
+    (["--kind", "schwarzschild", "--param", "m=1e100"], 0)] + [
+    (["--kind", "cone", "--param", f"a={a}"], 0) for a in ("1e-60", "1e-100", "1e-150")] + [
+    (["--kind", "power", "--param", f"c={c}"], 0) for c in ("1e-80", "1e-100", "1e-150")] + [
+    (["--s0", "1e104"], 2), (["--kind", "schwarzschild", "--param", "m=1e120"], 2),
+    (["--kind", "power", "--param", "c=1e150"], 2)]
+
+
+@pytest.mark.parametrize("args, want", _SCALE_INPUTS, ids=[" ".join(a) for a, _ in _SCALE_INPUTS])
+def test_verify_integral_checks_at_extreme_scales(capsys, args, want):
+    code = cli.main(["verify", *args])
+    out, err = capsys.readouterr()
+    assert code == want, out + err
+    if want == 0:
+        assert "0 failed" in out
+    else:
+        assert "ball volumes overflow" in err
+
+
 def test_verify_fault_injection_flips_ric_rad(monkeypatch, capsys):
     # corrupting the curvature assembly must be caught and named
     true_curvature = metrics._curvature
@@ -207,6 +245,13 @@ def test_verify_chain_solves_each_scenario_once(monkeypatch):
     _, code = run_verify(ScenarioConfig(suite="chain"), stream=io.StringIO())
     assert code == 0
     assert len(solves) == 7  # the 5 catalog scenarios and the 2 Li-Yau fits
+
+
+def test_verify_makes_each_verdict_once_per_scenario(monkeypatch):
+    calls = counting_verdicts(monkeypatch)
+    _, code = run_verify(ScenarioConfig(suite="all"), stream=io.StringIO())
+    assert code == 0
+    assert {name: len(seen) for name, seen in calls.items()} == {"series_pinching": 5, "decay_check": 5}
 
 
 # ---------------------------------------------------------------------------
@@ -252,11 +297,15 @@ def test_sweep_grid_and_determinism(tmp_path):
 def test_sweep_solves_each_kind_and_s0_once(tmp_path, monkeypatch):
     solves, fits, growth_fit = counting_solves(monkeypatch), [], asymptotics.growth_fit
     monkeypatch.setattr(asymptotics, "growth_fit", lambda *args: fits.append(args) or growth_fit(*args))
+    verdicts = counting_verdicts(monkeypatch)
     sweep = {"kind": ["cone", "power"], "s0": [0.5, 2.0], "epsilon": [0.05, 0.2, 1.0 / 3.0]}
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"t_max": 4.0, "n_samples": 501, "out_dir": str(tmp_path), "sweep": sweep}))
     assert cli.main(["sweep", "--config", str(cfg_path)]) == 0
     assert (len(solves), len(fits)) == (4, 2)
+    # one pinching report and one decay fit per (kind, s0, epsilon), each at its epsilon
+    assert [args[1] for args in verdicts["series_pinching"]] == sweep["epsilon"] * 4
+    assert [args[1] for args in verdicts["decay_check"]] == sweep["epsilon"] * 4
     docs = read_json(tmp_path / "sweep.json")
     grid = [(kind, s0, eps) for kind in sweep["kind"] for s0 in sweep["s0"] for eps in sweep["epsilon"]]
     assert [(d["scenario"]["kind"], d["scenario"]["s0"], d["scenario"]["epsilon"]) for d in docs] == grid
@@ -617,8 +666,10 @@ _CONFIG_VALUES = {
 
 @settings(max_examples=60, deadline=None)
 @given(doc=st.fixed_dictionaries({}, optional=_CONFIG_VALUES),
-       command=st.sampled_from(["solve", "refute"]))
+       command=st.sampled_from(["solve", "refute", "verify"]))
 @example(doc={"out_dir": ""}, command="solve")
+@example(doc={"metric": {"kind": "power", "params": {"c": 1e100}}}, command="verify")
+@example(doc={"metric": {"kind": "cone", "params": {"a": 1e-100}}}, command="verify")
 @example(doc={"out_dir": os.path.join("cfg.json", "out")}, command="refute")
 @example(doc={"metric": {"kind": "cone", "params": {"a": 1e-300}}}, command="refute")
 @example(doc={"metric": {"kind": "power", "params": {"c": 1e-300}}}, command="solve")
@@ -657,7 +708,7 @@ def test_any_config_document_ends_in_a_documented_code(tmp_path_factory, doc, co
     with contextlib.chdir(out), contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(err):
         code = cli.main(["sweep" if "sweep" in doc else command, "--config", "cfg.json"])
-    assert code in (0, 2, 64), err.getvalue()
+    assert code in (0, 2, 64) or (code == 1 and command == "verify"), err.getvalue()
     for path in out.rglob("*.json"):  # what the CLI wrote, not the document under test
         if path.name != "cfg.json":
             read_json(path)
