@@ -16,11 +16,10 @@ from .errors import (DomainError, NonparabolicityError, NumericError,
 from .functionals import (boundary_willmore, build_series, capacity_scaling_check,
                           check_G_ode, check_monotonicity,
                           genus_zero_inequality_check, sample_at)
-from .metrics import (build_metric, check_pinching, cone, curvature_at,
+from .metrics import (WarpFunction, build_metric, check_pinching, cone, curvature_at,
                       default_catalog, finite_difference_curvature_oracle,
-                      flat_space, from_callables, from_table, growth_fit,
-                      load_table_csv, power_law, schwarzschild_slice,
-                      sphere_cap_blend, volume_ball)
+                      flat_space, from_table, growth_fit, load_table_csv, power_law,
+                      schwarzschild_slice, sphere_cap_blend, volume_ball)
 from .potential import ExteriorDomain, PotentialSolution
 
 __version__ = "0.1.0"

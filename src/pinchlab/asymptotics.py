@@ -28,6 +28,7 @@ from .functionals import (FOUR_PI, SIXTEEN_PI, BoundaryWillmore,
                           sample_at)
 from .metrics import GrowthReport, PinchReport, check_pinching, growth_fit, volume_ball
 from .potential import ExteriorDomain, PotentialSolution
+from .stencils import five_point_first
 
 log = logging.getLogger(__name__)
 
@@ -118,21 +119,25 @@ def li_yau_fit(sol: PotentialSolution, r_lo: float, r_hi: float) -> float:
 def coarea_check(sol: PotentialSolution, t_grid) -> float:
     """Max relative residual of d/dt Vol({w <= t}) = area(t)/|grad w|(t).
 
-    The enclosed volume is computed by radial quadrature and differenced
-    centrally in t with step 5e-4; the right side comes from the closed
-    level-set forms.
+    The enclosed volume is computed by radial quadrature and differenced in
+    t by the five-point stencil with step 5e-4; the right side comes from
+    the closed level-set forms.
     """
     delta = 5e-4
-    t = np.clip(np.asarray(t_grid, float), delta, sol.t_usable - delta)
-    stencil = np.stack([t - delta, t, t + delta])
-    s, tail = (a.reshape(stencil.shape) for a in sol._level_map(stencil.ravel()))
-    with np.errstate(over="ignore", invalid="ignore"):
-        vol = volume_ball(sol.metric, s.ravel()).reshape(stencil.shape)
-    if not np.all(np.isfinite(vol)):
-        raise NumericError(f"{sol.metric.label}: ball volumes overflow at the level radii up to s={s.max():g}")
-    dvol = (vol[2] - vol[0]) / (2.0 * delta)
-    f = sol.metric.f(s[1])
-    rhs = FOUR_PI * f * f / (f ** -2.0 / tail[1])  # |grad w| as in sol.grad_w, from this f and I
+    t = np.clip(np.asarray(t_grid, float), 2.0 * delta, sol.t_usable - 2.0 * delta)
+
+    def vol(levels):
+        r = sol._level_map(levels)[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = volume_ball(sol.metric, r)
+        if not np.all(np.isfinite(v)):
+            raise NumericError(f"{sol.metric.label}: ball volumes overflow at the level radii up to s={r.max():g}")
+        return v
+
+    dvol = five_point_first(vol, t, delta)
+    s, tail = sol._level_map(t)
+    f = sol.metric.f(s)
+    rhs = FOUR_PI * f * f / (f ** -2.0 / tail)  # |grad w| as in sol.grad_w, from this f and I
     return float(np.abs(dvol / rhs - 1.0).max())
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import itertools
 import json
 import logging
@@ -90,7 +91,7 @@ def cmd_solve(cfg: ScenarioConfig) -> int:
     alpha, avr = _summary_growth(metric, cfg)
     bw = functionals.boundary_willmore(sol)
     summary = {
-        "config": cfg.to_dict(),
+        "config": dataclasses.asdict(cfg),
         "metric": metric.label,
         "ncap": sol.ncap,
         "alpha_fit": alpha,

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, fields as dc_fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .errors import UsageError
@@ -149,13 +149,3 @@ class ScenarioConfig:
         """Apply non-None overrides (CLI flags beat config-file values)."""
         updates = {k: v for k, v in kwargs.items() if v is not None}
         return replace(self, **updates)
-
-    def to_dict(self) -> dict:
-        """Full resolved configuration, echoed into summaries for reproducibility."""
-        out = {}
-        for f in dc_fields(self):
-            val = getattr(self, f.name)
-            if isinstance(val, tuple):
-                val = list(val)
-            out[f.name] = val
-        return out

@@ -59,19 +59,22 @@ class WarpFunction:
     ``tail_coefficient``/``tail_exponent`` describe the asymptotic law
     f(s) ~ c * s^beta used for analytic tail corrections; profiles fed to
     the exterior-potential solver must have beta in (1/2, 1].
+
+    Tests and one-off profiles construct it directly from vectorized
+    callables; the catalog constructors below cover the standard geometries.
     """
 
     kind: str
-    params: Mapping[str, float]
-    domain_start: float
-    pole_smooth: bool
-    inclusive_start: bool
-    tail_coefficient: float
-    tail_exponent: float
-    breakpoints: Tuple[float, ...]
-    domain_end: float
     fn: Callable = field(repr=False)
     jet: Callable = field(repr=False)
+    params: Mapping[str, float] = field(default_factory=dict)
+    domain_start: float = 0.0
+    pole_smooth: bool = False
+    inclusive_start: bool = False
+    tail_coefficient: float = 1.0
+    tail_exponent: float = 1.0
+    breakpoints: Tuple[float, ...] = ()
+    domain_end: float = math.inf
 
     def f(self, s):
         return self.fn(np.asarray(s, float))
@@ -116,31 +119,10 @@ class WarpFunction:
         return f"WarpFunction<{self.label}>"
 
 
-def from_callables(kind, fn, jet, *, params=None, domain_start=0.0,
-                   pole_smooth=False, inclusive_start=False,
-                   tail_coefficient=1.0, tail_exponent=1.0,
-                   breakpoints=(), domain_end=math.inf) -> WarpFunction:
-    """Wrap vectorized callables s -> f and s -> (f, f', f'') as a warp profile.
-
-    Intended for tests and one-off experiments; the catalog constructors
-    below should be preferred for the standard geometries.
-    """
-    return WarpFunction(
-        kind=kind, params=dict(params or {}), domain_start=float(domain_start),
-        pole_smooth=pole_smooth, inclusive_start=inclusive_start,
-        tail_coefficient=float(tail_coefficient), tail_exponent=float(tail_exponent),
-        breakpoints=tuple(breakpoints), domain_end=float(domain_end), fn=fn, jet=jet,
-    )
-
-
 def flat_space() -> WarpFunction:
     """Euclidean space: f(s) = s."""
-    return from_callables(
-        "flat",
-        lambda s: s,
-        lambda s: (s, np.ones_like(s), np.zeros_like(s)),
-        pole_smooth=True, tail_coefficient=1.0, tail_exponent=1.0,
-    )
+    return WarpFunction("flat", lambda s: s, lambda s: (s, np.ones_like(s), np.zeros_like(s)),
+                        pole_smooth=True, tail_coefficient=1.0, tail_exponent=1.0)
 
 
 def cone(slope: float) -> WarpFunction:
@@ -152,12 +134,8 @@ def cone(slope: float) -> WarpFunction:
     a = float(slope)
     if not 0 < a <= 1:
         raise UsageError(f"cone slope must lie in (0, 1], got {a}")
-    return from_callables(
-        "cone",
-        lambda s: a * s,
-        lambda s: (a * s, np.full_like(s, a), np.zeros_like(s)),
-        params={"a": a}, tail_coefficient=a, tail_exponent=1.0,
-    )
+    return WarpFunction("cone", lambda s: a * s, lambda s: (a * s, np.full_like(s, a), np.zeros_like(s)),
+                        params={"a": a}, tail_coefficient=a, tail_exponent=1.0)
 
 
 def power_law(coefficient: float, exponent: float) -> WarpFunction:
@@ -171,12 +149,10 @@ def power_law(coefficient: float, exponent: float) -> WarpFunction:
     b = float(exponent)
     if not (0 < c < math.inf and 0 < b < math.inf):
         raise UsageError("power-law warp needs positive finite coefficient and exponent")
-    return from_callables(
-        "power",
-        lambda s: c * s ** b,
+    return WarpFunction(
+        "power", lambda s: c * s ** b,
         lambda s: (c * s ** b, c * b * s ** (b - 1.0), c * b * (b - 1.0) * s ** (b - 2.0)),
-        params={"c": c, "beta": b}, tail_coefficient=c, tail_exponent=b,
-    )
+        params={"c": c, "beta": b}, tail_coefficient=c, tail_exponent=b)
 
 
 def schwarzschild_slice(mass: float) -> WarpFunction:
@@ -237,11 +213,8 @@ def schwarzschild_slice(mass: float) -> WarpFunction:
         r = r_of_s(s)
         return r, np.sqrt(1.0 - 2.0 * m / r), m / r ** 2
 
-    return from_callables(
-        "schwarzschild", r_of_s, jet,
-        params={"m": m}, inclusive_start=True,
-        tail_coefficient=1.0, tail_exponent=1.0,
-    )
+    return WarpFunction("schwarzschild", r_of_s, jet, params={"m": m}, inclusive_start=True,
+                        tail_coefficient=1.0, tail_exponent=1.0)
 
 
 def sphere_cap_blend(cap_radius: float, blend_width: float) -> WarpFunction:
@@ -291,12 +264,9 @@ def sphere_cap_blend(cap_radius: float, blend_width: float) -> WarpFunction:
                       np.where(tail, slope, cos_c - w * sin_c * (x - x**2 + x**3 / 3)))
         return f, df, np.where(cap, -sin, np.where(tail, 0.0, -sin_c * (1.0 - x) ** 2))
 
-    return from_callables(
-        "sphere_cap_blend", lambda s: branches(s)[-1], jet,
-        params={"s_cap": sc, "blend_width": w},
-        pole_smooth=True, breakpoints=(sc, s_b),
-        tail_coefficient=slope, tail_exponent=1.0,
-    )
+    return WarpFunction("sphere_cap_blend", lambda s: branches(s)[-1], jet,
+                        params={"s_cap": sc, "blend_width": w}, pole_smooth=True,
+                        breakpoints=(sc, s_b), tail_coefficient=slope, tail_exponent=1.0)
 
 
 #: column m: the Chebyshev series in xi of ((1 + xi) / 2)^m / m!, which maps the
@@ -420,12 +390,9 @@ def from_table(s_samples, f_samples, *, tail_coefficient=None, tail_exponent=Non
         tail_coefficient = math.exp(log_c) if tail_coefficient is None else tail_coefficient
         log.info("fitted table tail law f ~ %.6g * s^%.6g", tail_coefficient, tail_exponent)
 
-    return from_callables(
-        "user_table", fn, lambda x: piecewise(x, series),
-        params={"n_rows": float(len(s))},
-        domain_start=float(s[0]), inclusive_start=True, domain_end=float(s[-1]),
-        tail_coefficient=float(tail_coefficient), tail_exponent=float(tail_exponent),
-    )
+    return WarpFunction("user_table", fn, lambda x: piecewise(x, series), params={"n_rows": float(len(s))},
+                        domain_start=float(s[0]), inclusive_start=True, domain_end=float(s[-1]),
+                        tail_coefficient=float(tail_coefficient), tail_exponent=float(tail_exponent))
 
 
 def load_table_csv(path, **kwargs) -> WarpFunction:

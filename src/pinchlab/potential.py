@@ -133,7 +133,6 @@ class PotentialSolution:
     def __init__(self, domain: ExteriorDomain, t_max: float = 8.0, s_max=None):
         metric = domain.metric
         s0 = float(domain.s0)
-        self.domain = domain
         self.metric = metric
         self.s0 = s0
         self.t_max = float(t_max)

@@ -31,12 +31,12 @@ def five_point_first(fn, x, h):
 
 
 def five_point_second(fn, x, h):
-    """O(h^4) second derivative of fn at x (vectorized)."""
+    """O(h^4) second derivative of fn at x (vectorized); it divides by h twice, as h^2 may overflow."""
     x = np.asarray(x, float)
     h = np.broadcast_to(np.asarray(h, float), x.shape)
     pts = x[..., None] + h[..., None] * np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
     v = fn(pts.reshape(-1)).reshape(pts.shape)
-    return (-v[..., 0] + 16 * v[..., 1] - 30 * v[..., 2] + 16 * v[..., 3] - v[..., 4]) / (12 * h * h)
+    return (-v[..., 0] + 16 * v[..., 1] - 30 * v[..., 2] + 16 * v[..., 3] - v[..., 4]) / (12 * h) / h
 
 
 def grid_derivative(y, dt, cuts=()):

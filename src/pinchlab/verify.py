@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property, partial
 from typing import Callable, NamedTuple, Optional
 
@@ -20,6 +20,7 @@ import numpy as np
 
 from . import asymptotics, functionals, metrics, potential
 from .config import ScenarioConfig
+from .errors import NumericError
 from .functionals import SIXTEEN_PI
 from .stencils import five_point_first, five_point_second, step
 
@@ -49,11 +50,7 @@ class SuiteResult:
 
     def to_json_dict(self) -> dict:
         # runtimes stay out of files so outputs are byte-reproducible
-        return {
-            "name": self.name, "status": self.status,
-            "measured": self.measured, "tolerance": self.tolerance,
-            "note": self.note,
-        }
+        return {k: v for k, v in asdict(self).items() if k != "runtime_s"}
 
 
 class Reading(NamedTuple):
@@ -161,6 +158,8 @@ def _potential_identities(sc):
     sol = sc.sol
     smp = functionals.sample_at(sol, sc.interior_levels(12))
     s, gw, seams = smp.s, smp.grad_w, sc.metric.breakpoints
+    if not np.all(gw * gw >= np.finfo(float).tiny):  # w'' and the residual would underflow with it
+        raise NumericError(f"{sc.metric.label}: |grad w|^2 underflows at the level radii up to s={s.max():g}")
     # Delta w = |grad w|^2 in radial form; w'' needs the larger step, its roundoff is eps / h^2
     d2w = five_point_second(sol.w, s, step(s, 0.01, sol.s0, seams))
     resid = d2w + smp.H * gw - gw * gw
@@ -201,7 +200,10 @@ def _functional_bounds(sc):
 
 
 def _scalar_flatness(sc):
-    scalar = metrics.curvature_at(sc.metric, np.linspace(0.0, 100.0, 400)).scalar
+    with np.errstate(all="ignore"):
+        scalar = metrics.curvature_at(sc.metric, np.linspace(0.0, 100.0, 400)).scalar
+    if not np.all(np.isfinite(scalar)):
+        raise NumericError(f"{sc.metric.label}: the horizon curvature, of order 1/m^2, passes the float range")
     return float(np.abs(scalar).max()), 1e-8
 
 

@@ -39,5 +39,5 @@ def solve_cache():
 @pytest.fixture(scope="session")
 def sine_profile():
     """The round sphere profile f = sin(s), used for pointwise curvature tests."""
-    return pl.from_callables("sphere", np.sin, lambda s: (np.sin(s), np.cos(s), -np.sin(s)),
-                             tail_exponent=1.0)
+    return pl.WarpFunction("sphere", np.sin, lambda s: (np.sin(s), np.cos(s), -np.sin(s)),
+                           tail_exponent=1.0)

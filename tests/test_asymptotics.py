@@ -145,6 +145,13 @@ def test_coarea_all_catalog(catalog_bundle):
         assert asymptotics.coarea_check(sol, grid) < 1e-4, name
 
 
+def test_coarea_measures_the_identity_not_its_stencil(catalog_bundle):
+    # a central second-order step of 5e-4 reads delta^2 3^2 / 6 = 3.75e-7 on
+    # Vol ~ e^{3t}; the five-point stencil leaves quadrature roundoff only
+    _, sol, _ = catalog_bundle["flat"]
+    assert asymptotics.coarea_check(sol, np.linspace(0.1, 4.5, 20)) <= 1e-10
+
+
 def test_holder_saturation_examples(catalog_bundle):
     grid = np.linspace(0.0, 5.0, 21)
     for name, tol in (("flat", 1e-10), ("power", 1e-8), ("schwarzschild", 1e-6)):

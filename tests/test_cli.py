@@ -188,25 +188,31 @@ def test_verify_names_a_nan_sub_check():
     assert res.note == "worst sub-check: b"
 
 
-# inputs whose Hoelder products leave the float range (exit 0), and inputs whose ball volumes
-# overflow near the coarea levels (exit 2)
-_SCALE_INPUTS = [(["--kind", "power", "--param", f"c={c}"], 0) for c in ("1e52", "1e100", "1e120", "1e140")] + [
-    (["--kind", "schwarzschild", "--param", "m=1e100"], 0)] + [
-    (["--kind", "cone", "--param", f"a={a}"], 0) for a in ("1e-60", "1e-100", "1e-150")] + [
-    (["--kind", "power", "--param", f"c={c}"], 0) for c in ("1e-80", "1e-100", "1e-150")] + [
-    (["--s0", "1e104"], 2), (["--kind", "schwarzschild", "--param", "m=1e120"], 2),
-    (["--kind", "power", "--param", "c=1e150"], 2)]
+# inputs whose Hoelder products leave the float range, and power laws near beta = 1/2 whose
+# level radii pass 1e100 (exit 0); inputs whose ball volumes overflow near the coarea levels,
+# whose |grad w|^2 underflows at the identity levels, or whose horizon curvature, of order
+# 1/m^2, passes the float range (exit 2, naming the cause)
+_OVERFLOW = "ball volumes overflow"
+_SCALE_INPUTS = [(["--kind", "power", "--param", f"c={c}"], 0, "") for c in ("1e52", "1e100", "1e120", "1e140")] + [
+    (["--kind", "schwarzschild", "--param", "m=1e100"], 0, "")] + [
+    (["--kind", "cone", "--param", f"a={a}"], 0, "") for a in ("1e-60", "1e-100", "1e-150")] + [
+    (["--kind", "power", "--param", f"c={c}"], 0, "") for c in ("1e-80", "1e-100", "1e-150")] + [
+    (["--kind", "power", "--param", f"beta={b}"], 0, "") for b in ("0.51", "0.515", "0.52")] + [
+    (["--s0", "1e104"], 2, _OVERFLOW), (["--kind", "schwarzschild", "--param", "m=1e120"], 2, _OVERFLOW),
+    (["--kind", "power", "--param", "c=1e150"], 2, _OVERFLOW),
+    (["--kind", "power", "--param", "beta=0.505"], 2, "|grad w|^2 underflows")] + [
+    (["--kind", "schwarzschild", "--param", f"m={m}"], 2, "horizon curvature") for m in ("1e-160", "1e-300")]
 
 
-@pytest.mark.parametrize("args, want", _SCALE_INPUTS, ids=[" ".join(a) for a, _ in _SCALE_INPUTS])
-def test_verify_integral_checks_at_extreme_scales(capsys, args, want):
+@pytest.mark.parametrize("args, want, cause", _SCALE_INPUTS, ids=[" ".join(a) for a, _, _ in _SCALE_INPUTS])
+def test_verify_integral_checks_at_extreme_scales(capsys, args, want, cause):
     code = cli.main(["verify", *args])
     out, err = capsys.readouterr()
     assert code == want, out + err
     if want == 0:
         assert "0 failed" in out
     else:
-        assert "ball volumes overflow" in err
+        assert cause in err
 
 
 def test_verify_fault_injection_flips_ric_rad(monkeypatch, capsys):
@@ -670,6 +676,12 @@ _CONFIG_VALUES = {
 @example(doc={"out_dir": ""}, command="solve")
 @example(doc={"metric": {"kind": "power", "params": {"c": 1e100}}}, command="verify")
 @example(doc={"metric": {"kind": "cone", "params": {"a": 1e-100}}}, command="verify")
+@example(doc={"metric": {"kind": "power", "params": {"beta": 0.51}}}, command="verify")
+@example(doc={"metric": {"kind": "power", "params": {"beta": 0.515}}}, command="verify")
+@example(doc={"metric": {"kind": "power", "params": {"beta": 0.52}}}, command="verify")
+@example(doc={"metric": {"kind": "power", "params": {"beta": 0.505}}}, command="verify")
+@example(doc={"metric": {"kind": "schwarzschild", "params": {"m": 1e-160}}}, command="verify")
+@example(doc={"metric": {"kind": "schwarzschild", "params": {"m": 1e-300}}}, command="verify")
 @example(doc={"out_dir": os.path.join("cfg.json", "out")}, command="refute")
 @example(doc={"metric": {"kind": "cone", "params": {"a": 1e-300}}}, command="refute")
 @example(doc={"metric": {"kind": "power", "params": {"c": 1e-300}}}, command="solve")

@@ -35,13 +35,8 @@ def _counting_solution(kind):
             return fn(s)
         return wrapped
 
-    counted = pl.from_callables(
-        metric.kind, counting("fn", metric.fn), counting("jet", metric.jet),
-        params=metric.params, domain_start=metric.domain_start,
-        pole_smooth=metric.pole_smooth, inclusive_start=metric.inclusive_start,
-        tail_coefficient=metric.tail_coefficient, tail_exponent=metric.tail_exponent,
-        breakpoints=metric.breakpoints,
-        domain_end=metric.domain_end)
+    counted = dataclasses.replace(metric, fn=counting("fn", metric.fn),
+                                  jet=counting("jet", metric.jet))
     return pl.PotentialSolution(pl.ExteriorDomain(counted, 1.0), t_max=5.0), points
 
 

@@ -155,6 +155,17 @@ def test_jet_equals_f_df_d2f(metric):
             assert np.array_equal(got, want)
 
 
+def test_warp_function_defaults():
+    # a profile built from kind, fn and jet alone: pole-free, open at 0, unbounded,
+    # with the unit tail law and no breakpoints
+    metric = pl.WarpFunction("line", np.asarray, lambda s: (s, np.ones_like(s), np.zeros_like(s)))
+    assert (metric.params, metric.domain_start, metric.pole_smooth, metric.inclusive_start) == ({}, 0.0, False, False)
+    assert (metric.tail_coefficient, metric.tail_exponent, metric.breakpoints) == (1.0, 1.0, ())
+    assert metric.domain_end == math.inf
+    assert metric.label == "line"
+    assert pl.WarpFunction("line", np.asarray, metric.jet).params is not metric.params
+
+
 @pytest.mark.parametrize("point", [np.inf, np.array([1.0, np.inf])])
 def test_schwarzschild_unconvergeable_radius_raises(point):
     # at s = inf the Newton step is nan; the inversion says so instead of

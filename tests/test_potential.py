@@ -261,8 +261,8 @@ def test_level_map_residual_on_dense_series(make_metric, s0, t_max):
 
 
 NON_FINITE_CALLS = {
-    "t_max_nan": lambda sol: pl.PotentialSolution(sol.domain, t_max=math.nan),
-    "t_max_inf": lambda sol: pl.PotentialSolution(sol.domain, t_max=math.inf),
+    "t_max_nan": lambda sol: pl.PotentialSolution(pl.ExteriorDomain(sol.metric, sol.s0), t_max=math.nan),
+    "t_max_inf": lambda sol: pl.PotentialSolution(pl.ExteriorDomain(sol.metric, sol.s0), t_max=math.inf),
     "s_of_t": lambda sol: sol.s_of_t(math.nan),
     "s_of_t_array": lambda sol: sol.s_of_t(np.array([1.0, math.nan])),
     "u": lambda sol: sol.u(math.nan),
