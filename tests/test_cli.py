@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -13,11 +14,12 @@ from hypothesis import strategies as st
 
 import pinchlab.asymptotics as asymptotics
 import pinchlab.cli as cli
+import pinchlab.functionals as functionals
 import pinchlab.metrics as metrics
 import pinchlab.potential as potential
 from pinchlab.config import SUITES, ScenarioConfig
 from pinchlab.errors import UsageError
-from pinchlab.verify import Check, _run_check, run_verify
+from pinchlab.verify import Check, SuiteResult, _run_check, run_verify
 
 
 def _no_bare_constant(name):
@@ -180,6 +182,15 @@ def test_verify_json_out_has_no_runtimes(tmp_path, capsys):
     assert all(entry["status"] == "PASS" for entry in doc)
 
 
+@pytest.mark.parametrize("row", [SuiteResult("flat/coarea", "PASS", 1e-12, 1e-4, 0.5, "worst sub-check: coarea"),
+                                 SuiteResult("cone/decay_estimate", "SKIP", None, None, 0.25)],
+                         ids=["pass-with-note", "skip"])
+def test_verify_json_row_is_its_fields_without_the_runtime(row):
+    want = {f.name: getattr(row, f.name) for f in dataclasses.fields(row)}
+    del want["runtime_s"]
+    assert list(row.to_json_dict().items()) == list(want.items())
+
+
 def test_verify_names_a_nan_sub_check():
     check = Check("identities", "synthetic", lambda: {"a": (1e-9, 1e-6), "b": (math.nan, 1e-6)})
     res = _run_check("synthetic", check)
@@ -258,6 +269,14 @@ def test_verify_makes_each_verdict_once_per_scenario(monkeypatch):
     _, code = run_verify(ScenarioConfig(suite="all"), stream=io.StringIO())
     assert code == 0
     assert {name: len(seen) for name, seen in calls.items()} == {"series_pinching": 5, "decay_check": 5}
+
+
+def test_verify_samples_each_scenario_series_at_the_suite_spacing(monkeypatch):
+    levels, build = [], functionals.build_series
+    monkeypatch.setattr(functionals, "build_series", lambda sol, n: levels.append(n) or build(sol, n=n))
+    _, code = run_verify(ScenarioConfig(suite="all"), stream=io.StringIO())
+    assert code == 0
+    assert levels == [5001] * 5  # t_max 5 at SUITE_DT = 1e-3
 
 
 # ---------------------------------------------------------------------------

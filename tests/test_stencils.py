@@ -105,6 +105,22 @@ def test_blend_derivative_match_across_its_seams(capsys, s_cap, width):
     assert "PASS  sphere_cap_blend/dF_explicit_match" in out
 
 
+_SERIES_HEADROOM_CASES = [("sphere_cap_blend", {"s_cap": s_cap, "blend_width": width})
+                          for s_cap, width in [(1.2, 0.5), (1.3, 0.5), (1.0, 0.1), (1.0, 0.02)]] + [
+    ("power", {"beta": beta}) for beta in (0.508, 0.51)]
+
+
+@pytest.mark.parametrize("kind, params", _SERIES_HEADROOM_CASES,
+                         ids=[f"{k}-{'-'.join(map(str, p.values()))}" for k, p in _SERIES_HEADROOM_CASES])
+def test_series_derivative_rows_keep_headroom_at_the_suite_spacing(kind, params):
+    # the five-point error is O(dt^4), so a tenth of the 1e-4 contract fails a spacing a few times coarser
+    cfg = ScenarioConfig(metric_kind=kind, metric_params=params, suite="monotonicity")
+    results, _ = run_verify(cfg, stream=io.StringIO())
+    measured = {r.name.split("/")[1]: r.measured for r in results}
+    assert measured["dF_explicit_match"] <= 1e-5
+    assert measured["G_ode"] <= 1e-5
+
+
 @pytest.mark.parametrize("t_max", ["0.3", "0.4"])
 def test_verify_all_with_a_short_level_range(capsys, t_max):
     assert cli.main(["verify", "--suite", "all", "--t-max", t_max]) == 0
