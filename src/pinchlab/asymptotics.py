@@ -76,8 +76,7 @@ def decay_check(series: FunctionalSeries, epsilon: float) -> DecayFit:
     gate = pinched & (series.F <= FOUR_PI * (1.0 + 1e-12))
     gate[[0, -1]] = False
     slack = series.dF_explicit - epsilon * (2.0 * series.F - 8.0 * math.pi)
-    violations = slack[gate] if gate.any() else np.array([0.0])
-    max_violation = float(violations.max(initial=0.0))
+    max_violation = float(slack[gate].max(initial=0.0))
 
     below = series.F <= threshold * (1.0 - 1e-6)
     if not below.any():

@@ -253,7 +253,7 @@ def sphere_cap_blend(cap_radius: float, blend_width: float) -> WarpFunction:
 
     def branches(s):
         """x in the blend, the cap and tail masks, sin on the cap, and f."""
-        x = (np.clip(s, sc, s_b) - sc) / w
+        x = (np.minimum(np.maximum(s, sc), s_b) - sc) / w
         cap, tail, sin = s <= sc, s >= s_b, np.sin(np.minimum(s, sc))
         blend = sin_c + w * cos_c * x - w * w * sin_c * (x**2 / 2 - x**3 / 3 + x**4 / 12)
         return x, cap, tail, sin, np.where(cap, sin, np.where(tail, slope * s + intercept, blend))

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DomainError, NonparabolicityError, NumericError
 from .metrics import WarpFunction
-from .quadrature import PanelQuadrature, panel_edges
+from .quadrature import SEED_FRACTIONS, PanelQuadrature, panel_edges
 from .stencils import five_point_first, step
 
 log = logging.getLogger(__name__)
@@ -36,9 +36,6 @@ log = logging.getLogger(__name__)
 #: largest error the analytic tail beyond the truncation radius may add to
 #: a queried I(s), relative to I at the top of the queried range
 TAIL_BUDGET = 1e-10
-
-#: knots per panel of the level map's seed: the worst level residual is ~4e-11 with 2, ~4e-12 with 3
-SEED_KNOTS_PER_PANEL = 3
 
 
 def _tail_law(metric: WarpFunction):
@@ -107,7 +104,7 @@ class TailIntegrator:
         self.degraded = not ok.any()
         i = len(at) - 1 if self.degraded else int(np.argmax(ok))
         s_cut = self.s_cut = float(at[i])
-        self.usable_hi = s_hi
+        self.usable_hi, self._s_hi = s_hi, s_hi * (1.0 + 1e-9)  # and the bound value() checks
         self.tail_const = s_cut ** (1.0 - 2.0 * beta) / (c * c * (2.0 * beta - 1.0))
         edges = panel_edges(s_lo, s_cut, metric.breakpoints)
         self.quad = PanelQuadrature(lambda s: metric.f(s) ** -2.0, edges)
@@ -116,9 +113,9 @@ class TailIntegrator:
             "bound %.2e (budget %.0e)", metric.label, s_cut, s_hi, err[i], TAIL_BUDGET)
 
     def value(self, s):
-        """I(s); vectorized over s within [grid start, usable_hi]."""
+        """I(s), vectorized over s in [grid start, usable_hi]; tests s <= usable_hi, the quadrature its ends."""
         s_arr = np.asarray(s, float)
-        if not np.all(s_arr <= self.usable_hi * (1.0 + 1e-9)):
+        if not (s_arr <= self._s_hi).all():
             raise DomainError(f"tail integral queried beyond usable radius {self.usable_hi:g}")
         return self.quad.integral_to_end(s_arr) + self.tail_const
 
@@ -127,7 +124,8 @@ class PotentialSolution:
     """Closed-form exterior potential on a warped radial metric.
 
     Immutable after construction; all evaluation methods are pure and
-    vectorized, so instances can be shared freely across threads.
+    vectorized, so instances can be shared freely across threads.  An I(s)
+    query tests each bound once, then costs one searchsorted and one Clenshaw sum.
     """
 
     def __init__(self, domain: ExteriorDomain, t_max: float = 8.0, s_max=None):
@@ -135,6 +133,7 @@ class PotentialSolution:
         s0 = float(domain.s0)
         self.metric = metric
         self.s0 = s0
+        self._s_lo = s0 * (1 - 1e-12) - 1e-300  # the bound tail() checks
         self.t_max = float(t_max)
         if not 0 < self.t_max < math.inf:
             raise DomainError(f"t_max must be positive and finite, got {t_max}")
@@ -168,13 +167,11 @@ class PotentialSolution:
             raise NumericError(f"{metric.label}: I(s0), the integral of f^-2, "
                                f"{'underflows to 0' if i0 == 0.0 else 'overflows'} at s0={s0:g}")
         self.ncap = 1.0 / i0
-        self.s_cut = integ.s_cut
 
         quad = integ.quad
         n = int(np.searchsorted(quad.edges, integ.usable_hi * (1 + 1e-12), side="right")) - 1
-        frac = np.arange(SEED_KNOTS_PER_PANEL) / SEED_KNOTS_PER_PANEL
-        s = np.append(quad.edges[:n, None] + np.diff(quad.edges[:n + 1])[:, None] * frac, quad.edges[n])
-        tail = np.append(quad.integral_to_end_at(2.0 * frac - 1.0, n), quad.suffix[n]) + integ.tail_const
+        s = np.append(quad.edges[:n, None] + np.diff(quad.edges[:n + 1])[:, None] * SEED_FRACTIONS, quad.edges[n])
+        tail = np.append(quad.integral_to_end_at(n), quad.suffix[n]) + integ.tail_const
         with np.errstate(over="ignore"):
             f, df = metric.jet(s)[:2]
         if not f.max() <= 2.0 ** 510:  # past it f^-2 is subnormal and the area 4 pi f^2 overflows
@@ -188,8 +185,9 @@ class PotentialSolution:
         ds = tail * f * f
         self._seed = np.stack([t, s, ds, ds * (2.0 * tail * f * df - 1.0)])
         self.t_usable = float(self._seed[0, -1])
+        self._t_hi = self.t_usable + 1e-9  # the bound _level_map checks
         if self.t_usable < self.t_max:
-            if integ.usable_hi < metric.domain_end:
+            if integ.usable_hi < metric.domain_end or self.t_usable == 0.0:  # one knot maps no level
                 raise NumericError(f"{metric.label}: the tail grid reaches t={self.t_usable:.4g} "
                                    f"only, short of t_max={self.t_max:g}")
             log.warning("%s: tabulated profile only reaches t=%.4g < requested t_max=%.4g",
@@ -201,9 +199,9 @@ class PotentialSolution:
     # -- closed-form fields -------------------------------------------------
 
     def tail(self, s):
-        """I(s), the exterior Green integral."""
+        """I(s), the exterior Green integral; tests s >= s0 (NaN fails), value() and the quadrature the rest."""
         s_arr = np.asarray(s, float)
-        if not np.all(s_arr >= self.s0 * (1 - 1e-12) - 1e-300):
+        if not (s_arr >= self._s_lo).all():
             raise DomainError("potential evaluated inside the boundary sphere or at NaN")
         return self._integ.value(s_arr)
 
@@ -217,15 +215,16 @@ class PotentialSolution:
 
     def grad_w(self, s):
         """|grad w| = f^-2 / I, from the closed form (no differencing)."""
-        s_arr = np.asarray(s, float)
-        return self.metric.f(s_arr) ** -2.0 / self.tail(s_arr)
+        return self.metric.f(s) ** -2.0 / self.tail(s)
 
-    def flux_residual(self, s):
-        """|f^2 u' I(s0) + 1|, u' five-point with h = step(s, 0.003, s0, breakpoints); the
-        radial flux f^2 u' equals -1/I(s0), so this measures the numerics only."""
-        s = np.asarray(s, float)
-        h = step(s, 0.003, self.s0, self.metric.breakpoints)
-        return np.abs(self.metric.f(s) ** 2 * five_point_first(self.u, s, h) * self._i0 + 1.0)
+    def du_stencil(self, s):
+        """u' five-point with h = step(s, 0.003, s0, breakpoints), a check on the closed forms."""
+        return five_point_first(self.u, s, step(s, 0.003, self.s0, self.metric.breakpoints))
+
+    def flux_residual(self, s, du):
+        """|f^2 u' I(s0) + 1| with u' = du at s, as ``du_stencil`` gives it; the radial
+        flux f^2 u' equals -1/I(s0), so this measures the numerics only."""
+        return np.abs(self.metric.f(s) ** 2 * du * self._i0 + 1.0)
 
     # -- level-set parametrization -------------------------------------------
 
@@ -241,18 +240,18 @@ class PotentialSolution:
         and so takes no Newton step; one I(s) query there gives I and the residual.
         Raises NumericError when the residual exceeds 1e-10 (the round trip)."""
         t_arr = np.atleast_1d(np.asarray(t, float))
-        if not np.all((-1e-12 <= t_arr) & (t_arr <= self.t_usable + 1e-9)):
+        if not ((-1e-12 <= t_arr) & (t_arr <= self._t_hi)).all():
             raise DomainError(f"level value outside [0, {self.t_usable:g}] (grid never extrapolates)")
-        tc = np.clip(t_arr, 0.0, self.t_usable)
-        k = np.clip(np.searchsorted(self._seed[0], tc, side="right") - 1, 0, self._seed.shape[1] - 2)
+        tc = np.minimum(np.maximum(t_arr, 0.0), self.t_usable)
+        k = np.searchsorted(self._seed[0, 1:-1], tc, side="right")  # over the interior knots
         lo, hi = self._seed.take(k, axis=1), self._seed.take(k + 1, axis=1)  # (t, s, s', s'') at k, k + 1
         h = hi[0] - lo[0]
         u = (tc - lo[0]) / h
         w = 1.0 - u
         s = w * w * w * _hermite_end(*lo[1:], u, h * u) + u * u * u * _hermite_end(*hi[1:], w, -h * w)
         del k, h, u, w, lo, hi  # before the query, the level map's memory peak
-        s = np.clip(s, self.s0, self._integ.usable_hi)
-        tail = self._integ.value(s)
+        s = np.minimum(np.maximum(s, self.s0), self._integ.usable_hi)  # in [s0, usable_hi]: ask quad alone
+        tail = self._integ.quad.integral_to_end(s) + self._integ.tail_const
         worst = float(np.abs(np.log(self._i0 / tail) - tc).max(initial=0.0))
         if not worst <= 1e-10:
             raise NumericError(f"{self.metric.label}: the level map did not converge "
@@ -268,8 +267,8 @@ class PotentialSolution:
         -1/I(s0) everywhere; differencing quadrature-evaluated u values
         probes the consistency of the tail integrals to ~1e-8.
         """
-        t_diag = np.linspace(min(0.2, 0.5 * self.t_usable), 0.9 * min(self.t_usable, 6.0), 12)
-        worst = float(self.flux_residual(self.s_of_t(t_diag)).max())
+        s = self.s_of_t(np.linspace(min(0.2, 0.5 * self.t_usable), 0.9 * min(self.t_usable, 6.0), 12))
+        worst = float(self.flux_residual(s, self.du_stencil(s)).max())
         if worst > 1e-6:
             raise NumericError(
                 f"{self.metric.label}: radial harmonic identity violated "

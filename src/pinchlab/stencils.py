@@ -7,6 +7,8 @@ have closed radial forms).
 
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
 
 from .errors import DomainError
@@ -18,7 +20,7 @@ def step(x, rel, lo, seams=()):
     """min(rel x, (x - lo) / 2, |x - b| / 2 for each seam b): a stencil of this
     step reads x +- 2h on the smooth piece that holds x, never below lo."""
     x = np.asarray(x, float)
-    return np.min([rel * x, 0.5 * (x - lo), *(0.5 * np.abs(x - b) for b in seams)], axis=0)
+    return reduce(np.minimum, (0.5 * np.abs(x - b) for b in seams), np.minimum(rel * x, 0.5 * (x - lo)))
 
 
 def five_point_first(fn, x, h):

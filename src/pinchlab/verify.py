@@ -22,7 +22,7 @@ from . import asymptotics, functionals, metrics, potential
 from .config import ScenarioConfig
 from .errors import NumericError
 from .functionals import SIXTEEN_PI
-from .stencils import five_point_first, five_point_second, step
+from .stencils import five_point_second, step
 
 #: level-grid spacing of the verify series; its five-point derivatives err O(dt^4), at worst
 #: 2.3e-6 against 1e-4 (dF_explicit_match through a C^2 blend, over 450 random scenarios)
@@ -163,14 +163,14 @@ def _potential_identities(sc):
     # Delta w = |grad w|^2 in radial form; w'' needs the larger step, its roundoff is eps / h^2
     d2w = five_point_second(sol.w, s, step(s, 0.01, sol.s0, seams))
     resid = d2w + smp.H * gw - gw * gw
-    # |grad w| = -u'/u  (h = 0.003 s keeps the O(h^4) truncation ~3e-10)
-    du2 = five_point_first(sol.u, s, step(s, 0.003, sol.s0, seams))
-    # u takes values in (0, 1]
-    uvals = np.atleast_1d(sol.u(np.concatenate([[sol.s0], s])))
+    # one u' serves the flux and |grad w| = -u'/u  (h = 0.003 s keeps the O(h^4) truncation ~3e-10)
+    du = sol.du_stencil(s)
+    # u takes values in (0, 1]; uvals[1:] is u(s)
+    uvals = sol.u(np.concatenate([[sol.s0], s]))
     return {
-        "harmonic_flux": (float(sol.flux_residual(s).max()), 1e-6),  # (f^2 u')' = 0
+        "harmonic_flux": (float(sol.flux_residual(s, du).max()), 1e-6),  # (f^2 u')' = 0
         "w_equation": (float(np.abs(resid / (gw * gw)).max()), 1e-6),
-        "gradw_consistency": (float(np.abs(-du2 / np.atleast_1d(sol.u(s)) / gw - 1.0).max()), 1e-9),
+        "gradw_consistency": (float(np.abs(-du / uvals[1:] / gw - 1.0).max()), 1e-9),
         "u_range": (float(max(uvals.max() - 1.0, -uvals.min(), 0.0)), 1e-12),
     }
 
@@ -193,9 +193,10 @@ def _level_roundtrip(sc):
 
 def _functional_bounds(sc):
     ser = sc.series
+    s = sc.sol.s_of_t(0.05 * sc.sol.t_max)
     return {
         "flux_le_willmore_quarter": (float((ser.F - ser.willmore / 4.0).max()), 1e-9),
-        "ncap_flux_agreement": (float(sc.sol.flux_residual(sc.sol.s_of_t(0.05 * sc.sol.t_max))), 1e-9),
+        "ncap_flux_agreement": (float(sc.sol.flux_residual(s, sc.sol.du_stencil(s))), 1e-9),
     }
 
 

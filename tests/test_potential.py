@@ -273,6 +273,43 @@ NON_FINITE_CALLS = {
 }
 
 
+@pytest.mark.parametrize("kind", ["flat", "power", "schwarzschild", "sphere_cap_blend"])
+def test_level_map_ends_on_the_first_and_last_knot(kind):
+    sol = pl.PotentialSolution(pl.ExteriorDomain(pl.build_metric(kind), 1.0))
+    s, tail = sol._level_map(np.array([-1e-12, 0.0, sol.t_usable, sol.t_usable + 1e-9]))
+    assert list(s) == [sol.s0, sol.s0, sol._seed[1, -1], sol._seed[1, -1]]
+    assert np.array_equal(tail, sol.tail(s))
+
+
+def _range_calls(sol):
+    """(call, message) pairs for arguments just past each bound an I(s) query checks, and NaN."""
+    integ, quad = sol._integ, sol._integ.quad
+    edges = quad.edges
+    return [
+        *((lambda x=x: sol.tail(np.array([2.0, x])), "inside the boundary sphere or at NaN")
+          for x in (sol.s0 * (1 - 3e-12), math.nan)),
+        *((lambda x=x: integ.value(np.array([2.0, x])), "beyond usable radius")
+          for x in (integ.usable_hi * (1 + 3e-9), math.nan)),
+        *((lambda x=x: quad.integral_to_end(np.array([2.0, x])), "outside panel grid")
+          for x in (edges[0] * (1 - 3e-12), edges[-1] * (1 + 3e-12), math.nan)),
+        *((lambda t=t: sol._level_map(np.array([1.0, t])), "level value outside")
+          for t in (-3e-12, sol.t_usable + 3e-9, math.nan)),
+    ]
+
+
+def test_out_of_range_and_nan_queries_raise_named_domain_errors(solve_cache):
+    for call, message in _range_calls(solve_cache("power", 1.0)):
+        with pytest.raises(DomainError, match=message):
+            call()
+
+
+def test_table_ending_at_the_boundary_maps_no_level():
+    # within rounding of s0 every seed knot has t = 0, so one knot is left and no level can be mapped
+    s = np.linspace(0.1, 1.0 + 1e-13, 50)
+    with pytest.raises(NumericError, match="reaches t=0 only"):
+        pl.PotentialSolution(pl.ExteriorDomain(pl.from_table(s, s ** 0.75), 1.0))
+
+
 @pytest.mark.parametrize("call", NON_FINITE_CALLS.values(), ids=NON_FINITE_CALLS.keys())
 def test_non_finite_arguments_raise_domain_error(solve_cache, call):
     with pytest.raises(DomainError):

@@ -5,7 +5,7 @@ import pytest
 
 import pinchlab as pl
 from pinchlab.errors import DomainError
-from pinchlab.quadrature import PanelQuadrature, panel_edges
+from pinchlab.quadrature import PanelQuadrature, _chebyshev_sum, panel_edges
 
 _X, _W = np.polynomial.legendre.leggauss(16)
 
@@ -55,6 +55,46 @@ def test_partials_vanish_at_panel_edges(tail_quad):
     assert np.array_equal(quad.integral_to_end(edges[1:]), quad.suffix[1:])
     assert quad.integral_from_start(edges[0]) == 0.0
     assert quad.integral_to_end(edges[-1]) == 0.0
+
+
+def _to_end_with_clips(quad, x):
+    """integral_to_end as it read with np.clip on the query and on a full-edge panel index."""
+    x = np.asarray(x, float)
+    lo, hi = quad.edges[0], quad.edges[-1]
+    xc = np.clip(np.atleast_1d(x), lo, hi)
+    i = np.clip(np.searchsorted(quad.edges, xc) - 1, 0, len(quad.edges) - 2)
+    left, right = xc - quad.edges[i], quad.edges[i + 1] - xc
+    xi = (left - right) / (left + right)
+    out = quad.suffix[i + 1] + right * _chebyshev_sum(quad.S.take(i, axis=1), xi)
+    return out.reshape(x.shape)
+
+
+def test_to_end_matches_the_clipped_index_bit_for_bit(tail_quad):
+    _, edges, quad = tail_quad
+    x, _ = query_points(edges, seed=3)
+    x = np.concatenate([x, edges, [edges[0] * (1 - 1e-12), edges[-1] * (1 + 1e-12)]])
+    assert np.array_equal(quad.integral_to_end(x), _to_end_with_clips(quad, x))
+
+
+def test_to_end_clamps_within_1e12_of_either_grid_end(tail_quad):
+    _, edges, quad = tail_quad
+    assert quad.integral_to_end(edges[0] * (1 - 1e-12)) == quad.integral_to_end(edges[0])
+    assert quad.integral_to_end(edges[-1] * (1 + 1e-12)) == 0.0
+    # an interior edge, asked alone, gives its suffix as the array query does
+    assert quad.integral_to_end(edges[5]) == quad.suffix[5]
+    for outside in (edges[0] * (1 - 3e-12), edges[-1] * (1 + 3e-12), np.nan):
+        with pytest.raises(DomainError, match=r"quadrature query outside panel grid \["):
+            quad.integral_to_end(np.array([edges[3], outside]))
+
+
+def test_to_end_keeps_the_query_shape(tail_quad):
+    _, edges, quad = tail_quad
+    x, _ = query_points(edges)
+    grid = x[:12].reshape(3, 4)
+    out = quad.integral_to_end(grid)
+    assert out.shape == (3, 4) and np.array_equal(out.ravel(), quad.integral_to_end(x[:12]))
+    one = quad.integral_to_end(np.asarray(x[1]))
+    assert type(one) is float and one == quad.integral_to_end(x[:2])[1]
 
 
 def test_from_start_off_panel_edges_raises(tail_quad):
