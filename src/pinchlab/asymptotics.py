@@ -27,7 +27,7 @@ from .functionals import (FOUR_PI, SIXTEEN_PI, BoundaryWillmore,
                           FunctionalSeries, boundary_willmore, build_series,
                           sample_at)
 from .metrics import GrowthReport, PinchReport, check_pinching, growth_fit, volume_ball
-from .potential import ExteriorDomain, PotentialSolution
+from .potential import ExteriorDomain, PotentialSolution, TailIntegrator
 from .stencils import five_point_first
 
 log = logging.getLogger(__name__)
@@ -101,26 +101,27 @@ def decay_check(series: FunctionalSeries, epsilon: float) -> DecayFit:
 # Asymptotic fits and identity checks
 # ---------------------------------------------------------------------------
 
-def li_yau_fit(sol: PotentialSolution, r_lo: float, r_hi: float) -> float:
-    """Least-squares decay exponent of the potential: the ``metrics.line_fit``
-    slope of log u against log s at 40 log-spaced radii.
+def li_yau_fit(at: ExteriorDomain | PotentialSolution, r_lo: float, r_hi: float) -> float:
+    """Least-squares decay exponent of the potential: the ``metrics.line_fit`` slope of log u
+    = log(I(s)/I(s0)) against log s at 40 log-spaced radii, from a TailIntegrator sized to r_hi.
 
-    For a warp tail f ~ c s^beta the exact value is 1 - 2 beta, i.e.
-    1 - alpha in terms of the volume-growth exponent alpha = 2 beta.
+    For a warp tail f ~ c s^beta the exact value 1 - 2 beta is 1 - alpha in terms of the
+    volume-growth exponent alpha = 2 beta.  Reads only ``metric`` and ``s0``.
     """
     r_lo, r_hi = float(r_lo), float(r_hi)
-    if not sol.s0 <= r_lo < r_hi:
+    if not at.s0 <= r_lo < r_hi:
         raise DomainError(f"bad fit window [{r_lo}, {r_hi}]")
+    integ = TailIntegrator(at.metric, at.s0, r_hi)
     s = np.geomspace(r_lo, r_hi, 40)
-    return metrics.line_fit(np.log(s), np.log(sol.u(s)))[0]
+    return metrics.line_fit(np.log(s), np.log(integ.value(s) / integ.i_lo))[0]
 
 
 def coarea_check(sol: PotentialSolution, t_grid) -> float:
     """Max relative residual of d/dt Vol({w <= t}) = area(t)/|grad w|(t).
 
     The enclosed volume is computed by radial quadrature and differenced in
-    t by the five-point stencil with step 5e-4; the right side comes from
-    the closed level-set forms.
+    t by the five-point stencil with step 5e-4; the right side is the
+    ``sample_at`` level fields area / |grad w|.
     """
     delta = 5e-4
     t = np.clip(np.asarray(t_grid, float), 2.0 * delta, sol.t_usable - 2.0 * delta)
@@ -133,11 +134,9 @@ def coarea_check(sol: PotentialSolution, t_grid) -> float:
             raise NumericError(f"{sol.metric.label}: ball volumes overflow at the level radii up to s={r.max():g}")
         return v
 
-    dvol = five_point_first(vol, t, delta)
-    s, tail = sol._level_map(t)
-    f = sol.metric.f(s)
-    rhs = FOUR_PI * f * f / (f ** -2.0 / tail)  # |grad w| as in sol.grad_w, from this f and I
-    return float(np.abs(dvol / rhs - 1.0).max())
+    dvol = five_point_first(vol, t, delta)  # first, so a ball volume overflow raises before a level field
+    smp = sample_at(sol, t)
+    return float(np.abs(dvol / (smp.area / smp.grad_w) - 1.0).max())
 
 
 def holder_chain_check(sol: PotentialSolution, t_grid) -> float:

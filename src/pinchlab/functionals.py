@@ -63,7 +63,7 @@ class FunctionalSample:
 
 @dataclass(frozen=True)
 class FunctionalSeries(FunctionalSample):
-    """Samples on a uniform level grid, each field an array, with provenance for serialization."""
+    """Uniform level-grid samples as arrays; d_dt, pinching_window and series_pinching read metric and s0."""
 
     metric: metrics.WarpFunction
     s0: float

@@ -89,7 +89,10 @@ class TailIntegrator:
     the first probe radius past ``usable_hi`` (the top of the queried
     range) where this error is within TAIL_BUDGET of I there.  If no probe
     radius meets the budget (a table ends first), the integrator stops at
-    the last one, is ``degraded`` and says so in a warning.
+    the last one, is ``degraded`` and says so in a warning.  Queries reach
+    s_hi = max(s_query_hi, 2 s_lo, 1): 2 s_lo keeps TailIntegrator(metric, s, s) off an
+    empty range, and 1 keeps ``judge``'s kappa_LY fit, read from max(2 s0, 1), inside
+    ``usable_hi``.  I(s_lo) is ``i_lo``; a NumericError names one that is 0 or inf.
     """
 
     def __init__(self, metric: WarpFunction, s_lo: float, s_query_hi: float):
@@ -107,10 +110,16 @@ class TailIntegrator:
         self.usable_hi, self._s_hi = s_hi, s_hi * (1.0 + 1e-9)  # and the bound value() checks
         self.tail_const = s_cut ** (1.0 - 2.0 * beta) / (c * c * (2.0 * beta - 1.0))
         edges = panel_edges(s_lo, s_cut, metric.breakpoints)
-        self.quad = PanelQuadrature(lambda s: metric.f(s) ** -2.0, edges)
+        # f^-2 overflows near a tiny s_lo (or divides by an f that underflows to 0), I(s_lo) with it
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            self.quad = PanelQuadrature(lambda s: metric.f(s) ** -2.0, edges)
         (log.warning if self.degraded else log.debug)(
             "%s: tail cut at s=%.6g for queries up to %.6g; analytic tail error "
             "bound %.2e (budget %.0e)", metric.label, s_cut, s_hi, err[i], TAIL_BUDGET)
+        self.i_lo = i_lo = float(self.value(s_lo))
+        if not 0.0 < i_lo < math.inf:
+            raise NumericError(f"{metric.label}: I(s0), the integral of f^-2, "
+                               f"{'underflows to 0' if i_lo == 0.0 else 'overflows'} at s0={s_lo:g}")
 
     def value(self, s):
         """I(s), vectorized over s in [grid start, usable_hi]; tests s <= usable_hi, the quadrature its ends."""
@@ -128,7 +137,7 @@ class PotentialSolution:
     query tests each bound once, then costs one searchsorted and one Clenshaw sum.
     """
 
-    def __init__(self, domain: ExteriorDomain, t_max: float = 8.0, s_max=None):
+    def __init__(self, domain: ExteriorDomain, t_max: float = 8.0):
         metric = domain.metric
         s0 = float(domain.s0)
         self.metric = metric
@@ -158,14 +167,8 @@ class PotentialSolution:
                 f"{metric.label}: the level t={self.t_max:g} lies near s=1e{log_s / math.log(10):.1f}, "
                 f"past s={radii[-1]:.3g} where the tail-law probe ends"
             )
-        # f^-2 overflows near a tiny s0 (or divides by an f that underflows to 0), I(s0) with it
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            integ = TailIntegrator(metric, s0, max(s_level, float(s_max or 0.0)))
-        self._integ = integ
-        self._i0 = i0 = float(integ.value(s0))
-        if not 0.0 < i0 < math.inf:
-            raise NumericError(f"{metric.label}: I(s0), the integral of f^-2, "
-                               f"{'underflows to 0' if i0 == 0.0 else 'overflows'} at s0={s0:g}")
+        self._integ = integ = TailIntegrator(metric, s0, s_level)
+        self._i0 = i0 = integ.i_lo
         self.ncap = 1.0 / i0
 
         quad = integ.quad

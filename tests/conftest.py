@@ -25,12 +25,11 @@ def solve_cache():
     """Memoized solver for one-off (kind, params, s0) combinations."""
     cache = {}
 
-    def get(kind, s0, t_max=T_MAX, s_max=None, **params):
-        key = (kind, tuple(sorted(params.items())), float(s0), float(t_max), s_max)
+    def get(kind, s0, t_max=T_MAX, **params):
+        key = (kind, tuple(sorted(params.items())), float(s0), float(t_max))
         if key not in cache:
             metric = pl.build_metric(kind, params)
-            cache[key] = pl.PotentialSolution(pl.ExteriorDomain(metric, s0),
-                                              t_max=t_max, s_max=s_max)
+            cache[key] = pl.PotentialSolution(pl.ExteriorDomain(metric, s0), t_max=t_max)
         return cache[key]
 
     return get

@@ -142,7 +142,7 @@ def test_criterion_09_small_sphere_willmore(solve_cache):
 def test_criterion_10_potential_decay_exponents(solve_cache):
     worst = 0.0
     for beta in (0.7, 0.8, 0.9, 1.0):
-        sol = solve_cache("power", 1.0, t_max=2.0, s_max=1000.0, beta=beta)
+        sol = solve_cache("power", 1.0, t_max=2.0, beta=beta)
         slope = asymptotics.li_yau_fit(sol, 10.0, 1000.0)
         worst = max(worst, abs(slope / (1.0 - 2.0 * beta) - 1.0))
     _report(10, "potential decay exponent equals 1 - 2 beta within 2%",

@@ -12,7 +12,7 @@ from pinchlab import asymptotics
 from pinchlab.config import ScenarioConfig
 from pinchlab.verify import run_verify
 
-from test_metrics import capped_cone, schw_arclength
+from test_metrics import capped_cone
 
 
 # ---------------------------------------------------------------------------
@@ -107,23 +107,29 @@ def test_decay_bound_passes_where_hypothesis_holds():
 
 @pytest.mark.parametrize("beta", [0.7, 0.8, 0.9, 1.0])
 def test_li_yau_exponent_power(solve_cache, beta):
-    sol = solve_cache("power", 1.0, t_max=2.0, s_max=1000.0, beta=beta)
+    sol = solve_cache("power", 1.0, t_max=2.0, beta=beta)
     slope = asymptotics.li_yau_fit(sol, 10.0, 1000.0)
     expect = 1.0 - 2.0 * beta
     assert abs(slope / expect - 1.0) < 0.02
 
 
 def test_li_yau_exponent_flat(solve_cache):
-    sol = solve_cache("flat", 1.0, t_max=2.0, s_max=1000.0)
+    sol = solve_cache("flat", 1.0, t_max=2.0)
     assert asymptotics.li_yau_fit(sol, 10.0, 1000.0) == pytest.approx(-1.0, abs=0.01)
+
+
+@pytest.mark.parametrize("kind, params", [("power", {"beta": 0.8}), ("flat", {})])
+def test_li_yau_fit_reads_only_metric_and_s0(kind, params):
+    domain = pl.ExteriorDomain(pl.build_metric(kind, params), 1.0)
+    sol = pl.PotentialSolution(domain, t_max=2.0)
+    assert asymptotics.li_yau_fit(domain, 10.0, 1000.0) == asymptotics.li_yau_fit(sol, 10.0, 1000.0)
 
 
 def test_li_yau_exponent_schwarzschild():
     # u ~ m/r exactly, but in arclength the slope carries a 2m log(s)/s
     # correction (~3% at s = 50); at s >= 500 it is inside the 2% band
     metric = pl.schwarzschild_slice(1.0)
-    sol = pl.PotentialSolution(pl.ExteriorDomain(metric, 0.0), t_max=2.0,
-                               s_max=schw_arclength(6000.0))
+    sol = pl.PotentialSolution(pl.ExteriorDomain(metric, 0.0), t_max=2.0)
     slope = asymptotics.li_yau_fit(sol, 500.0, 5000.0)
     assert slope == pytest.approx(-1.0, abs=0.02)
 

@@ -31,16 +31,16 @@ def read_json(path):
     return json.loads(path.read_text(), parse_constant=_no_bare_constant)
 
 
-def counting_solves(monkeypatch):
-    """A list that gains an entry at each PotentialSolution construction."""
-    solves, init = [], potential.PotentialSolution.__init__
+def counting_builds(monkeypatch, cls=potential.PotentialSolution):
+    """A list that gains an entry at each construction of ``cls``, by default a PotentialSolution."""
+    builds, init = [], cls.__init__
 
     def counted(self, *args, **kwargs):
-        solves.append(args)
+        builds.append(args)
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(potential.PotentialSolution, "__init__", counted)
-    return solves
+    monkeypatch.setattr(cls, "__init__", counted)
+    return builds
 
 
 def counting_verdicts(monkeypatch):
@@ -258,10 +258,11 @@ def test_verify_chain_judges_the_scenario_it_solved(capsys):
 
 
 def test_verify_chain_solves_each_scenario_once(monkeypatch):
-    solves = counting_solves(monkeypatch)
+    solves, integrators = counting_builds(monkeypatch), counting_builds(monkeypatch, potential.TailIntegrator)
     _, code = run_verify(ScenarioConfig(suite="chain"), stream=io.StringIO())
     assert code == 0
-    assert len(solves) == 7  # the 5 catalog scenarios and the 2 Li-Yau fits
+    assert len(solves) == 5  # the 5 catalog scenarios; the 2 Li-Yau fits solve nothing
+    assert len(integrators) == 7  # one per solve and one per Li-Yau fit
 
 
 def test_verify_makes_each_verdict_once_per_scenario(monkeypatch):
@@ -320,7 +321,7 @@ def test_sweep_grid_and_determinism(tmp_path):
 
 
 def test_sweep_solves_each_kind_and_s0_once(tmp_path, monkeypatch):
-    solves, fits, growth_fit = counting_solves(monkeypatch), [], asymptotics.growth_fit
+    solves, fits, growth_fit = counting_builds(monkeypatch), [], asymptotics.growth_fit
     monkeypatch.setattr(asymptotics, "growth_fit", lambda *args: fits.append(args) or growth_fit(*args))
     verdicts = counting_verdicts(monkeypatch)
     sweep = {"kind": ["cone", "power"], "s0": [0.5, 2.0], "epsilon": [0.05, 0.2, 1.0 / 3.0]}
@@ -345,7 +346,7 @@ def test_sweep_solves_each_kind_and_s0_once(tmp_path, monkeypatch):
     ({"kind": ["flat", "nosuch"]}, "unknown metric kind 'nosuch'"),
 ])
 def test_sweep_checks_the_whole_grid_before_the_first_solve(tmp_path, monkeypatch, capsys, sweep, named):
-    solves = counting_solves(monkeypatch)
+    solves = counting_builds(monkeypatch)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"out_dir": str(tmp_path), "sweep": sweep}))
     assert cli.main(["sweep", "--config", str(cfg_path)]) == 64

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -52,6 +53,22 @@ def test_nonparabolic_tail_rejected(beta):
 def test_superlinear_tail_rejected():
     with pytest.raises(DomainError):
         TailIntegrator(pl.power_law(1.0, 1.2), 1.0, 1.0)
+
+
+@pytest.mark.parametrize("kind, params, s0, cause", [
+    ("power", {"c": 1e170, "beta": 0.8}, 1.0, "underflows to 0 at s0=1"),  # f^-2 underflows on every node
+    ("flat", {}, 1e-300, "overflows at s0=1e-300"),  # f^-2 overflows on the nodes near s0
+])
+def test_tail_integrator_checks_the_integral_at_its_lower_end(kind, params, s0, cause):
+    # the solver and the Li-Yau fit each build one, so they raise the same error
+    metric = pl.build_metric(kind, params)
+    named = re.escape(f"I(s0), the integral of f^-2, {cause}")
+    with pytest.raises(NumericError, match=named):
+        TailIntegrator(metric, s0, 1000.0)
+    with pytest.raises(NumericError, match=named):
+        pl.PotentialSolution(pl.ExteriorDomain(metric, s0))
+    with pytest.raises(NumericError, match=named):
+        pl.li_yau_fit(pl.ExteriorDomain(metric, s0), 10.0, 1000.0)
 
 
 # ---------------------------------------------------------------------------
