@@ -23,12 +23,11 @@ import numpy as np
 from . import metrics
 from .config import ScenarioConfig
 from .errors import DomainError, NumericError
-from .functionals import (FOUR_PI, SIXTEEN_PI, BoundaryWillmore,
-                          FunctionalSeries, boundary_willmore, build_series,
-                          sample_at)
+from .functionals import (FOUR_PI, SIXTEEN_PI, BoundaryWillmore, FunctionalSample,
+                          FunctionalSeries, boundary_willmore, build_series)
 from .metrics import GrowthReport, PinchReport, check_pinching, growth_fit, volume_ball
 from .potential import ExteriorDomain, PotentialSolution, TailIntegrator
-from .stencils import five_point_first
+from .stencils import FIRST, OFFSETS, first_from
 
 log = logging.getLogger(__name__)
 
@@ -116,38 +115,33 @@ def li_yau_fit(at: ExteriorDomain | PotentialSolution, r_lo: float, r_hi: float)
     return metrics.line_fit(np.log(s), np.log(integ.value(s) / integ.i_lo))[0]
 
 
-def coarea_check(sol: PotentialSolution, t_grid) -> float:
-    """Max relative residual of d/dt Vol({w <= t}) = area(t)/|grad w|(t).
+def coarea_check(series: FunctionalSeries, k) -> float:
+    """Max relative residual of d/dt Vol({w <= t}) = area(t)/|grad w|(t) at the series indices k.
 
-    The enclosed volume is computed by radial quadrature and differenced in
-    t by the five-point stencil with step 5e-4; the right side is the
-    ``sample_at`` level fields area / |grad w|.
+    The enclosed volume is computed by radial quadrature at the series radii
+    k +- 1 and k +- 2 and differenced by the five-point stencil with step
+    ``series.dt``; the right side is the series' area / |grad w| at k.  An
+    index whose stencil leaves the series is a DomainError.
     """
-    delta = 5e-4
-    t = np.clip(np.asarray(t_grid, float), 2.0 * delta, sol.t_usable - 2.0 * delta)
-
-    def vol(levels):
-        r = sol._level_map(levels)[0]
-        with np.errstate(over="ignore", invalid="ignore"):
-            v = volume_ball(sol.metric, r)
-        if not np.all(np.isfinite(v)):
-            raise NumericError(f"{sol.metric.label}: ball volumes overflow at the level radii up to s={r.max():g}")
-        return v
-
-    dvol = five_point_first(vol, t, delta)  # first, so a ball volume overflow raises before a level field
-    smp = sample_at(sol, t)
-    return float(np.abs(dvol / (smp.area / smp.grad_w) - 1.0).max())
+    k, n = np.asarray(k), len(series.t)
+    if not np.all((2 <= k) & (k <= n - 3)):
+        raise DomainError(f"coarea stencils need series indices in [2, {n - 3}], got {k.min()} to {k.max()}")
+    r = series.s[k[..., None] + OFFSETS[FIRST].astype(int)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = volume_ball(series.metric, r.ravel()).reshape(r.shape)
+    if not np.all(np.isfinite(v)):
+        raise NumericError(f"{series.metric.label}: ball volumes overflow at the level radii up to s={r.max():g}")
+    return float(np.abs(first_from(v, series.dt) / (series.area[k] / series.grad_w[k]) - 1.0).max())
 
 
-def holder_chain_check(sol: PotentialSolution, t_grid) -> float:
-    """Saturation of the capacity Hoelder chain on round level sets.
+def holder_chain_check(sol: PotentialSolution, smp: FunctionalSample) -> float:
+    """Saturation of the capacity Hoelder chain on round level sets, at the levels of ``smp``.
 
     e^{3t} (4 pi ncap(0))^3 equals (integral |grad w|^-1) (integral |grad w|^2)^2
     with equality because |grad w| is constant on each level sphere; the
-    deviation |lhs/rhs - 1|, formed in logs, is maximized over the grid and
-    measures quadrature plus level-inversion error only.
+    deviation |lhs/rhs - 1|, formed in logs, is maximized over the sampled
+    levels and measures quadrature plus level-inversion error only.
     """
-    smp = sample_at(sol, t_grid)
     log_lhs = 3.0 * (smp.t + math.log(sol.ncap) + math.log(FOUR_PI))
     return float(np.abs(np.expm1(log_lhs - np.log(smp.area / smp.grad_w) - 2.0 * np.log(smp.G))).max())
 

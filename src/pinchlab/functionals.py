@@ -126,14 +126,13 @@ def build_series(sol: PotentialSolution, n: int = 2001) -> FunctionalSeries:
     return series
 
 
-def capacity_scaling_check(sol: PotentialSolution, t_grid) -> float:
-    """Max relative failure of ncap(t) = e^t * ncap(0) over the level grid.
+def capacity_scaling_check(sol: PotentialSolution, smp: FunctionalSample) -> float:
+    """Max relative failure of ncap(t) = e^t * ncap(0) over the levels of ``smp``.
 
     ncap(t) = f(s(t))^2 |grad w|(s(t)) is the boundary flux through the
     level sphere; the identity is exact for the exterior potential, so
     the returned deviation measures the numerics only.
     """
-    smp = sample_at(sol, t_grid)
     return float(np.abs(smp.ncap_t * np.exp(-smp.t) / sol.ncap - 1.0).max())
 
 

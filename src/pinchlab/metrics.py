@@ -33,7 +33,7 @@ from numpy.polynomial import chebyshev
 from .config import number
 from .errors import DomainError, NumericError, UsageError
 from .quadrature import PanelQuadrature, _chebyshev_sum, panel_edges
-from .stencils import five_point_first, five_point_second
+from .stencils import FIRST, first_from, nodes, second_from
 
 log = logging.getLogger(__name__)
 
@@ -470,9 +470,9 @@ def curvature_at(metric: WarpFunction, s) -> CurvaturePoint:
 def finite_difference_curvature_oracle(metric: WarpFunction, s, h) -> CurvaturePoint:
     """Recompute the curvature using only values of f.
 
-    Five-point central stencils of step h recover f' and f'' from f
-    alone, and the same warped-product formulas are then applied.  This
-    is the independent cross-check for ``curvature_at``; it never reuses
+    Five-point central stencils of step h recover f' and f'' from f at
+    s, s +- h and s +- 2h, and the same warped-product formulas are then
+    applied.  This is the independent cross-check for ``curvature_at``; it never reuses
     the profile's analytic derivatives.  s and h are floats or arrays
     that broadcast together.
     """
@@ -482,9 +482,9 @@ def finite_difference_curvature_oracle(metric: WarpFunction, s, h) -> CurvatureP
         raise NumericError(f"finite-difference step {h[bad][0]} underflows at s={s[bad][0]}")
     metric.require_contains(s - 2 * h)
     metric.require_contains(s + 2 * h)
-    x, step = np.atleast_1d(s), np.atleast_1d(h)
-    return _point(s, metric.f(x), five_point_first(metric.f, x, step),
-                  five_point_second(metric.f, x, step))
+    step = np.atleast_1d(h)
+    v = metric.f(nodes(np.atleast_1d(s), step))  # f at s - 2h .. s + 2h, s at the centre
+    return _point(s, v[..., 2], first_from(v[..., FIRST], step), second_from(v, step))
 
 
 # ---------------------------------------------------------------------------
@@ -598,10 +598,9 @@ def check_pinching(metric: WarpFunction, epsilon: float, s, eps_star) -> PinchRe
             lo, hi = float(np.r_[lo, inner][j]), float(np.r_[inner, hi][j])
         first_failure = hi
 
-    keep = slice(None)
-    if s.size > MARGIN_POINTS:
-        step = -(-s.size // (MARGIN_POINTS - 3))
-        keep = np.unique(np.r_[0:s.size:step, s.size - 1, np.argmin(eps_star), i])
+    step = -(-s.size // (MARGIN_POINTS - 3)) if s.size > MARGIN_POINTS else 1
+    keep = np.arange(s.size) % step == 0  # a mask keeps each radius once, in order; np.unique imports numpy.ma
+    keep[[-1, np.argmin(eps_star), i]] = True
     return PinchReport(epsilon, passed, first_failure, s[keep], np.asarray(eps_star)[keep])
 
 

@@ -78,8 +78,8 @@ def panel_edges(lo, hi, breakpoints=()):
         n_log = max(8, int(np.ceil(40 * (np.log10(hi) - np.log10(lin_hi)))))
         pieces.append(np.geomspace(lin_hi, hi, n_log + 1))
     interior = np.asarray([b for b in breakpoints if lo < b < hi], float)
-    edges = np.unique(np.concatenate([*pieces, interior]))
-    # drop grid edges nearly coincident with an inserted breakpoint; relative,
+    edges = np.sort(np.concatenate([*pieces, interior]))  # np.unique would import numpy.ma
+    # drop repeated edges and grid edges nearly coincident with an inserted breakpoint; relative,
     # so an inserted edge close to a zero lo stays, and neither a breakpoint nor hi is dropped
     keep = np.concatenate([[True], np.diff(edges) > 1e-14 * edges[1:]])
     keep[np.searchsorted(edges, interior)] = keep[-1] = True

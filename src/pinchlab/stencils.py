@@ -23,22 +23,28 @@ def step(x, rel, lo, seams=()):
     return reduce(np.minimum, (0.5 * np.abs(x - b) for b in seams), np.minimum(rel * x, 0.5 * (x - lo)))
 
 
-def five_point_first(fn, x, h):
-    """O(h^4) first derivative of fn at x (vectorized)."""
-    x = np.asarray(x, float)
-    h = np.broadcast_to(np.asarray(h, float), x.shape)
-    pts = x[..., None] + h[..., None] * np.array([-2.0, -1.0, 1.0, 2.0])
-    v = fn(pts.reshape(-1)).reshape(pts.shape)
+#: the nodes x + k h of the five-point stencils; the first derivative skips the centre
+OFFSETS, FIRST = np.array([-2.0, -1.0, 0.0, 1.0, 2.0]), [0, 1, 3, 4]
+
+
+def nodes(x, h):
+    """The stencil nodes x + OFFSETS h on a new last axis; h broadcasts against x."""
+    return np.asarray(x, float)[..., None] + np.asarray(h, float)[..., None] * OFFSETS
+
+
+def first_from(v, h):
+    """O(h^4) first derivative from the values v at ``nodes(x, h)[..., FIRST]``."""
     return (v[..., 0] - 8 * v[..., 1] + 8 * v[..., 2] - v[..., 3]) / (12 * h)
 
 
-def five_point_second(fn, x, h):
-    """O(h^4) second derivative of fn at x (vectorized); it divides by h twice, as h^2 may overflow."""
-    x = np.asarray(x, float)
-    h = np.broadcast_to(np.asarray(h, float), x.shape)
-    pts = x[..., None] + h[..., None] * np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
-    v = fn(pts.reshape(-1)).reshape(pts.shape)
+def second_from(v, h):
+    """O(h^4) second derivative from the values v at ``nodes(x, h)``; it divides by h twice, as h^2 may overflow."""
     return (-v[..., 0] + 16 * v[..., 1] - 30 * v[..., 2] + 16 * v[..., 3] - v[..., 4]) / (12 * h) / h
+
+
+def five_point_first(fn, x, h):
+    """O(h^4) first derivative at x of fn, which maps an array of radii to one of its shape."""
+    return first_from(fn(nodes(x, h)[..., FIRST]), h)
 
 
 def grid_derivative(y, dt, cuts=()):

@@ -22,7 +22,7 @@ from . import asymptotics, functionals, metrics, potential
 from .config import ScenarioConfig
 from .errors import NumericError
 from .functionals import SIXTEEN_PI
-from .stencils import five_point_second, step
+from .stencils import nodes, second_from, step
 
 #: level-grid spacing of the verify series; its five-point derivatives err O(dt^4), at worst
 #: 2.3e-6 against 1e-4 (dF_explicit_match through a C^2 blend, over 450 random scenarios)
@@ -97,8 +97,8 @@ def _run_check(name, check: Check, *args) -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 class _Scenario:
-    """A metric plus its solved potential, densely sampled series and the
-    reports that several checks read."""
+    """A metric with its solved potential, its dense series, where the identity rows read
+    their levels (``interior_levels``), and the reports that several checks read."""
 
     def __init__(self, metric, cfg: ScenarioConfig):
         self.metric = metric
@@ -115,7 +115,8 @@ class _Scenario:
         return np.geomspace(lo, self.s_window[1], n)
 
     def interior_levels(self, n=25):
-        return np.linspace(0.05, 0.95, n) * self.sol.t_max
+        """Indices of the n series levels nearest 5% .. 95% of t_max."""
+        return np.rint(np.linspace(0.05, 0.95, n) * (len(self.series.t) - 1)).astype(int)
 
     @cached_property
     def monotonicity(self):
@@ -155,14 +156,13 @@ def _curvature_fd_oracle(sc):
 
 
 def _potential_identities(sc):
-    sol = sc.sol
-    smp = functionals.sample_at(sol, sc.interior_levels(12))
-    s, gw, seams = smp.s, smp.grad_w, sc.metric.breakpoints
+    sol, ser, k = sc.sol, sc.series, sc.interior_levels(12)
+    s, gw, seams = ser.s[k], ser.grad_w[k], sc.metric.breakpoints
     if not np.all(gw * gw >= np.finfo(float).tiny):  # w'' and the residual would underflow with it
         raise NumericError(f"{sc.metric.label}: |grad w|^2 underflows at the level radii up to s={s.max():g}")
     # Delta w = |grad w|^2 in radial form; w'' needs the larger step, its roundoff is eps / h^2
-    d2w = five_point_second(sol.w, s, step(s, 0.01, sol.s0, seams))
-    resid = d2w + smp.H * gw - gw * gw
+    hw = step(s, 0.01, sol.s0, seams)
+    resid = second_from(sol.w(nodes(s, hw)), hw) + ser.H[k] * gw - gw * gw
     # one u' serves the flux and |grad w| = -u'/u  (h = 0.003 s keeps the O(h^4) truncation ~3e-10)
     du = sol.du_stencil(s)
     # u takes values in (0, 1]; uvals[1:] is u(s)
@@ -176,24 +176,23 @@ def _potential_identities(sc):
 
 
 def _integral_geometry(sc):
-    t = sc.interior_levels()
     return {
-        "coarea": (asymptotics.coarea_check(sc.sol, t), 1e-4),
-        "holder_saturation": (asymptotics.holder_chain_check(sc.sol, t), 1e-6),
+        "coarea": (asymptotics.coarea_check(sc.series, sc.interior_levels()), 1e-4),
+        "holder_saturation": (asymptotics.holder_chain_check(sc.sol, sc.series), 1e-6),
     }
 
 
 def _level_roundtrip(sc):
-    t = sc.interior_levels(40)
-    s = np.atleast_1d(sc.sol.s_of_t(t))
-    t_back = np.atleast_1d(sc.sol.w(s))
-    s_back = np.atleast_1d(sc.sol.s_of_t(t_back))
+    k = sc.interior_levels(40)
+    t, s = sc.series.t[k], sc.series.s[k]
+    t_back = sc.sol.w(s)
+    s_back = sc.sol.s_of_t(t_back)
     return float(max(np.abs(t_back - t).max(), np.abs(s_back / s - 1.0).max())), 1e-10
 
 
 def _functional_bounds(sc):
     ser = sc.series
-    s = sc.sol.s_of_t(0.05 * sc.sol.t_max)
+    s = ser.s[sc.interior_levels(1)[0]]  # the level 0.05 t_max
     return {
         "flux_le_willmore_quarter": (float((ser.F - ser.willmore / 4.0).max()), 1e-9),
         "ncap_flux_agreement": (float(sc.sol.flux_residual(s, sc.sol.du_stencil(s))), 1e-9),
@@ -257,8 +256,8 @@ SCENARIO_CHECKS = (
     Check("identities", "trace_identity", _trace_identity),
     Check("identities", "curvature_fd_oracle", _curvature_fd_oracle),
     Check("identities", "potential_identities", _potential_identities),
-    Check("identities", "capacity_scaling", lambda sc: (
-        functionals.capacity_scaling_check(sc.sol, np.linspace(0.0, sc.sol.t_max, 41)), 1e-6)),
+    Check("identities", "capacity_scaling",
+          lambda sc: (functionals.capacity_scaling_check(sc.sol, sc.series), 1e-6)),
     Check("identities", "integral_geometry", _integral_geometry),
     Check("identities", "level_roundtrip", _level_roundtrip),
     Check("identities", "functional_bounds", _functional_bounds),

@@ -67,7 +67,7 @@ def test_criterion_03_power_closed_forms(catalog_bundle):
 
 def test_criterion_04_capacity_scaling(catalog_bundle):
     grid = np.linspace(0.0, 5.0, 41)
-    devs = {name: pl.capacity_scaling_check(sol, grid)
+    devs = {name: pl.capacity_scaling_check(sol, pl.sample_at(sol, grid))
             for name, (metric, sol, series) in catalog_bundle.items()}
     worst = max(devs.values())
     _report(4, "capacity of level sets scales as e^t on all catalog metrics",
@@ -150,11 +150,11 @@ def test_criterion_10_potential_decay_exponents(solve_cache):
 
 
 def test_criterion_11_coarea_and_holder(catalog_bundle):
-    grid = np.linspace(0.1, 4.5, 20)
-    worst_co = max(asymptotics.coarea_check(sol, grid)
-                   for _, sol, _ in catalog_bundle.values())
+    grid = np.linspace(0.1, 4.5, 20)  # at the series levels nearest it
+    worst_co = max(asymptotics.coarea_check(series, np.rint(grid / series.dt).astype(int))
+                   for _, _, series in catalog_bundle.values())
     grid2 = np.linspace(0.0, 5.0, 21)
-    worst_ho = max(asymptotics.holder_chain_check(sol, grid2)
+    worst_ho = max(asymptotics.holder_chain_check(sol, pl.sample_at(sol, grid2))
                    for _, sol, _ in catalog_bundle.values())
     ok = worst_co <= 1e-4 and worst_ho <= 1e-6
     _report(11, "coarea residual <= 1e-4 and Hoelder saturation <= 1e-6 on the catalog",

@@ -10,7 +10,8 @@ import pytest
 import pinchlab as pl
 from pinchlab import asymptotics
 from pinchlab.config import ScenarioConfig
-from pinchlab.verify import run_verify
+from pinchlab.errors import DomainError
+from pinchlab.verify import SUITE_DT, run_verify
 
 from test_metrics import capped_cone
 
@@ -138,37 +139,54 @@ def test_li_yau_exponent_schwarzschild():
 # coarea and Hoelder saturation
 # ---------------------------------------------------------------------------
 
+def coarea_indices(series):
+    """The series indices nearest the levels linspace(0.1, 4.5, 20)."""
+    return np.rint(np.linspace(0.1, 4.5, 20) / series.dt).astype(int)
+
+
+def suite_series(sol):
+    """The series of sol at the level spacing verify differences at, SUITE_DT."""
+    return pl.build_series(sol, n=int(round(sol.t_max / SUITE_DT)) + 1)
+
+
 def test_coarea_examples(catalog_bundle):
-    grid = np.linspace(0.1, 4.5, 20)
     for name, tol in (("flat", 1e-6), ("power", 1e-5), ("cone", 1e-6)):
-        _, sol, _ = catalog_bundle[name]
-        assert asymptotics.coarea_check(sol, grid) < tol, name
+        series = suite_series(catalog_bundle[name][1])
+        assert asymptotics.coarea_check(series, coarea_indices(series)) < tol, name
 
 
 def test_coarea_all_catalog(catalog_bundle):
-    grid = np.linspace(0.1, 4.5, 20)
     for name, (metric, sol, series) in catalog_bundle.items():
-        assert asymptotics.coarea_check(sol, grid) < 1e-4, name
+        assert asymptotics.coarea_check(series, coarea_indices(series)) < 1e-4, name
 
 
 def test_coarea_measures_the_identity_not_its_stencil(catalog_bundle):
-    # a central second-order step of 5e-4 reads delta^2 3^2 / 6 = 3.75e-7 on
-    # Vol ~ e^{3t}; the five-point stencil leaves quadrature roundoff only
-    _, sol, _ = catalog_bundle["flat"]
-    assert asymptotics.coarea_check(sol, np.linspace(0.1, 4.5, 20)) <= 1e-10
+    # at verify's step 1e-3 a central second-order stencil reads delta^2 3^2 / 6 = 1.5e-6
+    # on Vol ~ e^{3t}; the five-point stencil leaves quadrature roundoff only
+    series = suite_series(catalog_bundle["flat"][1])
+    assert asymptotics.coarea_check(series, coarea_indices(series)) <= 1e-10
+
+
+def test_coarea_stencil_stays_inside_the_series(catalog_bundle):
+    _, _, series = catalog_bundle["flat"]
+    n = len(series.t)
+    assert asymptotics.coarea_check(series, [2, n - 3]) <= 1e-10
+    for k in (0, 1, n - 2, n - 1, [2, 1], np.array([100, n - 2])):
+        with pytest.raises(DomainError, match="coarea stencils need series indices"):
+            asymptotics.coarea_check(series, k)
 
 
 def test_holder_saturation_examples(catalog_bundle):
     grid = np.linspace(0.0, 5.0, 21)
     for name, tol in (("flat", 1e-10), ("power", 1e-8), ("schwarzschild", 1e-6)):
         _, sol, _ = catalog_bundle[name]
-        assert asymptotics.holder_chain_check(sol, grid) < tol, name
+        assert asymptotics.holder_chain_check(sol, pl.sample_at(sol, grid)) < tol, name
 
 
 def test_holder_saturation_all_catalog(catalog_bundle):
     grid = np.linspace(0.0, 5.0, 21)
     for name, (metric, sol, series) in catalog_bundle.items():
-        assert asymptotics.holder_chain_check(sol, grid) < 1e-6, name
+        assert asymptotics.holder_chain_check(sol, pl.sample_at(sol, grid)) < 1e-6, name
 
 
 # ---------------------------------------------------------------------------

@@ -280,6 +280,30 @@ def test_verify_samples_each_scenario_series_at_the_suite_spacing(monkeypatch):
     assert levels == [5001] * 5  # t_max 5 at SUITE_DT = 1e-3
 
 
+def test_verify_identity_rows_read_the_scenario_series(monkeypatch):
+    maps, samples = [], []
+    sample_at, level_map = functionals.sample_at, potential.PotentialSolution._level_map
+    for module in (functionals, asymptotics):  # sample_at and any copy a module imported
+        if getattr(module, "sample_at", None) is sample_at:
+            monkeypatch.setattr(module, "sample_at", lambda *args: samples.append(args) or sample_at(*args))
+    monkeypatch.setattr(potential.PotentialSolution, "_level_map",
+                        lambda self, t: maps.append(t) or level_map(self, t))
+    _, code = run_verify(ScenarioConfig(suite="all"), stream=io.StringIO())
+    assert code == 0
+    # per scenario: the solve's harmonic self-check, build_series and level_roundtrip's inverse map
+    assert (len(maps), len(samples)) == (15, 0)
+
+
+@pytest.mark.parametrize("s0", [0.5, 1.0, 3.0])
+def test_verify_series_rows_keep_their_headroom(s0):
+    results, code = run_verify(ScenarioConfig(suite="identities", s0=s0), stream=io.StringIO())
+    assert code == 0
+    rows = [r for r in results if r.name.split("/")[1] in ("capacity_scaling", "integral_geometry", "level_roundtrip")]
+    assert len(rows) == 15
+    for row in rows:
+        assert row.measured <= row.tolerance / 100, row.line()
+
+
 # ---------------------------------------------------------------------------
 # refute
 # ---------------------------------------------------------------------------
@@ -772,6 +796,17 @@ def test_refute_user_table_leaves_scipy_unimported(tmp_path):
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src), timeout=120)
     assert done.stdout.splitlines()[-1].split() == ["0", "False"], done.stdout + done.stderr
+
+
+def test_refute_and_verify_leave_numpy_ma_unimported(tmp_path):
+    # np.unique imports numpy.ma, some 10 ms, on its first call
+    runs = [["refute", "--out-dir", str(tmp_path)], ["verify", "--suite", "all"]]
+    script = ("import sys; from pinchlab import cli; codes = [cli.main(a) for a in %r]; "
+              "print(*codes, 'numpy.ma' in sys.modules)" % runs)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert done.stdout.splitlines()[-1].split() == ["0", "0", "False"], done.stdout + done.stderr
 
 
 def test_help_exits_zero(capsys):
