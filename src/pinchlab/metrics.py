@@ -21,6 +21,7 @@ and volume-growth fits.
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import math
 from dataclasses import dataclass, field
@@ -277,12 +278,12 @@ _TAYLOR_TO_CHEB = np.column_stack([np.pad(chebyshev.chebpow([0.5, 0.5], m), (0, 
 
 def _cyclic_reduction(a):
     """Solve the block tridiagonal system of 2^m - 1 block rows a[k] = [D | U | L | rhs]
-    of b x b blocks in O(2^m), overwriting a.  Gauss-Jordan on the even blocks couples
+    of b x b blocks in O(2^m).  Gauss-Jordan on the even blocks couples
     the odd ones to their second neighbours, a system of 2^(m-1) - 1 block rows.
     Eliminating every other block of a totally nonnegative matrix (b even) leaves a
     totally nonnegative Schur complement, so a B-spline collocation matrix needs no
     pivoting."""
-    b, e = a.shape[1], a[0::2]
+    b, e = a.shape[1], a[0::2].copy()  # contiguous, so each elimination step runs faster
     for j in range(b):
         r = e[:, j] / e[:, j, j, None]
         e -= e[:, :, j, None] * r[:, None]
@@ -333,6 +334,22 @@ def _quintic_pieces(x, y):
     return t[5:n + 1], [_TAYLOR_TO_CHEB[:6 - k, :6 - k] @ taylor[k:] / h**k for k in range(3)]
 
 
+def _require_positive(series, mid, half):
+    """UsageError naming the radius and value of the lowest point of the first piece
+    where the interpolant reaches f <= 0.  A piece with c0 > sum of |c_k| (k >= 1)
+    is positive, as |T_k| <= 1; any other takes its minimum over the piece's ends
+    and the real parts in [-1, 1] of the roots of f' there."""
+    f_series, df_series = series[:2]
+    for j in np.flatnonzero(f_series[0] - np.abs(f_series[1:]).sum(axis=0) <= 0):
+        roots = chebyshev.chebroots(df_series[:, j]).real
+        xi = np.concatenate([[-1.0, 1.0], roots[np.abs(roots) <= 1.0]])
+        values = chebyshev.chebval(xi, f_series[:, j])
+        k = int(np.argmin(values))
+        if values[k] <= 0:
+            raise UsageError(f"quintic interpolant of the table dips to f={values[k]:.3g} at "
+                             f"s={mid[j] + half[j] * xi[k]:.6g}; refine the table")
+
+
 def from_table(s_samples, f_samples, *, tail_coefficient=None, tail_exponent=None) -> WarpFunction:
     """Tabulated warp profile interpolated by a quintic spline.
 
@@ -340,9 +357,10 @@ def from_table(s_samples, f_samples, *, tail_coefficient=None, tail_exponent=Non
     built in O(rows) and kept as Chebyshev series of f, f' and f'' per knot
     interval.  It has four continuous derivatives, so all curvature
     quantities are continuous.  It is not shape-preserving: wiggly or
-    coarse data can produce interpolation overshoot, so we validate
-    positivity of the interpolant on a fine grid and refuse tables that
-    fail.  Accuracy is limited by the table resolution.
+    coarse data can produce interpolation overshoot, so positivity is
+    proven piece by piece and a table whose interpolant reaches f <= 0
+    is refused, naming the radius.  Accuracy is limited by the table
+    resolution.
 
     The power-law tail is fitted by least squares on the outer quarter of
     the table's log-range unless both tail parameters are supplied.
@@ -364,21 +382,30 @@ def from_table(s_samples, f_samples, *, tail_coefficient=None, tail_exponent=Non
 
     edges, series = _quintic_pieces(s, fvals)
     mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+    # f, f' and f'' in one (6, 3, pieces) array for one Clenshaw pass; the zero
+    # rows above the degree of f' and f'' leave their sums bit-identical
+    stacked = np.zeros((6, 3, len(mid)))
+    for k, coef in enumerate(series):
+        stacked[:len(coef), k] = coef
 
-    def piecewise(x, coefs):
-        """The series ``coefs`` (of f, f', f'' in turn) at x, from one range check and one piece lookup."""
-        x = np.asarray(x, float)
+    def piece(x):
+        """The piece index and its xi at each radius of x, after one range check."""
         if not np.all((x >= s[0] - 1e-12) & (x <= s[-1] * (1 + 1e-12))):
             raise DomainError(f"tabulated profile defined only on [{s[0]}, {s[-1]}]")
         i = np.searchsorted(edges[1:-1], x.ravel(), side="right")
-        xi = (x.ravel() - mid[i]) / half[i]
-        return tuple(_chebyshev_sum(coef.take(i, axis=1), xi).reshape(x.shape) for coef in coefs)
+        return i, (x.ravel() - mid[i]) / half[i]
 
     def fn(x):
-        return piecewise(x, series[:1])[0]
+        x = np.asarray(x, float)
+        i, xi = piece(x)
+        return _chebyshev_sum(series[0].take(i, axis=1), xi).reshape(x.shape)
 
-    if np.any(fn(np.linspace(s[0], s[-1], 4096)) <= 0):
-        raise UsageError("quintic interpolant of the table dips below zero; refine the table")
+    def jet(x):
+        x = np.asarray(x, float)
+        i, xi = piece(x)
+        return tuple(v.reshape(x.shape) for v in _chebyshev_sum(stacked.take(i, axis=2), xi))
+
+    _require_positive(series, mid, half)
 
     if tail_coefficient is None or tail_exponent is None:
         log_lo = np.log(max(s[0], 1e-12))
@@ -390,32 +417,41 @@ def from_table(s_samples, f_samples, *, tail_coefficient=None, tail_exponent=Non
         tail_coefficient = math.exp(log_c) if tail_coefficient is None else tail_coefficient
         log.info("fitted table tail law f ~ %.6g * s^%.6g", tail_coefficient, tail_exponent)
 
-    return WarpFunction("user_table", fn, lambda x: piecewise(x, series), params={"n_rows": float(len(s))},
+    return WarpFunction("user_table", fn, jet, params={"n_rows": float(len(s))},
                         domain_start=float(s[0]), inclusive_start=True, domain_end=float(s[-1]),
                         tail_coefficient=float(tail_coefficient), tail_exponent=float(tail_exponent))
 
 
 def load_table_csv(path, **kwargs) -> WarpFunction:
-    """Read a `s,f` CSV (header required) into a tabulated warp profile."""
+    """Read a `s,f` CSV (header required) into a tabulated warp profile.
+
+    One np.array call per column applies float() to its fields; only when one
+    fails are the rows read again, in file order, for the first bad one."""
     try:
         with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header[:2]] != ["s", "f"]:
-                raise UsageError(f"{path}: expected CSV header 's,f'")
-            rows = []
-            for r in filter(None, reader):
-                try:
-                    rows.append((float(r[0]), float(r[1])))
-                except (ValueError, IndexError):
-                    raise UsageError(f"{path}, line {reader.line_num}: expected two "
-                                     f"numbers s,f, got {','.join(r)!r}") from None
+            text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read table {path}: {getattr(exc, 'strerror', None) or exc}") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    if header is None or [h.strip() for h in header[:2]] != ["s", "f"]:
+        raise UsageError(f"{path}: expected CSV header 's,f'")
+    rows = list(filter(None, reader))
     if not rows:
         raise UsageError(f"{path}: empty table")
-    s, fvals = zip(*rows)
-    return from_table(np.array(s), np.array(fvals), **kwargs)
+    try:
+        s, fvals = (np.array([r[k] for r in rows], float) for k in (0, 1))
+    except (ValueError, IndexError):
+        reader = csv.reader(io.StringIO(text, newline=""))
+        next(reader)
+        for r in filter(None, reader):
+            try:
+                float(r[0]), float(r[1])
+            except (ValueError, IndexError):
+                raise UsageError(f"{path}, line {reader.line_num}: expected two "
+                                 f"numbers s,f, got {','.join(r)!r}") from None
+        raise
+    return from_table(s, fvals, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -595,7 +631,7 @@ def check_pinching(metric: WarpFunction, epsilon: float, s, eps_star) -> PinchRe
                 break
             fails = ~pinched(metric, inner, epsilon)[0]
             j = int(np.argmax(fails)) if fails.any() else inner.size
-            lo, hi = float(np.r_[lo, inner][j]), float(np.r_[inner, hi][j])
+            lo, hi = float(inner[j - 1]) if j else lo, float(inner[j]) if j < inner.size else hi
         first_failure = hi
 
     step = -(-s.size // (MARGIN_POINTS - 3)) if s.size > MARGIN_POINTS else 1

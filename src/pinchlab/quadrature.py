@@ -48,9 +48,10 @@ _SEED_VANDER = chebyshev.chebvander(2.0 * SEED_FRACTIONS - 1.0, GL_ORDER - 1)  #
 
 
 def _chebyshev_sum(coef, xi):
-    """Clenshaw sum of the Chebyshev series with coefficient rows ``coef`` at xi."""
+    """Clenshaw sum of the Chebyshev series with coefficient rows ``coef`` at xi, which
+    broadcasts against a row: a row of shape (m, n) sums m series at the n points xi."""
     x2 = 2.0 * xi
-    b1, b2, tmp = coef[-1].copy(), np.zeros_like(xi), np.empty_like(xi)
+    b1, b2, tmp = coef[-1].copy(), np.zeros_like(coef[-1]), np.empty_like(coef[-1])
     for c in coef[-2:0:-1]:
         np.multiply(x2, b1, out=tmp)
         tmp -= b2

@@ -21,6 +21,8 @@ from pinchlab.config import SUITES, ScenarioConfig
 from pinchlab.errors import UsageError
 from pinchlab.verify import Check, SuiteResult, _run_check, run_verify
 
+from test_metrics import _per_series
+
 
 def _no_bare_constant(name):
     raise AssertionError(f"a written JSON file holds a bare {name}")
@@ -796,6 +798,43 @@ def test_refute_user_table_leaves_scipy_unimported(tmp_path):
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src), timeout=120)
     assert done.stdout.splitlines()[-1].split() == ["0", "False"], done.stdout + done.stderr
+
+
+@pytest.mark.parametrize("command", ["solve", "refute"])
+def test_table_dipping_below_zero_is_a_usage_error(tmp_path, capsys, command):
+    # the interpolant reaches f = -3.5e-4 near s = 0.504, between two rows; at s0 = 0.2
+    # the solve would take the log of a negative I(s) unless the load refuses the table
+    s = np.geomspace(0.1, 1e4, 300)
+    f = s**0.8
+    f[np.argmin(np.abs(s - 0.5))] = 1e-6
+    path = _write(tmp_path / "t.csv", "s,f\n" + "".join(f"{a:.17g},{b:.17g}\n" for a, b in zip(s, f)))
+    argv = [command, "--kind", "user_table", "--param", f"path={path}", "--s0", "0.2",
+            "--out-dir", str(tmp_path / "out")]
+    assert cli.main(argv) == 64
+    assert "dips to f=-0.00035 at s=0.5042" in capsys.readouterr().err
+
+
+def test_table_refutation_bytes_match_separate_series(tmp_path, monkeypatch):
+    # three tables shaped like the benchmark's: power laws on log-spaced rows from 0.1;
+    # the certificate is the same when the jet sums f, f' and f'' one series at a time
+    def per_series(s, f, **kwargs):
+        edges, series = metrics._quintic_pieces(s, f)
+        return dataclasses.replace(from_table(s, f, **kwargs), jet=lambda x: _per_series(edges, series, x))
+
+    from_table = metrics.from_table
+    for k, (beta, c, s_end, rows, s0) in enumerate([(0.62, 0.7, 1.3e3, 231, 0.3),
+                                                    (0.8, 1.9, 2e4, 517, 1.7),
+                                                    (0.97, 1.1, 9e4, 788, 3.6)]):
+        s = 0.1 * (s_end / 0.1) ** (np.arange(rows) / (rows - 1))
+        path = _write(tmp_path / f"t{k}.csv", "s,f\n" + "".join(f"{a:.17g},{c * a ** beta:.17g}\n" for a in s))
+        written = []
+        for make in (from_table, per_series):
+            monkeypatch.setattr(metrics, "from_table", make)
+            out = tmp_path / f"{k}{make.__name__}"
+            assert cli.main(["refute", "--kind", "user_table", "--param", f"path={path}", "--s0", str(s0),
+                             "--epsilon", "0.2", "--out-dir", str(out)]) == 0
+            written.append((out / "refutation.json").read_bytes())
+        assert written[0] == written[1]
 
 
 def test_refute_and_verify_leave_numpy_ma_unimported(tmp_path):

@@ -630,6 +630,37 @@ def test_table_csv_roundtrip(tmp_path, power_table):
     assert metric.f(3.0) == pytest.approx(3.0**0.8, rel=1e-10)
 
 
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("text, expect", [
+    # quoted fields, extra columns, blank lines and spaces around fields and header names
+    (' s , f ,note\n"1.5","2.5",x\n\n 2 , 3 \n3,4,5,6\n\n"4",5\n', ([1.5, 2.0, 3.0, 4.0], [2.5, 3.0, 4.0, 5.0])),
+    ("s,f\n1_000,2e3\nnan,1\n3,inf\n-Infinity,4\n", ([1000.0, _NAN, 3.0, -_INF], [2000.0, 1.0, _INF, 4.0])),
+    ('s,f\n"1\n",1\n0.1,1e-320\n', ([1.0, 0.1], [1.0, 1e-320])),  # a quoted field over two lines
+    ("s,f\n1,1\n2,2\n3\n4,4\n", "line 4: expected two numbers s,f, got '3'"),  # a one-field row
+    ("s,f\n1,1\n2,x\ny,3\n", "line 3: expected two numbers s,f, got '2,x'"),  # bad f, then a bad s
+    ("s,f\n1,1\n \n2,2\n", "line 3: expected two numbers s,f, got ' '"),
+    ('s,f\n"1\n",1\n\n2,2\n3,1__0\n', "line 6: expected two numbers s,f, got '3,1__0'"),
+    ("s,f\n\n\n", "empty table"),
+])
+def test_table_csv_parse_compatibility(tmp_path, monkeypatch, text, expect):
+    # the arrays load_table_csv hands to from_table hold float() of each field,
+    # and a bad row is named by the line where csv.reader ends it
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    loaded = []
+    monkeypatch.setattr(pl.metrics, "from_table", lambda s, f, **kwargs: loaded.append((s, f)))
+    if isinstance(expect, str):
+        with pytest.raises(UsageError) as info:
+            pl.load_table_csv(path)
+        assert str(info.value) == (f"{path}, {expect}" if "line" in expect else f"{path}: {expect}")
+        return
+    pl.load_table_csv(path)
+    for got, want in zip(loaded[0], expect):
+        assert got.dtype == np.float64 and got.tobytes() == np.array(want, float).tobytes()
+
+
 def test_table_validation_errors(tmp_path):
     with pytest.raises(UsageError):
         pl.from_table([1, 2, 3], [1, 2, 3])  # too few rows
@@ -644,6 +675,71 @@ def test_table_validation_errors(tmp_path):
     path.write_text("x,y\n1,1\n")
     with pytest.raises(UsageError):
         pl.load_table_csv(path)
+
+
+def test_table_dip_between_rows_names_the_radius():
+    # the row nearest s = 0.5 is 1e-6, and the interpolant dips below zero between it
+    # and the next row, in the first decades, which a linear scan of the table's range skips
+    s = np.geomspace(0.1, 1e4, 300)
+    f = s**0.8
+    f[np.argmin(np.abs(s - 0.5))] = 1e-6
+    with pytest.raises(UsageError, match=r"dips to f=-0\.00035 at s=0\.5042"):
+        pl.from_table(s, f)
+
+
+def _per_series(edges, series, x):
+    """The series of f, f' and f'' at x by three Clenshaw sums, one per series."""
+    x = np.asarray(x, float)
+    i = np.searchsorted(edges[1:-1], x.ravel(), side="right")
+    xi = (x.ravel() - 0.5 * (edges[i] + edges[i + 1])) / (0.5 * (edges[i + 1] - edges[i]))
+    return tuple(pl.quadrature._chebyshev_sum(c.take(i, axis=1), xi).reshape(x.shape) for c in series)
+
+
+def test_table_jet_is_bit_identical_to_separate_series():
+    # one Clenshaw pass over f, f' and f'', zero-padded to one degree, at the rows,
+    # the knots, between them and inside the end tolerance, for any shape of radii
+    s = np.geomspace(0.1, 3e4, 517)
+    f = 1.3 * s**0.75 * (1.0 + 0.2 * np.sin(2.0 * np.log(s)))
+    metric = pl.from_table(s, f)
+    edges, series = pl.metrics._quintic_pieces(s, f)
+    x = np.concatenate([s, edges, np.geomspace(s[0], s[-1], 4001), [s[-1] * (1 + 1e-12)]])
+    for points in (x, x.reshape(2, -1), np.array(3.7), x[:1]):
+        got, want = metric.jet(points), _per_series(edges, series, points)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+def test_table_positivity_matches_a_dense_sample_of_each_piece():
+    # seeded smooth, noisy and rippled tables: no accepted table reaches f <= 0 on 1025
+    # points of each piece, and every table positive there is accepted, whether or not
+    # a linear scan of 4096 radii over the whole table saw a dip
+    rng = np.random.default_rng(29)
+    xi = np.linspace(-1.0, 1.0, 1025)
+    verdicts = []
+    for k in range(240):
+        family = ("smooth", "noisy", "rippled")[k % 3]
+        s = np.geomspace(0.1, 10.0 ** rng.uniform(1.0, 4.0), int(rng.integers(12, 120)))
+        if family == "smooth":
+            f = rng.uniform(0.5, 2.0) * s ** rng.uniform(0.55, 1.0)
+        elif family == "noisy":
+            f = s**0.8 * np.exp(rng.normal(0.0, rng.uniform(0.01, 0.5), s.size))
+            f[rng.integers(0, s.size)] *= 10.0 ** rng.uniform(-8.0, 0.0)
+        else:
+            f = s**0.8 * (1.0 + rng.uniform(0.6, 0.999) * np.sin(rng.uniform(2.0, 20.0) * np.log(s)))
+        edges, series = pl.metrics._quintic_pieces(s, f)
+        dense = np.polynomial.chebyshev.chebval(xi, series[0]).min()
+        scan = _per_series(edges, series[:1], np.linspace(s[0], s[-1], 4096))[0].min()
+        try:
+            pl.from_table(s, f)
+            accepted = True
+        except UsageError as exc:
+            assert "dips to f=" in str(exc)
+            accepted = False
+        assert not accepted or dense > 0, (k, family, dense)
+        assert accepted or dense <= 0 or scan <= 0, (k, family, dense, scan)
+        verdicts.append((accepted, bool(scan > 0)))
+    assert min(verdicts.count((True, True)), verdicts.count((False, False))) >= 40
+    assert verdicts.count((False, True)) >= 5  # dips a scan over the whole table missed
 
 
 # ---------------------------------------------------------------------------
