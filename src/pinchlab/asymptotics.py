@@ -27,6 +27,7 @@ from .functionals import (FOUR_PI, SIXTEEN_PI, BoundaryWillmore, FunctionalSampl
                           FunctionalSeries, boundary_willmore, build_series)
 from .metrics import GrowthReport, PinchReport, check_pinching, growth_fit, volume_ball
 from .potential import ExteriorDomain, PotentialSolution, TailIntegrator
+from .quadrature import log_grid
 from .stencils import FIRST, OFFSETS, first_from
 
 log = logging.getLogger(__name__)
@@ -111,7 +112,7 @@ def li_yau_fit(at: ExteriorDomain | PotentialSolution, r_lo: float, r_hi: float)
     if not at.s0 <= r_lo < r_hi:
         raise DomainError(f"bad fit window [{r_lo}, {r_hi}]")
     integ = TailIntegrator(at.metric, at.s0, r_hi)
-    s = np.geomspace(r_lo, r_hi, 40)
+    s = log_grid(r_lo, r_hi, 40)
     return metrics.line_fit(np.log(s), np.log(integ.value(s) / integ.i_lo))[0]
 
 
@@ -293,7 +294,7 @@ def judge(sol: PotentialSolution, series: FunctionalSeries, pinch: PinchReport, 
             log_kappa_g = math.log(decay.decay_constant)
         else:
             log_kappa_g = float(np.max(np.log(series.G) + 2.0 * series.t))
-        fit_s = np.geomspace(max(2.0 * sol.s0, 1.0), series.s[-1], 30)
+        fit_s = log_grid(max(2.0 * sol.s0, 1.0), series.s[-1], 30)
         kappa_ly = float(np.max(sol.u(fit_s) * fit_s ** (alpha - 1.0)))
         # kappa = 7 kappa_g^2 c_vol kappa_ly^exponent / (4 pi ncap)^3, in logs, where nothing can overflow
         log_kappa = (2.0 * log_kappa_g + math.log(7.0 * growth.c_vol_fit) + exponent * math.log(kappa_ly)
@@ -305,7 +306,7 @@ def judge(sol: PotentialSolution, series: FunctionalSeries, pinch: PinchReport, 
             hi = min(max(2.0 * t_star_est, 4.0), 90.0)
         else:
             hi = min(3.0 * config.t_max, 90.0)
-        chain_t = np.geomspace(min(0.25, hi / 50.0), hi, int(config.chain_points))
+        chain_t = log_grid(min(0.25, hi / 50.0), hi, int(config.chain_points))
         # where the right side leaves the float range, the left stays below e^630 (t <= 90): no crossing is lost
         chain_t = chain_t[log_kappa + exponent * chain_t < log_max]
         chain_lhs = np.expm1(7.0 * chain_t)

@@ -30,6 +30,7 @@ import numpy as np
 from . import metrics
 from .errors import DomainError, NumericError
 from .potential import ExteriorDomain, PotentialSolution
+from .quadrature import lin_grid
 from .stencils import grid_derivative
 
 FOUR_PI = 4.0 * math.pi
@@ -119,7 +120,7 @@ def build_series(sol: PotentialSolution, n: int = 2001) -> FunctionalSeries:
     """Sample the functionals on a uniform level grid [0, sol.t_max]."""
     if n < 3:
         raise DomainError("series needs at least 3 samples")
-    t = np.linspace(0.0, sol.t_max, int(n))
+    t = lin_grid(0.0, sol.t_max, int(n))
     series = FunctionalSeries(t, *_fields_at(sol, t), sol.metric, sol.s0)
     if not np.all(series.s[1:] > series.s[:-1]):
         raise DomainError(f"t_max={sol.t_max:g} is too small for {int(n)} levels: their radii coincide")

@@ -33,7 +33,7 @@ from numpy.polynomial import chebyshev
 
 from .config import number
 from .errors import DomainError, NumericError, UsageError
-from .quadrature import PanelQuadrature, _chebyshev_sum, panel_edges
+from .quadrature import PanelQuadrature, _chebyshev_sum, lin_grid, log_grid, panel_edges
 from .stencils import FIRST, first_from, nodes, second_from
 
 log = logging.getLogger(__name__)
@@ -91,7 +91,7 @@ class WarpFunction:
         """Probe radii out to the table end, 1e300 or the end of the float range,
         each with the largest tail-law mismatch |f/(c s^beta) - 1| from there on."""
         lo, hi = max(self.domain_start, 1e-6), min(self.domain_end, 1e300)
-        radii = np.geomspace(lo, hi, int(4 * math.log10(hi / lo)) + 2)
+        radii = log_grid(lo, hi, int(4 * math.log10(hi / lo)) + 2)
         with np.errstate(over="ignore", invalid="ignore"):
             m = np.abs(self.f(radii) / (self.tail_coefficient * radii**self.tail_exponent) - 1.0)
         finite = np.logical_and.accumulate(np.isfinite(m))
@@ -433,10 +433,13 @@ def load_table_csv(path, **kwargs) -> WarpFunction:
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read table {path}: {getattr(exc, 'strerror', None) or exc}") from None
     reader = csv.reader(io.StringIO(text, newline=""))
-    header = next(reader, None)
-    if header is None or [h.strip() for h in header[:2]] != ["s", "f"]:
-        raise UsageError(f"{path}: expected CSV header 's,f'")
-    rows = list(filter(None, reader))
+    try:
+        header = next(reader, None)
+        if header is None or [h.strip() for h in header[:2]] != ["s", "f"]:
+            raise UsageError(f"{path}: expected CSV header 's,f'")
+        rows = list(filter(None, reader))
+    except csv.Error as exc:  # e.g. a field past the csv module's size limit
+        raise UsageError(f"{path}, line {reader.line_num}: {exc}") from None
     if not rows:
         raise UsageError(f"{path}: empty table")
     try:
@@ -625,7 +628,7 @@ def check_pinching(metric: WarpFunction, epsilon: float, s, eps_star) -> PinchRe
     if i > 0:
         lo, hi = float(s[i - 1]), float(s[i])
         while hi - lo > 1e-6:
-            inner = np.linspace(lo, hi, 34)[1:-1]
+            inner = lin_grid(lo, hi, 34)[1:-1]
             inner = inner[(inner > lo) & (inner < hi)]
             if not inner.size:  # adjacent floats: 1e-6 is below one ulp
                 break
@@ -689,7 +692,7 @@ def growth_fit(metric: WarpFunction, r_lo: float, r_hi: float) -> GrowthReport:
     r_lo, r_hi = float(r_lo), float(r_hi)
     if not metric.domain_start < r_lo < r_hi:
         raise DomainError(f"bad growth window [{r_lo}, {r_hi}]")
-    r = np.geomspace(r_lo, r_hi, 25)
+    r = log_grid(r_lo, r_hi, 25)
     with np.errstate(over="ignore", invalid="ignore"):
         vol = volume_ball(metric, r)
     if not np.all(np.isfinite(vol)):

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DomainError, NonparabolicityError, NumericError
 from .metrics import WarpFunction
-from .quadrature import SEED_FRACTIONS, PanelQuadrature, panel_edges
+from .quadrature import SEED_FRACTIONS, PanelQuadrature, lin_grid, panel_edges
 from .stencils import five_point_first, step
 
 log = logging.getLogger(__name__)
@@ -270,7 +270,7 @@ class PotentialSolution:
         -1/I(s0) everywhere; differencing quadrature-evaluated u values
         probes the consistency of the tail integrals to ~1e-8.
         """
-        s = self.s_of_t(np.linspace(min(0.2, 0.5 * self.t_usable), 0.9 * min(self.t_usable, 6.0), 12))
+        s = self.s_of_t(lin_grid(min(0.2, 0.5 * self.t_usable), 0.9 * min(self.t_usable, 6.0), 12))
         worst = float(self.flux_residual(s, self.du_stencil(s)).max())
         if worst > 1e-6:
             raise NumericError(

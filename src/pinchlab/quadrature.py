@@ -15,6 +15,14 @@ the grid start is asked for at panel edges only and is a prefix sum.
 With 16-point panels at >= 40 panels per decade the panel rule is exact
 to machine precision for the smooth integrands used here; accuracy is
 exercised against closed forms in the test suite.
+
+Every radial and level grid in the package -- the panel edges here, the
+probe radii, fit windows, level grids and check grids elsewhere -- comes
+from ``lin_grid`` or ``log_grid``.  They return exactly the bytes of
+``np.linspace`` and ``np.geomspace`` for the finite float ends the
+package passes, by doing numpy's own arithmetic without its dtype
+promotion, sign rotation and dispatch, which cost several times the
+arithmetic on the short grids that make most of the calls.
 """
 
 from __future__ import annotations
@@ -60,6 +68,32 @@ def _chebyshev_sum(coef, xi):
     return coef[0] + xi * b1 - b2
 
 
+def lin_grid(lo, hi, n):
+    """``np.linspace(lo, hi, n)``, bit for bit: arange(n) * ((hi - lo) / (n - 1)) + lo with the last
+    point pinned to hi, or, for a step that underflows to 0, arange(n) / (n - 1) * (hi - lo) + lo."""
+    lo, hi = float(lo), float(hi)
+    y = np.arange(float(n))
+    div = max(n - 1, 1)
+    step = (hi - lo) / div
+    if n > 1 and step != 0.0:
+        y *= step
+    else:  # one point, [0 * (hi - lo) + lo] with its signed zero, or a step underflowing to 0, as numpy
+        y /= div
+        y *= hi - lo
+    y += lo
+    if n > 1:
+        y[-1] = hi
+    return y
+
+
+def log_grid(lo, hi, n):
+    """``np.geomspace(lo, hi, n)`` for 0 < lo, 0 < hi and n >= 2, bit for bit: 10 ** lin_grid(log10 lo,
+    log10 hi, n) with both ends pinned, since 10 ** log10(x) need not be x."""
+    y = 10.0 ** lin_grid(np.log10(lo), np.log10(hi), n)
+    y[0], y[-1] = lo, hi
+    return y
+
+
 def panel_edges(lo, hi, breakpoints=()):
     """Panel edges on [lo, hi]: log-spaced, 40 per decade, from lo, or for
     lo == 0 (where log spacing is impossible) after 64 linear panels on
@@ -74,10 +108,10 @@ def panel_edges(lo, hi, breakpoints=()):
     lin_hi = lo if lo > 0 else min(hi, 1.0)
     pieces = []
     if lin_hi > lo:
-        pieces.append(np.linspace(lo, lin_hi, 65))
+        pieces.append(lin_grid(lo, lin_hi, 65))
     if hi > lin_hi:
         n_log = max(8, int(np.ceil(40 * (np.log10(hi) - np.log10(lin_hi)))))
-        pieces.append(np.geomspace(lin_hi, hi, n_log + 1))
+        pieces.append(log_grid(lin_hi, hi, n_log + 1))
     interior = np.asarray([b for b in breakpoints if lo < b < hi], float)
     edges = np.sort(np.concatenate([*pieces, interior]))  # np.unique would import numpy.ma
     # drop repeated edges and grid edges nearly coincident with an inserted breakpoint; relative,

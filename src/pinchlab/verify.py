@@ -22,6 +22,7 @@ from . import asymptotics, functionals, metrics, potential
 from .config import ScenarioConfig
 from .errors import NumericError
 from .functionals import SIXTEEN_PI
+from .quadrature import lin_grid, log_grid
 from .stencils import nodes, second_from, step
 
 #: level-grid spacing of the verify series; its five-point derivatives err O(dt^4), at worst
@@ -112,11 +113,11 @@ class _Scenario:
 
     def curvature_grid(self, n=200):
         lo = max(self.s_window[0] * 0.5, 1e-3, self.metric.domain_start)
-        return np.geomspace(lo, self.s_window[1], n)
+        return log_grid(lo, self.s_window[1], n)
 
     def interior_levels(self, n=25):
         """Indices of the n series levels nearest 5% .. 95% of t_max."""
-        return np.rint(np.linspace(0.05, 0.95, n) * (len(self.series.t) - 1)).astype(int)
+        return np.rint(lin_grid(0.05, 0.95, n) * (len(self.series.t) - 1)).astype(int)
 
     @cached_property
     def monotonicity(self):
@@ -201,7 +202,7 @@ def _functional_bounds(sc):
 
 def _scalar_flatness(sc):
     with np.errstate(all="ignore"):
-        scalar = metrics.curvature_at(sc.metric, np.linspace(0.0, 100.0, 400)).scalar
+        scalar = metrics.curvature_at(sc.metric, lin_grid(0.0, 100.0, 400)).scalar
     if not np.all(np.isfinite(scalar)):
         raise NumericError(f"{sc.metric.label}: the horizon curvature, of order 1/m^2, passes the float range")
     return float(np.abs(scalar).max()), 1e-8

@@ -814,6 +814,17 @@ def test_table_dipping_below_zero_is_a_usage_error(tmp_path, capsys, command):
     assert "dips to f=-0.00035 at s=0.5042" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["solve", "refute"])
+def test_table_field_past_the_csv_limit_is_a_usage_error(tmp_path, capsys, command):
+    # the csv module refuses a field over 131,072 characters with csv.Error, not ValueError
+    path = _write(tmp_path / "t.csv", "s,f\n0.1,0.1\n" + "1" * 200_000 + ",2\n")
+    out = tmp_path / "out"
+    argv = [command, "--kind", "user_table", "--param", f"path={path}", "--out-dir", str(out)]
+    assert cli.main(argv) == 64
+    assert f"{path}, line 3: field larger than field limit" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_table_refutation_bytes_match_separate_series(tmp_path, monkeypatch):
     # three tables shaped like the benchmark's: power laws on log-spaced rows from 0.1;
     # the certificate is the same when the jet sums f, f' and f'' one series at a time
@@ -835,6 +846,31 @@ def test_table_refutation_bytes_match_separate_series(tmp_path, monkeypatch):
                              "--epsilon", "0.2", "--out-dir", str(out)]) == 0
             written.append((out / "refutation.json").read_bytes())
         assert written[0] == written[1]
+
+
+def test_outputs_are_the_same_with_numpys_own_grids(tmp_path, monkeypatch):
+    # every grid comes from quadrature.lin_grid or log_grid; with np.linspace and np.geomspace
+    # in their place at every call site, no certificate or verify row may change by a byte
+    s = 0.1 * (2e4 / 0.1) ** (np.arange(517) / 516)
+    table = _write(tmp_path / "t.csv", "s,f\n" + "".join(f"{a:.17g},{1.9 * a ** 0.8:.17g}\n" for a in s))
+    runs = [["--kind", kind] for kind in ("flat", "cone", "power", "schwarzschild", "sphere_cap_blend")]
+    runs.append(["--kind", "user_table", "--param", f"path={table}", "--s0", "1.7", "--epsilon", "0.2"])
+
+    def outputs(tag):
+        certificates = []
+        for k, args in enumerate(runs):
+            out = tmp_path / f"{tag}{k}"
+            assert cli.main(["refute", *args, "--out-dir", str(out)]) == 0
+            certificates.append((out / "refutation.json").read_bytes())
+        results, _ = run_verify(ScenarioConfig(suite="all"), stream=io.StringIO())
+        return certificates, json.dumps([r.to_json_dict() for r in results])
+
+    ours = outputs("ours")
+    for module in [m for name, m in sys.modules.items() if name.startswith("pinchlab.")]:
+        for name, reference in (("lin_grid", np.linspace), ("log_grid", np.geomspace)):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, reference)
+    assert outputs("numpy") == ours
 
 
 def test_refute_and_verify_leave_numpy_ma_unimported(tmp_path):

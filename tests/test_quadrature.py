@@ -5,7 +5,7 @@ import pytest
 
 import pinchlab as pl
 from pinchlab.errors import DomainError
-from pinchlab.quadrature import PanelQuadrature, _chebyshev_sum, panel_edges
+from pinchlab.quadrature import PanelQuadrature, _chebyshev_sum, lin_grid, log_grid, panel_edges
 
 _X, _W = np.polynomial.legendre.leggauss(16)
 
@@ -151,3 +151,23 @@ def test_integrand_is_evaluated_only_at_construction():
     quad.integral_to_end(3.0)
     assert sum(points) == 16 * (edges.size - 1)
     assert not hasattr(quad, "fn")
+
+
+def test_grids_are_numpys_bit_for_bit():
+    # ends log-uniform over 1e-300 .. 1e300, far apart or within three decades, in either order;
+    # lin_grid also from zero, negative and equal ends
+    rng = np.random.default_rng(30)
+    for _ in range(1500):
+        lo = 10.0 ** rng.uniform(-300.0, 300.0)
+        hi = 10.0 ** rng.uniform(-300.0, 300.0) if rng.random() < 0.5 else lo * 10.0 ** rng.uniform(-3.0, 3.0)
+        n = int(rng.choice([1, 2, 3, 25, 34, 65, 1226, 5001]))
+        if n > 1:
+            assert log_grid(lo, hi, n).tobytes() == np.geomspace(lo, hi, n).tobytes(), (lo, hi, n)
+        for a in (lo, -lo, 0.0, -0.0, hi):
+            assert lin_grid(a, hi, n).tobytes() == np.linspace(a, hi, n).tobytes(), (a, hi, n)
+    # one point, signed zeros included, and steps that underflow to 0 (numpy's y / div * delta)
+    cases = [(-0.0, 5.0, 1), (0.0, -5.0, 1), (-0.0, -5.0, 1),
+             (0.0, 5e-324, 3), (-5e-324, 5e-324, 65), (0.0, 1e-320, 5001), (2.5, 2.5, 34)]
+    for lo, hi, n in cases:
+        assert n == 1 or (hi - lo) / (n - 1) == 0.0
+        assert lin_grid(lo, hi, n).tobytes() == np.linspace(lo, hi, n).tobytes(), (lo, hi, n)
