@@ -144,7 +144,7 @@ def holder_chain_check(sol: PotentialSolution, smp: FunctionalSample) -> float:
     levels and measures quadrature plus level-inversion error only.
     """
     log_lhs = 3.0 * (smp.t + math.log(sol.ncap) + math.log(FOUR_PI))
-    return float(np.abs(np.expm1(log_lhs - np.log(smp.area / smp.grad_w) - 2.0 * np.log(smp.G))).max())
+    return float(np.abs(np.expm1(log_lhs - (np.log(smp.area) - np.log(smp.grad_w)) - 2.0 * np.log(smp.G))).max())
 
 
 # ---------------------------------------------------------------------------

@@ -650,9 +650,13 @@ def check_pinching(metric: WarpFunction, epsilon: float, s, eps_star) -> PinchRe
 def volume_ball(metric: WarpFunction, r):
     """Volume of the centred ball of arclength radius r.
 
-    Vol(B_r) = 4 pi * integral of f(s)^2 over [s_min, r].
-    The panel quadrature is exact to ~1e-13 relative for the catalog
-    profiles (verified against closed forms in the tests).
+    Vol(B_r) = 4 pi * integral of f(s)^2 over [s_min, r], a sum of whole
+    panels: exact to roundoff where f^2 is smooth.  A power law's f^2 =
+    c^2 s^(2 beta) is not smooth at the pole s = 0, and the panel [0, a]
+    there errs by up to 5e-7 of its own integral.  So V(r) errs by up to
+    5e-7 (a/r)^(2 beta + 1) relative, where a is min(max r, 1)/64, or the
+    smallest r if that is less: 1e-10 or less for a single radius.  The
+    tests check both bounds against the closed form.
     """
     r_arr = np.atleast_1d(np.asarray(r, float))
     if not np.all((metric.domain_start < r_arr) & (r_arr <= metric.domain_end) & np.isfinite(r_arr)):

@@ -29,7 +29,7 @@ import numpy as np
 from .errors import DomainError, NonparabolicityError, NumericError
 from .metrics import WarpFunction
 from .quadrature import SEED_FRACTIONS, PanelQuadrature, lin_grid, panel_edges
-from .stencils import five_point_first, step
+from .stencils import FIRST, first_from, nodes, step
 
 log = logging.getLogger(__name__)
 
@@ -92,7 +92,8 @@ class TailIntegrator:
     the last one, is ``degraded`` and says so in a warning.  Queries reach
     s_hi = max(s_query_hi, 2 s_lo, 1): 2 s_lo keeps TailIntegrator(metric, s, s) off an
     empty range, and 1 keeps ``judge``'s kappa_LY fit, read from max(2 s0, 1), inside
-    ``usable_hi``.  I(s_lo) is ``i_lo``; a NumericError names one that is 0 or inf.
+    ``usable_hi``, a panel edge, where the level map's seed knots end.  I(s_lo) is
+    ``i_lo``; a NumericError names one that is 0 or inf.
     """
 
     def __init__(self, metric: WarpFunction, s_lo: float, s_query_hi: float):
@@ -109,14 +110,14 @@ class TailIntegrator:
         s_cut = self.s_cut = float(at[i])
         self.usable_hi, self._s_hi = s_hi, s_hi * (1.0 + 1e-9)  # and the bound value() checks
         self.tail_const = s_cut ** (1.0 - 2.0 * beta) / (c * c * (2.0 * beta - 1.0))
-        edges = panel_edges(s_lo, s_cut, metric.breakpoints)
+        edges = panel_edges(s_lo, s_cut, (*metric.breakpoints, s_hi))
         # f^-2 overflows near a tiny s_lo (or divides by an f that underflows to 0), I(s_lo) with it
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             self.quad = PanelQuadrature(lambda s: metric.f(s) ** -2.0, edges)
         (log.warning if self.degraded else log.debug)(
             "%s: tail cut at s=%.6g for queries up to %.6g; analytic tail error "
             "bound %.2e (budget %.0e)", metric.label, s_cut, s_hi, err[i], TAIL_BUDGET)
-        self.i_lo = i_lo = float(self.value(s_lo))
+        self.i_lo = i_lo = float(self.quad.suffix[0] + self.tail_const)  # every panel, and the tail
         if not 0.0 < i_lo < math.inf:
             raise NumericError(f"{metric.label}: I(s0), the integral of f^-2, "
                                f"{'underflows to 0' if i_lo == 0.0 else 'overflows'} at s0={s_lo:g}")
@@ -222,7 +223,8 @@ class PotentialSolution:
 
     def du_stencil(self, s):
         """u' five-point with h = step(s, 0.003, s0, breakpoints), a check on the closed forms."""
-        return five_point_first(self.u, s, step(s, 0.003, self.s0, self.metric.breakpoints))
+        h = step(s, 0.003, self.s0, self.metric.breakpoints)
+        return first_from(self.u(nodes(s, h)[..., FIRST]), h)
 
     def flux_residual(self, s, du):
         """|f^2 u' I(s0) + 1| with u' = du at s, as ``du_stencil`` gives it; the radial

@@ -12,9 +12,11 @@ node interpolant to the panel end, so an integral to the grid end is a
 suffix sum plus one series and evaluates no integrand; an integral from
 the grid start is asked for at panel edges only and is a prefix sum.
 
-With 16-point panels at >= 40 panels per decade the panel rule is exact
-to machine precision for the smooth integrands used here; accuracy is
-exercised against closed forms in the test suite.
+The grid starts at 10 log panels per decade, and a panel whose error
+estimate, from the trailing Chebyshev coefficients of its series, is over
+budget is halved.  The catalog profiles need no split; a tabulated one,
+C^4 at its rows, may.  The tests check accuracy against closed forms and
+a finer Gauss-Legendre oracle.
 
 Every radial and level grid in the package -- the panel edges here, the
 probe radii, fit windows, level grids and check grids elsewhere -- comes
@@ -49,10 +51,23 @@ def _partial_integral_matrix():
 
 
 _TO_S = _partial_integral_matrix()
-#: knots per panel of the level map's seed: the worst level residual is ~4e-11 with 2, ~4e-12 with 3
-SEED_KNOTS_PER_PANEL = 3
+#: log panels per decade of ``panel_edges``, before any split
+PANELS_PER_DECADE = 10
+#: a panel's error estimate, as a share of the integral a query through it reads, above which it is
+#: halved: a tenth of the 1e-12 headroom the level round trip keeps under its 1e-10 contract
+PANEL_BUDGET = 1e-13
+#: rounds of halving; the benchmark's 200- to 800-row tables need at most one
+SPLIT_ROUNDS = 4
+#: knots per panel of the level map's seed, its own density: 120 per decade on the coarse log panels (a split
+#: half keeps 12).  The worst level residual (the blend) is ~1.5e-13 with 12, ~9e-12 with 6, 2.9e-10 with 3
+SEED_KNOTS_PER_PANEL = 12
 SEED_FRACTIONS = np.arange(SEED_KNOTS_PER_PANEL) / SEED_KNOTS_PER_PANEL  # of the panel width, from its start
-_SEED_VANDER = chebyshev.chebvander(2.0 * SEED_FRACTIONS - 1.0, GL_ORDER - 1)  # 3 x 16: T_k at each knot's xi
+_SEED_VANDER = chebyshev.chebvander(2.0 * SEED_FRACTIONS - 1.0, GL_ORDER - 1)  # knots x 16: T_k at each knot's xi
+
+
+def _nodes(a, b):
+    """The Gauss-Legendre nodes of the panels [a, b], a row per panel on a new last axis."""
+    return (0.5 * (a + b))[..., None] + (0.5 * (b - a))[..., None] * _GL_X
 
 
 def _chebyshev_sum(coef, xi):
@@ -95,11 +110,12 @@ def log_grid(lo, hi, n):
 
 
 def panel_edges(lo, hi, breakpoints=()):
-    """Panel edges on [lo, hi]: log-spaced, 40 per decade, from lo, or for
-    lo == 0 (where log spacing is impossible) after 64 linear panels on
-    [0, min(hi, 1)].  Interior breakpoints are inserted, and never dropped,
-    so each is a panel edge and piecewise-defined integrands are never
-    integrated across a seam.
+    """Panel edges on [lo, hi]: log-spaced, PANELS_PER_DECADE to a decade, from
+    lo, or for lo == 0 (where log spacing is impossible) after 64 linear
+    panels on [0, min(hi, 1)].  Interior breakpoints are inserted, and never
+    dropped, so each is a panel edge and piecewise-defined integrands are
+    never integrated across a seam.  ``PanelQuadrature`` halves a panel its
+    integrand needs finer.
     """
     lo = float(lo)
     hi = float(hi)
@@ -110,7 +126,7 @@ def panel_edges(lo, hi, breakpoints=()):
     if lin_hi > lo:
         pieces.append(lin_grid(lo, lin_hi, 65))
     if hi > lin_hi:
-        n_log = max(8, int(np.ceil(40 * (np.log10(hi) - np.log10(lin_hi)))))
+        n_log = max(8, int(np.ceil(PANELS_PER_DECADE * (np.log10(hi) - np.log10(lin_hi)))))
         pieces.append(log_grid(lin_hi, hi, n_log + 1))
     interior = np.asarray([b for b in breakpoints if lo < b < hi], float)
     edges = np.sort(np.concatenate([*pieces, interior]))  # np.unique would import numpy.ma
@@ -122,31 +138,54 @@ def panel_edges(lo, hi, breakpoints=()):
 
 
 class PanelQuadrature:
-    """Cumulative integrals of ``fn`` over a fixed panel grid.
+    """Cumulative integrals of ``fn`` over a panel grid.
 
-    ``fn`` is evaluated once, on every Gauss-Legendre node, at
-    construction; the quadrature keeps the panel sums as prefix and
-    suffix sums and, per panel, the Chebyshev coefficient column S with
-    integral over [x, b] = (b - x) S(xi), where xi maps the panel [a, b]
-    onto [-1, 1].  A query for the integral to the grid end, vectorized
-    over its points, costs one test against the grid-end bounds formed at
-    construction, one searchsorted over the interior edges and one
-    Clenshaw sum; the integral from the grid start is a prefix sum,
-    answered at panel edges only.
+    ``fn`` is evaluated at construction only: on every Gauss-Legendre node
+    of the given grid, then on the nodes of the halves of each panel over
+    budget, for up to SPLIT_ROUNDS rounds; every given edge stays an edge.
+    The quadrature keeps the panel sums as prefix and suffix sums and, per
+    panel, the Chebyshev coefficient column S with integral over [x, b] =
+    (b - x) S(xi), where xi maps the panel [a, b] onto [-1, 1].  A partial
+    integral errs by about the panel width times the two trailing
+    coefficients of S; its budget is PANEL_BUDGET of the smaller of the
+    integrals a query through the panel reads (the suffix from its start,
+    the prefix to its end), not of the panel's own integral.  At a pole,
+    where f^2 = c^2 s^(2 beta), halving the first panel keeps its own
+    relative error, so a panel at a zero edge is not graded.
+
+    A query for the integral to the grid end, vectorized over its points,
+    costs one test against the grid-end bounds formed at construction, one
+    searchsorted over the interior edges and one Clenshaw sum; the integral
+    from the grid start is a prefix sum, answered at panel edges only.
     """
 
     def __init__(self, fn, edges):
-        self.edges = np.asarray(edges, float)
-        mid = 0.5 * (self.edges[:-1] + self.edges[1:])
-        half = 0.5 * (self.edges[1:] - self.edges[:-1])
-        nodes = mid[:, None] + half[:, None] * _GL_X[None, :]
-        vals = fn(nodes.ravel()).reshape(nodes.shape)
-        panel = half * (vals * _GL_W[None, :]).sum(axis=1)
-        self.prefix = np.concatenate([[0.0], np.cumsum(panel)])
-        # summed from the end, so a tail that is a tiny part of the total keeps its digits
-        self.suffix = np.concatenate([np.cumsum(panel[::-1])[::-1], [0.0]])
-        self.S = _TO_S @ vals.T
-        self._x_lo, self._x_hi = float(self.edges[0] * (1 - 1e-12) - 1e-300), float(self.edges[-1] * (1 + 1e-12))
+        edges = np.asarray(edges, float)
+        half = 0.5 * (edges[1:] - edges[:-1])
+        vals = fn(_nodes(edges[:-1], edges[1:]).ravel()).reshape(-1, GL_ORDER)
+        for split_round in range(SPLIT_ROUNDS + 1):
+            panel = (vals @ _GL_W) * half
+            self.prefix, self.suffix = np.zeros(panel.size + 1), np.zeros(panel.size + 1)
+            np.cumsum(panel, out=self.prefix[1:])
+            # summed from the end, so a tail that is a tiny part of the total keeps its digits
+            np.cumsum(panel[::-1], out=self.suffix[-2::-1])
+            self.S = _TO_S @ vals.T
+            over = half * np.abs(self.S[-2:]).sum(axis=0) > 0.5 * PANEL_BUDGET * np.minimum(
+                self.prefix[1:], self.suffix[:-1])
+            over[0] &= edges[0] != 0.0
+            if split_round == SPLIT_ROUNDS or not over.any():
+                break
+            i = np.flatnonzero(over)
+            a, b = edges[i], edges[i + 1]
+            mid = 0.5 * (a + b)
+            halves = fn(_nodes(np.stack([a, mid]), np.stack([mid, b])).ravel()).reshape(2, -1, GL_ORDER)
+            edges = np.insert(edges, i + 1, mid)
+            half = 0.5 * (edges[1:] - edges[:-1])
+            vals = np.repeat(vals, over + 1, axis=0)
+            left = i + np.arange(i.size)  # each split panel's left half, in the new grid
+            vals[left], vals[left + 1] = halves
+        self.edges = edges
+        self._x_lo, self._x_hi = float(edges[0] * (1 - 1e-12) - 1e-300), float(edges[-1] * (1 + 1e-12))
 
     def integral_from_start(self, x):
         """Integral of fn over [edges[0], x] for x on the panel edges, vectorized in x."""

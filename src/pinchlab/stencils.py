@@ -42,11 +42,6 @@ def second_from(v, h):
     return (-v[..., 0] + 16 * v[..., 1] - 30 * v[..., 2] + 16 * v[..., 3] - v[..., 4]) / (12 * h) / h
 
 
-def five_point_first(fn, x, h):
-    """O(h^4) first derivative at x of fn, which maps an array of radii to one of its shape."""
-    return first_from(fn(nodes(x, h)[..., FIRST]), h)
-
-
 def grid_derivative(y, dt, cuts=()):
     """O(dt^4) derivative on a uniform grid, split before each cut index that leaves 5 samples or
     more on both sides: five-point stencils, central inside a piece, one-sided at its two ends."""

@@ -189,6 +189,15 @@ def test_holder_saturation_all_catalog(catalog_bundle):
         assert asymptotics.holder_chain_check(sol, pl.sample_at(sol, grid)) < 1e-6, name
 
 
+def test_holder_saturation_is_formed_in_logs():
+    # at beta = 0.507 the level t = 5 lies near s = 1.3e155, where the area is 2.4e158 and
+    # |grad w| is 1.1e-157: their quotient overflows (a RuntimeWarning), their logs do not
+    sol = pl.PotentialSolution(pl.ExteriorDomain(pl.power_law(1.0, 0.507), 1.0), t_max=5.0)
+    series = pl.build_series(sol, n=5001)
+    assert series.area[-1] / np.finfo(float).max > series.grad_w[-1]
+    assert asymptotics.holder_chain_check(sol, series) < 1e-6
+
+
 # ---------------------------------------------------------------------------
 # pinching verdict from the series levels
 # ---------------------------------------------------------------------------

@@ -440,6 +440,21 @@ def test_volume_small_balls_closed_form(metric, a):
         assert abs(pl.volume_ball(metric, radius) / vol - 1.0) <= 1e-13
 
 
+@pytest.mark.parametrize("beta", [0.55, 0.8, 0.95])
+def test_power_ball_volume_within_its_pole_bound(beta):
+    # f^2 = s^(2 beta) is not smooth at the pole: the panel [0, a] there errs by up to 5e-7 of its own
+    # integral, so V(r) errs by 5e-7 (a/r)^(2 beta + 1), a = min(max r, 1)/64 or the smallest r if less
+    metric = pl.power_law(1.0, beta)
+    r = np.geomspace(1e-4, 100.0, 31)
+    exact = 4 * math.pi * r ** (2 * beta + 1) / (2 * beta + 1)
+    single = np.array([pl.volume_ball(metric, radius) for radius in r])
+    bound = 5e-7 * (np.minimum(r, 1.0) / 64 / r) ** (2 * beta + 1) + 1e-15
+    assert (np.abs(single / exact - 1.0) <= bound).all()
+    assert (np.abs(single / exact - 1.0) <= 1e-10).all()
+    bound = 5e-7 * (r[0] / r) ** (2 * beta + 1) + 1e-15  # all radii at once: the pole panel is [0, r[0]]
+    assert (np.abs(pl.volume_ball(metric, r) / exact - 1.0) <= bound).all()
+
+
 def test_volume_ball_at_a_radius_next_to_a_grid_edge():
     # 0.5 is an edge of the linear panels on [0, 1]; the radius one float
     # above it must become an edge of its own, not be merged into 0.5

@@ -10,7 +10,7 @@ import pinchlab as pl
 from pinchlab.errors import DomainError, NonparabolicityError, NumericError
 from pinchlab.potential import TailIntegrator
 from pinchlab.quadrature import PanelQuadrature
-from pinchlab.stencils import five_point_first, nodes, second_from
+from pinchlab.stencils import FIRST, first_from, nodes, second_from
 
 from test_metrics import schw_arclength
 
@@ -121,7 +121,7 @@ def test_radial_harmonic_flux(catalog_bundle):
     # (f^2 u')' = 0: the flux f^2 u' must equal -ncap everywhere
     for name, (metric, sol, series) in catalog_bundle.items():
         s = np.atleast_1d(sol.s_of_t(np.linspace(0.3, 4.5, 9)))
-        du = five_point_first(sol.u, s, 0.01 * s)
+        du = first_from(sol.u(nodes(s, 0.01 * s)[..., FIRST]), 0.01 * s)
         resid = np.abs(metric.f(s) ** 2 * du / sol.ncap + 1.0)
         assert resid.max() < 1e-6, name
 
@@ -139,7 +139,7 @@ def test_log_potential_equation(catalog_bundle):
 def test_grad_w_equals_minus_log_derivative(catalog_bundle):
     for name, (metric, sol, series) in catalog_bundle.items():
         s = np.atleast_1d(sol.s_of_t(np.linspace(0.25, 4.75, 10)))
-        du = five_point_first(sol.u, s, 0.003 * s)
+        du = first_from(sol.u(nodes(s, 0.003 * s)[..., FIRST]), 0.003 * s)
         rel = np.abs(-du / np.atleast_1d(sol.u(s)) / np.atleast_1d(sol.grad_w(s)) - 1.0)
         assert rel.max() < 1e-9, name
 
@@ -296,6 +296,14 @@ def test_level_map_ends_on_the_first_and_last_knot(kind):
     s, tail = sol._level_map(np.array([-1e-12, 0.0, sol.t_usable, sol.t_usable + 1e-9]))
     assert list(s) == [sol.s0, sol.s0, sol._seed[1, -1], sol._seed[1, -1]]
     assert np.array_equal(tail, sol.tail(s))
+
+
+def test_seed_knots_end_on_the_top_of_the_queried_range():
+    # the radius of t_max is bounded with a margin of 0.1 in t; a coarse panel (0.1 decade, 0.23 in t
+    # at beta = 1) ending below that bound would stop the seed short of t_max
+    metric = pl.sphere_cap_blend(0.23555751620614332, 0.9472100906134675)
+    sol = pl.PotentialSolution(pl.ExteriorDomain(metric, 1.336434686029795))
+    assert sol._seed[1, -1] == sol._integ.usable_hi and sol.t_usable > sol.t_max == 8.0
 
 
 def _range_calls(sol):

@@ -5,7 +5,8 @@ import pytest
 
 import pinchlab as pl
 from pinchlab.errors import DomainError
-from pinchlab.quadrature import PanelQuadrature, _chebyshev_sum, lin_grid, log_grid, panel_edges
+from pinchlab.quadrature import (GL_ORDER, PANEL_BUDGET, PanelQuadrature, _chebyshev_sum, lin_grid, log_grid,
+                                 panel_edges)
 
 _X, _W = np.polynomial.legendre.leggauss(16)
 
@@ -128,10 +129,73 @@ def test_grid_ends_at_hi_next_to_a_breakpoint():
     assert edges[-1] == 10.0 and b in edges
 
 
-def test_range_wider_than_the_float_range_gets_40_panels_per_decade():
+def test_range_wider_than_the_float_range_gets_10_panels_per_decade():
     # hi / lo = 1e600 overflows; the decade count is a difference of logs
     edges = panel_edges(1e-300, 1e300)
-    assert edges.size == 40 * 600 + 1 and edges[0] == 1e-300 and edges[-1] == 1e300
+    assert edges.size == 10 * 600 + 1 and edges[0] == 1e-300 and edges[-1] == 1e300
+
+
+def _budget_excess(quad):
+    """Each panel's error estimate over its budget; the first panel at a zero edge (a pole) is not graded."""
+    est = np.diff(quad.edges) * np.abs(quad.S[-2:]).sum(axis=0)
+    excess = est / (PANEL_BUDGET * np.minimum(quad.prefix[1:], quad.suffix[:-1]))
+    excess[0] *= quad.edges[0] != 0.0
+    return excess
+
+
+_CATALOG_PROFILES = {**{kind: pl.build_metric(kind) for kind in ("cone", *KINDS)},
+                     "power-0.53": pl.power_law(1.0, 0.53), "blend-0.15": pl.sphere_cap_blend(1.46, 0.15)}
+
+
+@pytest.mark.parametrize("name", _CATALOG_PROFILES)
+def test_catalog_integrands_need_no_split(name):
+    # at 10 panels per decade the trailing coefficients of f^-2 and f^2 sit at roundoff for every
+    # catalog profile, so the quadrature keeps the grid it was given, over I(s)'s range and a ball's
+    metric = _CATALOG_PROFILES[name]
+    for lo, hi, fn in ((max(metric.domain_start, 1e-3), 1e8, lambda s: metric.f(s) ** -2.0),
+                       (metric.domain_start, 1e4, lambda s: metric.f(s) ** 2)):
+        edges = panel_edges(lo, hi, metric.breakpoints)
+        quad = PanelQuadrature(fn, edges)
+        assert np.array_equal(quad.edges, edges)
+        assert _budget_excess(quad).max() <= 0.1
+
+
+def _benchmark_table(rows):
+    """A power law on log-spaced rows from 0.1 to 1e3, as the benchmark's tables."""
+    s = log_grid(0.1, 1e3, rows)
+    return pl.from_table(s, 1.2 * s ** 0.8)
+
+
+@pytest.mark.parametrize("rows", [200, 500])
+@pytest.mark.parametrize("integrand", ["tail", "volume"])
+def test_table_panels_split_until_within_budget(rows, integrand):
+    # the quintic spline is C^4 at its rows, so a coarse panel across rows may be over budget: it is
+    # halved, the integrand is evaluated on the new halves only, and every given edge stays an edge
+    metric = _benchmark_table(rows)
+    power = -2.0 if integrand == "tail" else 2.0
+    points = []
+
+    def counting(s):
+        points.append(s.size)
+        return metric.f(s) ** power
+
+    edges = panel_edges(0.5 if integrand == "tail" else 0.1, 1e3, (3.7, 12.0))
+    quad = PanelQuadrature(counting, edges)
+    splits = quad.edges.size - edges.size
+    assert (splits > 0) == (rows == 200)
+    assert np.isin(edges, quad.edges).all()
+    assert sum(points) == GL_ORDER * (edges.size - 1 + 2 * splits)
+    assert _budget_excess(quad).max() <= 1.0
+    # against a Gauss-Legendre oracle on 16 sub-panels per panel, each query errs by less than the
+    # budget's share of the integral it reads: the suffix to the end, or the prefix at an edge
+    sub = np.linspace(0.0, 1.0, 17)
+    fine = lambda a, b: gauss_legendre_16(counting, (a[:, None] + (b - a)[:, None] * sub[:-1]).ravel(),
+                                          (a[:, None] + (b - a)[:, None] * sub[1:]).ravel()).reshape(-1, 16).sum(1)
+    whole = fine(quad.edges[:-1], quad.edges[1:])
+    x, i = query_points(quad.edges)
+    to_end = fine(x, quad.edges[i + 1]) + np.concatenate([np.cumsum(whole[::-1])[::-1], [0.0]])[i + 1]
+    assert (np.abs(quad.integral_to_end(x) - to_end) <= PANEL_BUDGET * quad.suffix[i]).all()
+    assert np.abs(quad.prefix[1:] / np.cumsum(whole) - 1.0).max() <= PANEL_BUDGET
 
 
 def test_integrand_is_evaluated_only_at_construction():
