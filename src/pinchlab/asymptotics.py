@@ -178,11 +178,15 @@ def windowed_growth(metric, growth_window) -> GrowthReport:
 
 
 def _json_floats(values):
-    """A 1-d float sequence as a list of floats, +-inf as "inf" and "-inf"."""
+    """A float, or a 1-d float sequence as a list of floats, for JSON: +-inf as "inf" and "-inf",
+    and None as None."""
+    if values is None:
+        return None
     arr = np.asarray(values, float)
     out = arr.tolist()
     if np.isinf(arr).any():
-        out = [("inf" if v > 0 else "-inf") if math.isinf(v) else v for v in out]
+        spell = lambda v: ("inf" if v > 0 else "-inf") if math.isinf(v) else v
+        out = spell(out) if arr.ndim == 0 else [spell(v) for v in out]
     return out
 
 
@@ -212,22 +216,14 @@ class RefutationReport:
     conclusion: str
 
     def to_json_dict(self):
-        def clean(x):
-            if x is None or isinstance(x, str):
-                return x
-            x = float(x)
-            if math.isinf(x):
-                return "inf" if x > 0 else "-inf"
-            return x
-
         return {
             "metric": self.metric_label,
             "s0": self.s0,
             "pinching": {
                 "pass": self.pinching.passed,
                 "epsilon": self.pinching.epsilon_requested,
-                "first_failure_s": clean(self.pinching.first_failure_s),
-                "eps_star_min": clean(self.pinching.eps_star_min),
+                "first_failure_s": _json_floats(self.pinching.first_failure_s),
+                "eps_star_min": _json_floats(self.pinching.eps_star_min),
                 "margin_curve": {
                     "s": _json_floats(self.pinching.margin_s),
                     "eps_star": _json_floats(self.pinching.margin_eps_star),
@@ -246,12 +242,12 @@ class RefutationReport:
                 "threshold": SIXTEEN_PI,
             },
             "chain": {
-                "kappa": clean(self.chain_kappa),
-                "exponent": clean(self.chain_exponent),
+                "kappa": _json_floats(self.chain_kappa),
+                "exponent": _json_floats(self.chain_exponent),
                 "t": _json_floats(self.chain_t),
                 "lhs": _json_floats(self.chain_lhs),
                 "rhs": _json_floats(self.chain_rhs),
-                "crossing_t": clean(self.crossing_t),
+                "crossing_t": _json_floats(self.crossing_t),
             },
             "conclusion": self.conclusion,
         }

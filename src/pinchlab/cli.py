@@ -184,6 +184,12 @@ def _parse_param(text):
         return key, value
 
 
+#: each scenario flag as (ScenarioConfig field, type, help); the flag is "--" and the field, "-" for "_"
+_SCENARIO_FLAGS = (("s0", float, "boundary radius"), ("epsilon", float, "pinching constant in (0, 1/3]"),
+                   ("t_max", float, "largest level value"), ("n_samples", int, "series grid size for solve output"),
+                   ("out_dir", None, "output directory"))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="pinchlab",
                      description="Level-set laboratory for rotationally symmetric 3-metrics")
@@ -195,12 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--kind", help="metric kind (see `pinchlab catalog`)")
     common.add_argument("--param", action="append", default=[],
                         help="metric parameter key=value (repeatable)")
-    common.add_argument("--s0", type=float, help="boundary radius")
-    common.add_argument("--epsilon", type=float, help="pinching constant in (0, 1/3]")
-    common.add_argument("--t-max", type=float, dest="t_max", help="largest level value")
-    common.add_argument("--n-samples", type=int, dest="n_samples",
-                        help="series grid size for solve output")
-    common.add_argument("--out-dir", dest="out_dir", help="output directory")
+    for key, kind, text in _SCENARIO_FLAGS:
+        common.add_argument("--" + key.replace("_", "-"), type=kind, dest=key, help=text)
 
     cat = sub.add_parser("catalog", help="list metric kinds and parameter schemas")
     cat.add_argument("--json", action="store_true", help="machine-readable schema")
@@ -233,12 +235,8 @@ def _config_from_args(args) -> ScenarioConfig:
     cfg = cfg.with_overrides(
         metric_kind=getattr(args, "kind", None),
         metric_params=params,
-        s0=getattr(args, "s0", None),
-        epsilon=getattr(args, "epsilon", None),
-        t_max=getattr(args, "t_max", None),
-        n_samples=getattr(args, "n_samples", None),
-        out_dir=getattr(args, "out_dir", None),
         suite=getattr(args, "suite", None),
+        **{key: getattr(args, key, None) for key, _, _ in _SCENARIO_FLAGS},
     )
     return cfg.validate()
 

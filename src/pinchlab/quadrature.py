@@ -6,7 +6,7 @@ dozens of decades.  Adaptive scalar quadrature is too slow for the volume
 of queries the level-set machinery generates, so instead we lay down a
 deterministic panel grid once (logarithmic, linear near a zero inner
 edge, split at the metric's breakpoints) and evaluate the integrand on
-all Gauss-Legendre nodes in one vectorized call.  The node values give
+all its Gauss-Legendre nodes in one vectorized call.  The node values give
 the panel sums and, per panel, a Chebyshev series for the integral of the
 node interpolant to the panel end, so an integral to the grid end is a
 suffix sum plus one series and evaluates no integrand; an integral from
@@ -14,9 +14,10 @@ the grid start is asked for at panel edges only and is a prefix sum.
 
 The grid starts at 10 log panels per decade, and a panel whose error
 estimate, from the trailing Chebyshev coefficients of its series, is over
-budget is halved.  The catalog profiles need no split; a tabulated one,
-C^4 at its rows, may.  The tests check accuracy against closed forms and
-a finer Gauss-Legendre oracle.
+budget is halved; the integrand is then evaluated on every node of the new
+grid, so a split build is the build on its final edges.  The catalog
+profiles need no split; a tabulated one, C^4 at its rows, may.  The tests
+check accuracy against closed forms and a finer Gauss-Legendre oracle.
 
 Every radial and level grid in the package -- the panel edges here, the
 probe radii, fit windows, level grids and check grids elsewhere -- comes
@@ -63,11 +64,6 @@ SPLIT_ROUNDS = 4
 SEED_KNOTS_PER_PANEL = 12
 SEED_FRACTIONS = np.arange(SEED_KNOTS_PER_PANEL) / SEED_KNOTS_PER_PANEL  # of the panel width, from its start
 _SEED_VANDER = chebyshev.chebvander(2.0 * SEED_FRACTIONS - 1.0, GL_ORDER - 1)  # knots x 16: T_k at each knot's xi
-
-
-def _nodes(a, b):
-    """The Gauss-Legendre nodes of the panels [a, b], a row per panel on a new last axis."""
-    return (0.5 * (a + b))[..., None] + (0.5 * (b - a))[..., None] * _GL_X
 
 
 def _chebyshev_sum(coef, xi):
@@ -140,9 +136,10 @@ def panel_edges(lo, hi, breakpoints=()):
 class PanelQuadrature:
     """Cumulative integrals of ``fn`` over a panel grid.
 
-    ``fn`` is evaluated at construction only: on every Gauss-Legendre node
-    of the given grid, then on the nodes of the halves of each panel over
-    budget, for up to SPLIT_ROUNDS rounds; every given edge stays an edge.
+    ``fn`` is evaluated at construction only, in one call per round on every
+    Gauss-Legendre node of the round's grid: the given grid, then the grid
+    with each panel over budget halved, for up to SPLIT_ROUNDS rounds.  Every
+    given edge stays an edge; a split build equals the build on its edges.
     The quadrature keeps the panel sums as prefix and suffix sums and, per
     panel, the Chebyshev coefficient column S with integral over [x, b] =
     (b - x) S(xi), where xi maps the panel [a, b] onto [-1, 1].  A partial
@@ -161,9 +158,9 @@ class PanelQuadrature:
 
     def __init__(self, fn, edges):
         edges = np.asarray(edges, float)
-        half = 0.5 * (edges[1:] - edges[:-1])
-        vals = fn(_nodes(edges[:-1], edges[1:]).ravel()).reshape(-1, GL_ORDER)
         for split_round in range(SPLIT_ROUNDS + 1):
+            mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
+            vals = fn((mid[:, None] + half[:, None] * _GL_X).ravel()).reshape(-1, GL_ORDER)
             panel = (vals @ _GL_W) * half
             self.prefix, self.suffix = np.zeros(panel.size + 1), np.zeros(panel.size + 1)
             np.cumsum(panel, out=self.prefix[1:])
@@ -175,15 +172,7 @@ class PanelQuadrature:
             over[0] &= edges[0] != 0.0
             if split_round == SPLIT_ROUNDS or not over.any():
                 break
-            i = np.flatnonzero(over)
-            a, b = edges[i], edges[i + 1]
-            mid = 0.5 * (a + b)
-            halves = fn(_nodes(np.stack([a, mid]), np.stack([mid, b])).ravel()).reshape(2, -1, GL_ORDER)
-            edges = np.insert(edges, i + 1, mid)
-            half = 0.5 * (edges[1:] - edges[:-1])
-            vals = np.repeat(vals, over + 1, axis=0)
-            left = i + np.arange(i.size)  # each split panel's left half, in the new grid
-            vals[left], vals[left + 1] = halves
+            edges = np.insert(edges, np.flatnonzero(over) + 1, mid[over])
         self.edges = edges
         self._x_lo, self._x_hi = float(edges[0] * (1 - 1e-12) - 1e-300), float(edges[-1] * (1 + 1e-12))
 

@@ -887,6 +887,20 @@ def test_refute_and_verify_leave_numpy_ma_unimported(tmp_path):
 def test_help_exits_zero(capsys):
     assert cli.main(["--help"]) == 0
     assert cli.main(["verify", "--help"]) == 0
+    capsys.readouterr()
+    assert cli.main(["solve", "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())  # each scenario flag with its metavar and help
+    for flag in ("--s0 S0 boundary radius", "--epsilon EPSILON pinching constant in (0, 1/3]",
+                 "--t-max T_MAX largest level value", "--n-samples N_SAMPLES series grid size for solve output",
+                 "--out-dir OUT_DIR output directory"):
+        assert flag in text
+
+
+@pytest.mark.parametrize("flag, value, kind", [("--s0", "x", "float"), ("--epsilon", "x", "float"),
+                                               ("--t-max", "1e", "float"), ("--n-samples", "1.5", "int")])
+def test_scenario_flag_of_the_wrong_type_is_a_usage_error(capsys, flag, value, kind):
+    assert cli.main(["solve", flag, value]) == 64
+    assert f"usage error: argument {flag}: invalid {kind} value: '{value}'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("kind", ["flat", "cone", "power", "schwarzschild", "sphere_cap_blend"])

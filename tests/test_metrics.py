@@ -443,16 +443,19 @@ def test_volume_small_balls_closed_form(metric, a):
 @pytest.mark.parametrize("beta", [0.55, 0.8, 0.95])
 def test_power_ball_volume_within_its_pole_bound(beta):
     # f^2 = s^(2 beta) is not smooth at the pole: the panel [0, a] there errs by up to 5e-7 of its own
-    # integral, so V(r) errs by 5e-7 (a/r)^(2 beta + 1), a = min(max r, 1)/64 or the smallest r if less
+    # integral, so V(r) errs by 5e-7 (a/r)^(2 beta + 1), where a is 2^-7 of min(max r, 1)/64 or of the
+    # smallest r if less; so a multi-decade array reads as well as one radius per call
     metric = pl.power_law(1.0, beta)
-    r = np.geomspace(1e-4, 100.0, 31)
+    r = np.geomspace(1e-4, 100.0, 61)
     exact = 4 * math.pi * r ** (2 * beta + 1) / (2 * beta + 1)
     single = np.array([pl.volume_ball(metric, radius) for radius in r])
-    bound = 5e-7 * (np.minimum(r, 1.0) / 64 / r) ** (2 * beta + 1) + 1e-15
+    bound = 5e-7 * (np.minimum(r, 1.0) / 64 / 128 / r) ** (2 * beta + 1) + 1e-15
     assert (np.abs(single / exact - 1.0) <= bound).all()
-    assert (np.abs(single / exact - 1.0) <= 1e-10).all()
-    bound = 5e-7 * (r[0] / r) ** (2 * beta + 1) + 1e-15  # all radii at once: the pole panel is [0, r[0]]
-    assert (np.abs(pl.volume_ball(metric, r) / exact - 1.0) <= bound).all()
+    together = pl.volume_ball(metric, r)
+    assert (np.abs(together / exact - 1.0) <= 5e-7 * (r[0] / 128 / r) ** (2 * beta + 1) + 1e-15).all()
+    assert (np.abs(together / exact - 1.0) <= 1e-10).all()
+    # the growth fit reads 25 radii over [r_hi/50, r_hi] in one call: alpha = 2 beta for a window below 1
+    assert abs(pl.growth_fit(metric, 1.0 / 50.0, 1.0).alpha_fit - 2 * beta) <= 1e-9
 
 
 def test_volume_ball_at_a_radius_next_to_a_grid_edge():

@@ -170,7 +170,7 @@ def _benchmark_table(rows):
 @pytest.mark.parametrize("integrand", ["tail", "volume"])
 def test_table_panels_split_until_within_budget(rows, integrand):
     # the quintic spline is C^4 at its rows, so a coarse panel across rows may be over budget: it is
-    # halved, the integrand is evaluated on the new halves only, and every given edge stays an edge
+    # halved, the integrand is evaluated on every node of the new grid, and every given edge stays an edge
     metric = _benchmark_table(rows)
     power = -2.0 if integrand == "tail" else 2.0
     points = []
@@ -184,7 +184,11 @@ def test_table_panels_split_until_within_budget(rows, integrand):
     splits = quad.edges.size - edges.size
     assert (splits > 0) == (rows == 200)
     assert np.isin(edges, quad.edges).all()
-    assert sum(points) == GL_ORDER * (edges.size - 1 + 2 * splits)
+    # one round of halving: the given grid, then the split grid, each evaluated whole
+    assert points == [GL_ORDER * (edges.size - 1)] + [GL_ORDER * (quad.edges.size - 1)] * (splits > 0)
+    # so the split build is, bit for bit, the build on its final edges
+    direct = PanelQuadrature(counting, quad.edges)
+    assert all(np.array_equal(getattr(direct, k), getattr(quad, k)) for k in ("edges", "prefix", "suffix", "S"))
     assert _budget_excess(quad).max() <= 1.0
     # against a Gauss-Legendre oracle on 16 sub-panels per panel, each query errs by less than the
     # budget's share of the integral it reads: the suffix to the end, or the prefix at an edge

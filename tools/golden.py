@@ -1,0 +1,234 @@
+"""Golden diff and exit-code census of this checkout against a git revision.
+
+    python tools/golden.py --against <rev>
+
+The script unpacks ``<rev>`` with ``git archive`` into a temporary
+directory, so it makes no worktree and needs no network.  It then runs the
+same sets in that tree and in this checkout, each tree in its own process
+under ``-W error::RuntimeWarning`` with the tree's ``src`` first on the
+path, and every command in process through ``pinchlab.cli.main``:
+
+- the golden set: the 5 catalog kinds x s0 in {0.5, 1, 3}, each with
+  ``solve --t-max 8 --n-samples 2001``, ``refute`` and
+  ``verify --suite all --json-out``; and a 45-scenario ``sweep`` over the
+  same kinds and s0 with epsilon in {0.1, 0.2, 1/3};
+- the census: the 61 ``verify`` inputs of ``tests/test_verify_probe.py``,
+  and the random box (3 seeds x 150 draws) through ``solve``, ``refute``
+  and ``verify --suite all`` each.  A box draw takes its kind uniformly
+  from the 5, then cone a in [0.01, 1]; power c log-uniform in [0.25, 4]
+  and beta in [0.53, 1]; Schwarzschild m log-uniform in [0.1, 10]; blend
+  s_cap in [0.05, 1.5] and a width log-uniform in
+  [0.02, min(3, 2.9 cot s_cap)]; and s0 log-uniform in [1e-3, 10], t_max
+  log-uniform in [0.1, 8] and epsilon in [0.01, 1/3].
+
+It prints, for each golden file, "identical" or the largest relative change
+|a - b| / max(|a|, |b|) over its numbers and where it occurs; and each census
+input or golden command whose exit code, first stderr line or FAIL set
+changed.  Both trees run this checkout's copy of the script and of the
+probe list, so they see the same inputs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import csv
+import importlib.util
+import io
+import itertools
+import json
+import math
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+TOOLS = Path(__file__).resolve().parent
+REPO = TOOLS.parent
+KINDS = ("flat", "cone", "power", "schwarzschild", "sphere_cap_blend")
+S0S = ("0.5", "1", "3")
+EPSILONS = (0.1, 0.2, 1.0 / 3.0)
+BOX_SEEDS, BOX_DRAWS = (0, 1, 2), 150
+
+
+# ---------------------------------------------------------------------------
+# One tree: run every command and record what it wrote and said
+# ---------------------------------------------------------------------------
+
+def _run(cli, argv):
+    """``cli.main(argv)`` in process: (exit code, first stderr line, sorted FAIL rows)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    first = (err.getvalue().splitlines() or [""])[0]
+    fails = sorted(line.split()[1] for line in out.getvalue().splitlines() if line.startswith("FAIL"))
+    return {"argv": " ".join(argv), "code": code, "first": first, "fails": fails}
+
+
+def box_draws(seed):
+    """The scenario flags of ``BOX_DRAWS`` seeded draws from the random box."""
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    log_uniform = lambda lo, hi: math.exp(rng.uniform(math.log(lo), math.log(hi)))
+    draws = []
+    for _ in range(BOX_DRAWS):
+        kind = KINDS[rng.integers(len(KINDS))]
+        if kind == "cone":
+            params = {"a": rng.uniform(0.01, 1.0)}
+        elif kind == "power":
+            params = {"c": log_uniform(0.25, 4.0), "beta": rng.uniform(0.53, 1.0)}
+        elif kind == "schwarzschild":
+            params = {"m": log_uniform(0.1, 10.0)}
+        elif kind == "sphere_cap_blend":
+            s_cap = rng.uniform(0.05, 1.5)
+            params = {"s_cap": s_cap, "blend_width": log_uniform(0.02, min(3.0, 2.9 / math.tan(s_cap)))}
+        else:
+            params = {}
+        flags = ["--kind", kind, *itertools.chain.from_iterable(("--param", f"{k}={float(v)!r}")
+                                                                for k, v in params.items())]
+        draws.append(flags + ["--s0", repr(log_uniform(1e-3, 10.0)), "--t-max", repr(log_uniform(0.1, 8.0)),
+                              "--epsilon", repr(rng.uniform(0.01, 1.0 / 3.0))])
+    return draws
+
+
+def produce(out):
+    """Run the golden set and the census with ``out`` as the working directory; write ``runs.json``
+    and the golden files under ``golden/``.  Paths are relative, so both trees write the same
+    ``out_dir`` into their files."""
+    os.chdir(out)
+    import pinchlab
+    import pinchlab.cli as cli
+
+    print(f"pinchlab from {Path(pinchlab.__file__).parent}", file=sys.stderr)
+    golden = []
+    for kind, s0 in itertools.product(KINDS, S0S):
+        name, flags = f"{kind}-s0={s0}", ["--kind", kind, "--s0", s0]
+        golden += [_run(cli, ["solve", *flags, "--t-max", "8", "--n-samples", "2001",
+                              "--out-dir", f"golden/solve-{name}"]),
+                   _run(cli, ["refute", *flags, "--out-dir", f"golden/refute-{name}"]),
+                   _run(cli, ["verify", *flags, "--suite", "all", "--json-out", f"golden/verify-{name}.json"])]
+    with open("sweep_config.json", "w") as fh:
+        json.dump({"sweep": {"kind": list(KINDS), "s0": [float(s) for s in S0S], "epsilon": list(EPSILONS)}}, fh)
+    golden.append(_run(cli, ["sweep", "--config", "sweep_config.json", "--out-dir", "golden/sweep"]))
+
+    spec = importlib.util.spec_from_file_location("verify_probe", REPO / "tests" / "test_verify_probe.py")
+    probe = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(probe)
+    census = [_run(cli, ["verify", *args.split()]) for args, *_ in probe.PROBE]
+    for seed in BOX_SEEDS:
+        for flags in box_draws(seed):
+            census += [_run(cli, [command, *flags, "--out-dir", "box"]) for command in ("solve", "refute")]
+            census.append(_run(cli, ["verify", *flags, "--suite", "all"]))
+    with open("runs.json", "w") as fh:
+        json.dump({"golden": golden, "census": census}, fh)
+
+
+# ---------------------------------------------------------------------------
+# Both trees: compare
+# ---------------------------------------------------------------------------
+
+def _leaves(doc, where=""):
+    """(where, value) for every scalar of a JSON document or a CSV table."""
+    if isinstance(doc, dict):
+        for key in sorted(doc):
+            yield from _leaves(doc[key], f"{where}.{key}" if where else key)
+    elif isinstance(doc, list):
+        for i, item in enumerate(doc):  # a verify row is named by its check
+            yield from _leaves(item, f"{where}[{item['name'] if isinstance(item, dict) and 'name' in item else i}]")
+    else:
+        yield where, doc
+
+
+def _load(path):
+    if path.suffix == ".json":
+        return json.loads(path.read_text())
+    rows = list(csv.reader(path.read_text().splitlines()))
+    return [{col: _number(v) for col, v in zip(rows[0], row)} for row in rows[1:]]
+
+
+def _number(text):
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def diff_file(a_path, b_path):
+    """"identical", or the largest relative change between two output files and where it occurs."""
+    if a_path.read_bytes() == b_path.read_bytes():
+        return "identical"
+    a, b = dict(_leaves(_load(a_path))), dict(_leaves(_load(b_path)))
+    if a.keys() != b.keys():
+        return f"layout changed: {len(a.keys() ^ b.keys())} entries in one file only"
+    worst, other = (0.0, None), []
+    for where in a:
+        x, y = a[where], b[where]
+        if x == y or (_is_number(x) and _is_number(y) and math.isnan(x) and math.isnan(y)):
+            continue
+        if _is_number(x) and _is_number(y) and math.isfinite(x) and math.isfinite(y):
+            rel = abs(x - y) / max(abs(x), abs(y))
+            worst = max(worst, (rel, f"{where} ({x!r} -> {y!r})"))
+        else:
+            other.append(f"{where} ({x!r} -> {y!r})")
+    text = f"largest relative change {worst[0]:.3g} at {worst[1]}" if worst[1] else "same numbers"
+    return text + (f"; {len(other)} other values changed, first {other[0]}" if other else "")
+
+
+def _tree_of(rev, dest):
+    archive = subprocess.run(["git", "-C", str(REPO), "archive", rev], check=True, stdout=subprocess.PIPE).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+    return dest
+
+
+def _produce_in(tree, out):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(tree / "src"), str(TOOLS)])}
+    subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c",
+                    f"import golden; golden.produce({str(out)!r})"], env=env, check=True)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--against", required=True, help="git revision to compare this checkout with")
+    rev = parser.parse_args(argv).against
+    with tempfile.TemporaryDirectory(prefix="golden-") as tmp:
+        tmp = Path(tmp)
+        tree, old, new = tmp / "tree", tmp / "out-rev", tmp / "out-here"
+        for path in (tree, old, new):
+            path.mkdir()
+        _produce_in(_tree_of(rev, tree), old)
+        _produce_in(REPO, new)
+
+        files = sorted({p.relative_to(old) for p in (old / "golden").rglob("*") if p.is_file()}
+                       | {p.relative_to(new) for p in (new / "golden").rglob("*") if p.is_file()})
+        identical = 0
+        for rel in files:
+            if not (old / rel).is_file() or not (new / rel).is_file():
+                print(f"{rel}: only in {rev if (old / rel).is_file() else 'this checkout'}")
+                continue
+            verdict = diff_file(old / rel, new / rel)
+            identical += verdict == "identical"
+            print(f"{rel}: {verdict}")
+        print(f"golden: {identical} of {len(files)} files identical")
+
+        runs = [json.loads((out / "runs.json").read_text()) for out in (old, new)]
+        for part in ("golden", "census"):
+            moved = 0
+            for was, now in zip(runs[0][part], runs[1][part]):
+                changes = [f"{key} {was[key]!r} -> {now[key]!r}" for key in ("code", "first", "fails")
+                           if was[key] != now[key]]
+                if changes:
+                    moved += 1
+                    print(f"moved: {was['argv']}: " + "; ".join(changes))
+            codes = sorted({r["code"] for r in runs[1][part]})
+            tally = ", ".join(f"{sum(r['code'] == c for r in runs[1][part])} x {c}" for c in codes)
+            print(f"{part} runs: {len(runs[1][part])} ({tally} in this checkout), {moved} moved")
+
+
+if __name__ == "__main__":
+    main()
