@@ -653,19 +653,16 @@ def volume_ball(metric: WarpFunction, r):
     Vol(B_r) = 4 pi * integral of f(s)^2 over [s_min, r], a sum of whole
     panels: exact to roundoff where f^2 is smooth.  A power law's f^2 =
     c^2 s^(2 beta) is not smooth at the pole s = 0, and the panel [0, a]
-    there errs by up to 5e-7 of its own integral.  So the first panel at a
-    zero edge, which ends at or below the smallest r, is halved toward the
-    pole 7 times: a is at most 2^-7 of every r, and V(r) errs by up to
-    5e-7 (a/r)^(2 beta + 1) < 5e-7 * 2^-14 = 3.1e-11 relative at every r.
-    The tests check this against the closed form.
+    there errs by up to 5e-7 of its own integral.  Every r is a breakpoint,
+    so ``panel_edges`` ends a at 2^-13 of the smallest r or less, and V(r)
+    errs by up to 5e-7 (a/r)^(2 beta + 1) < 5e-7 * 2^-26 = 7.5e-15 relative
+    at every r.  The tests check this against the closed form.
     """
     r_arr = np.atleast_1d(np.asarray(r, float))
     if not np.all((metric.domain_start < r_arr) & (r_arr <= metric.domain_end) & np.isfinite(r_arr)):
         raise DomainError(f"ball radius outside domain of {metric.label}")
     # each radius is a panel edge and the grid ends at the largest, so each volume is a sum of whole panels
     edges = panel_edges(metric.domain_start, r_arr.max(), (*metric.breakpoints, *r_arr))
-    if edges[0] == 0.0:  # the pole panel, halved 7 times toward 0
-        edges = np.concatenate([[0.0], edges[1] * 0.5 ** np.arange(7.0, 0.0, -1.0), edges[1:]])
     return 4.0 * math.pi * PanelQuadrature(lambda s: metric.f(s) ** 2, edges).integral_from_start(r)
 
 

@@ -4,7 +4,7 @@ All radial integrals in the package (warp tail integrals, ball volumes)
 are integrals of smooth positive integrands over ranges that can span
 dozens of decades.  Adaptive scalar quadrature is too slow for the volume
 of queries the level-set machinery generates, so instead we lay down a
-deterministic panel grid once (logarithmic, linear near a zero inner
+deterministic panel grid once (logarithmic, halving toward a zero inner
 edge, split at the metric's breakpoints) and evaluate the integrand on
 all its Gauss-Legendre nodes in one vectorized call.  The node values give
 the panel sums and, per panel, a Chebyshev series for the integral of the
@@ -107,25 +107,23 @@ def log_grid(lo, hi, n):
 
 def panel_edges(lo, hi, breakpoints=()):
     """Panel edges on [lo, hi]: log-spaced, PANELS_PER_DECADE to a decade, from
-    lo, or for lo == 0 (where log spacing is impossible) after 64 linear
-    panels on [0, min(hi, 1)].  Interior breakpoints are inserted, and never
-    dropped, so each is a panel edge and piecewise-defined integrands are
-    never integrated across a seam.  ``PanelQuadrature`` halves a panel its
-    integrand needs finer.
+    a start that is lo, or for lo == 0 (where log spacing is impossible) the
+    smallest of hi, 1 and the interior breakpoints, below which the edges
+    halve 13 times toward 0, exactly: [0, start 2^-13, ..., start / 2].
+    Interior breakpoints are inserted, and never dropped, so each is a panel
+    edge and piecewise-defined integrands are never integrated across a
+    seam.  ``PanelQuadrature`` halves a panel its integrand needs finer.
     """
     lo = float(lo)
     hi = float(hi)
     if not hi > lo:
         raise DomainError(f"empty quadrature range [{lo}, {hi}]")
-    lin_hi = lo if lo > 0 else min(hi, 1.0)
-    pieces = []
-    if lin_hi > lo:
-        pieces.append(lin_grid(lo, lin_hi, 65))
-    if hi > lin_hi:
-        n_log = max(8, int(np.ceil(PANELS_PER_DECADE * (np.log10(hi) - np.log10(lin_hi)))))
-        pieces.append(log_grid(lin_hi, hi, n_log + 1))
     interior = np.asarray([b for b in breakpoints if lo < b < hi], float)
-    edges = np.sort(np.concatenate([*pieces, interior]))  # np.unique would import numpy.ma
+    start = lo if lo > 0 else min(hi, 1.0, *interior)
+    n_log = max(8, int(np.ceil(PANELS_PER_DECADE * (np.log10(hi) - np.log10(start)))))
+    pole = np.append(start * 0.5 ** np.arange(1.0, 14.0), lo) if lo == 0 else []
+    grid = log_grid(start, hi, n_log + 1) if hi > start else [hi]
+    edges = np.sort(np.concatenate([pole, grid, interior]))  # np.unique would import numpy.ma
     # drop repeated edges and grid edges nearly coincident with an inserted breakpoint; relative,
     # so an inserted edge close to a zero lo stays, and neither a breakpoint nor hi is dropped
     keep = np.concatenate([[True], np.diff(edges) > 1e-14 * edges[1:]])
@@ -148,7 +146,8 @@ class PanelQuadrature:
     integrals a query through the panel reads (the suffix from its start,
     the prefix to its end), not of the panel's own integral.  At a pole,
     where f^2 = c^2 s^(2 beta), halving the first panel keeps its own
-    relative error, so a panel at a zero edge is not graded.
+    relative error, so a panel at a zero edge is not graded: ``panel_edges``
+    already ends it at 2^-13 of the first log edge.
 
     A query for the integral to the grid end, vectorized over its points,
     costs one test against the grid-end bounds formed at construction, one

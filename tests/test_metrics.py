@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -443,8 +444,8 @@ def test_volume_small_balls_closed_form(metric, a):
 @pytest.mark.parametrize("beta", [0.55, 0.8, 0.95])
 def test_power_ball_volume_within_its_pole_bound(beta):
     # f^2 = s^(2 beta) is not smooth at the pole: the panel [0, a] there errs by up to 5e-7 of its own
-    # integral, so V(r) errs by 5e-7 (a/r)^(2 beta + 1), where a is 2^-7 of min(max r, 1)/64 or of the
-    # smallest r if less; so a multi-decade array reads as well as one radius per call
+    # integral, so V(r) errs by 5e-7 (a/r)^(2 beta + 1), where panel_edges sets a = 2^-13 min(max r, 1,
+    # smallest r); so a multi-decade array reads as well as one radius per call
     metric = pl.power_law(1.0, beta)
     r = np.geomspace(1e-4, 100.0, 61)
     exact = 4 * math.pi * r ** (2 * beta + 1) / (2 * beta + 1)
@@ -454,15 +455,33 @@ def test_power_ball_volume_within_its_pole_bound(beta):
     together = pl.volume_ball(metric, r)
     assert (np.abs(together / exact - 1.0) <= 5e-7 * (r[0] / 128 / r) ** (2 * beta + 1) + 1e-15).all()
     assert (np.abs(together / exact - 1.0) <= 1e-10).all()
+    # ten decades in one call: a = 2^-13 1e-6, so every radius is within 5e-7 2^-26 = 7.5e-15
+    r = np.geomspace(1e-6, 1e4, 61)
+    together = pl.volume_ball(metric, r)
+    assert (np.abs(together / (4 * math.pi * r ** (2 * beta + 1) / (2 * beta + 1)) - 1.0) <= 1e-14).all()
     # the growth fit reads 25 radii over [r_hi/50, r_hi] in one call: alpha = 2 beta for a window below 1
     assert abs(pl.growth_fit(metric, 1.0 / 50.0, 1.0).alpha_fit - 2 * beta) <= 1e-9
 
 
 def test_volume_ball_at_a_radius_next_to_a_grid_edge():
-    # 0.5 is an edge of the linear panels on [0, 1]; the radius one float
-    # above it must become an edge of its own, not be merged into 0.5
-    r = np.nextafter(0.5, 1.0)
-    assert abs(pl.volume_ball(pl.flat_space(), r) / (4 * math.pi / 3 * r**3) - 1.0) <= 1e-15
+    # 10.0 is an edge of the log panels that panel_edges(0, 100) lays on [1, 100]; the radius
+    # one float above it must become an edge of its own, not be merged into 10.0
+    r = np.array([np.nextafter(10.0, 100.0), 100.0])
+    assert np.abs(pl.volume_ball(pl.flat_space(), r) / (4 * math.pi / 3 * r**3) - 1.0).max() <= 1e-15
+
+
+def test_default_growth_fit_evaluates_1184_integrand_nodes():
+    # one ball grid for the 25 radii of [100, 1e4]: 14 pole panels on [0, 1], 40 log panels on
+    # [1, 1e4] and 20 more where a radius is not a log edge; 16 Gauss-Legendre nodes each, no split
+    flat = pl.flat_space()
+    nodes = []
+
+    def counting(s):
+        nodes.append(s.size)
+        return flat.fn(s)
+
+    pl.growth_fit(dataclasses.replace(flat, fn=counting), 100.0, 1e4)
+    assert nodes == [16 * (14 + 40 + 20)]
 
 
 @pytest.mark.parametrize("metric", [pl.flat_space(), pl.power_law(1.0, 0.8)], ids=["flat", "power"])

@@ -1,12 +1,14 @@
 """PanelQuadrature queries against an independent Gauss-Legendre oracle."""
 
+import math
+
 import numpy as np
 import pytest
 
 import pinchlab as pl
 from pinchlab.errors import DomainError
-from pinchlab.quadrature import (GL_ORDER, PANEL_BUDGET, PanelQuadrature, _chebyshev_sum, lin_grid, log_grid,
-                                 panel_edges)
+from pinchlab.quadrature import (GL_ORDER, PANEL_BUDGET, PANELS_PER_DECADE, PanelQuadrature, _chebyshev_sum, lin_grid,
+                                 log_grid, panel_edges)
 
 _X, _W = np.polynomial.legendre.leggauss(16)
 
@@ -116,10 +118,26 @@ def test_quadrature_keeps_only_the_to_end_table(tail_quad):
 
 
 def test_requested_breakpoints_are_never_dropped():
-    # 0.5 lies on the linear grid of [0, 1]; the float after it must still be an edge
-    r = np.nextafter(0.5, 1.0)
+    # 10.0 lies on the log grid of [1, 100] that panel_edges(0, 100) lays above its pole panels;
+    # the float after it must still be an edge
+    r = np.nextafter(10.0, 100.0)
     edges = panel_edges(0.0, 100.0, (r,))
-    assert r in edges and 0.5 in edges
+    assert r in edges and 10.0 in edges
+
+
+@pytest.mark.parametrize("hi, breakpoints", [(100.0, ()), (100.0, (0.3, 5.0)), (0.25, ()), (1e4, (2e-5, 7.0))])
+def test_zero_edge_halves_toward_the_pole_below_the_log_grid(hi, breakpoints):
+    # one layout: from start = min(hi, 1, smallest breakpoint), 13 ratio-2 panels toward 0, each edge an
+    # exact power of two times start, and above start the log grid at PANELS_PER_DECADE
+    start = min(hi, 1.0, *breakpoints)
+    edges = panel_edges(0.0, hi, breakpoints)
+    assert edges[:15].tolist() == [0.0, *(start * 2.0 ** -np.arange(13.0, -1.0, -1.0))]
+    assert edges[-1] == hi and np.isin(breakpoints, edges).all()
+    log_edges = [e for e in edges[14:] if e == start or e not in breakpoints]
+    if hi > start:
+        assert log_edges == log_grid(start, hi, math.ceil(PANELS_PER_DECADE * math.log10(hi / start)) + 1).tolist()
+    else:
+        assert log_edges == [hi]
 
 
 def test_grid_ends_at_hi_next_to_a_breakpoint():

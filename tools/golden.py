@@ -8,10 +8,12 @@ same sets in that tree and in this checkout, each tree in its own process
 under ``-W error::RuntimeWarning`` with the tree's ``src`` first on the
 path, and every command in process through ``pinchlab.cli.main``:
 
-- the golden set: the 5 catalog kinds x s0 in {0.5, 1, 3}, each with
-  ``solve --t-max 8 --n-samples 2001``, ``refute`` and
-  ``verify --suite all --json-out``; and a 45-scenario ``sweep`` over the
-  same kinds and s0 with epsilon in {0.1, 0.2, 1/3};
+- the golden set: the 5 catalog kinds x s0 in {0.5, 1, 3} and the 4
+  ``tables()``, each with ``solve --t-max 8 --n-samples 2001``, ``refute``
+  and ``verify --suite all --json-out``; a 45-scenario ``sweep`` over the
+  5 kinds and 3 s0 with epsilon in {0.1, 0.2, 1/3}; and the certificates
+  of the benchmark's ``refute_grid`` pools for ``POOL_SEEDS``, one file a
+  pool, from ``perfbench/workloads.py`` (imported, never written);
 - the census: the 61 ``verify`` inputs of ``tests/test_verify_probe.py``,
   and the random box (3 seeds x 150 draws) through ``solve``, ``refute``
   and ``verify --suite all`` each.  A box draw takes its kind uniformly
@@ -50,6 +52,23 @@ KINDS = ("flat", "cone", "power", "schwarzschild", "sphere_cap_blend")
 S0S = ("0.5", "1", "3")
 EPSILONS = (0.1, 0.2, 1.0 / 3.0)
 BOX_SEEDS, BOX_DRAWS = (0, 1, 2), 150
+#: seeds of the ``refute_grid`` pools, 120 scenarios each
+POOL_SEEDS = (1, 2, 3)
+
+
+def tables():
+    """(name, s column, f column, the s0 values it runs at) of each golden table.  Three power laws
+    shaped like the benchmark's, on log-spaced rows from 0.1 (``tests/test_cli.py``), and one whose
+    first row is s = 0, so that its tail integrator, run from s0 = 0, starts at a zero edge."""
+    import numpy as np
+
+    out = []
+    for k, (beta, c, s_end, rows, s0) in enumerate([(0.62, 0.7, 1.3e3, 231, "0.3"), (0.8, 1.9, 2e4, 517, "1.7"),
+                                                    (0.97, 1.1, 9e4, 788, "3.6")]):
+        s = 0.1 * (s_end / 0.1) ** (np.arange(rows) / (rows - 1))
+        out.append((f"power{k}", s, c * s ** beta, (s0,)))
+    s = 50.0 * np.arange(400) / 399
+    return out + [("zero_start", s, np.sqrt(s * s + 0.25 * s + 1.0), ("0", "1"))]
 
 
 # ---------------------------------------------------------------------------
@@ -102,9 +121,15 @@ def produce(out):
     import pinchlab.cli as cli
 
     print(f"pinchlab from {Path(pinchlab.__file__).parent}", file=sys.stderr)
+    scenarios = [(f"{kind}-s0={s0}", ["--kind", kind, "--s0", s0]) for kind, s0 in itertools.product(KINDS, S0S)]
+    os.mkdir("tables")
+    for name, s, f, s0s in tables():
+        with open(f"tables/{name}.csv", "w") as fh:
+            fh.write("s,f\n" + "".join(f"{a:.17g},{b:.17g}\n" for a, b in zip(s, f)))
+        scenarios += [(f"table-{name}-s0={s0}", ["--kind", "user_table", "--param", f"path=tables/{name}.csv",
+                                                 "--s0", s0]) for s0 in s0s]
     golden = []
-    for kind, s0 in itertools.product(KINDS, S0S):
-        name, flags = f"{kind}-s0={s0}", ["--kind", kind, "--s0", s0]
+    for name, flags in scenarios:
         golden += [_run(cli, ["solve", *flags, "--t-max", "8", "--n-samples", "2001",
                               "--out-dir", f"golden/solve-{name}"]),
                    _run(cli, ["refute", *flags, "--out-dir", f"golden/refute-{name}"]),
@@ -112,6 +137,7 @@ def produce(out):
     with open("sweep_config.json", "w") as fh:
         json.dump({"sweep": {"kind": list(KINDS), "s0": [float(s) for s in S0S], "epsilon": list(EPSILONS)}}, fh)
     golden.append(_run(cli, ["sweep", "--config", "sweep_config.json", "--out-dir", "golden/sweep"]))
+    refute_grid_pools()
 
     spec = importlib.util.spec_from_file_location("verify_probe", REPO / "tests" / "test_verify_probe.py")
     probe = importlib.util.module_from_spec(spec)
@@ -123,6 +149,27 @@ def produce(out):
             census.append(_run(cli, ["verify", *flags, "--suite", "all"]))
     with open("runs.json", "w") as fh:
         json.dump({"golden": golden, "census": census}, fh)
+
+
+def refute_grid_pools():
+    """Write each ``refute_grid`` pool's certificates, by op key, to ``golden/refute_grid-seed<n>.json``;
+    an op that raises has its exception in place of a certificate.  Log lines are dropped."""
+    sys.dont_write_bytecode = True  # leave perfbench/ as it is
+    sys.path.insert(0, str(REPO / "perfbench"))
+    import workloads
+
+    for seed in POOL_SEEDS:
+        work = f"pools/seed{seed}"
+        os.makedirs(work)
+        grid, certificates = workloads.RefuteGrid(work, seed, None), {}
+        for op in grid.ops():
+            try:
+                with contextlib.redirect_stderr(io.StringIO()):
+                    certificates[op.key] = json.loads(grid.run(op))
+            except Exception as exc:  # a failed op is an outcome to compare, not the end of the run
+                certificates[op.key] = f"{type(exc).__name__}: {exc}"
+        with open(f"golden/refute_grid-seed{seed}.json", "w") as fh:
+            json.dump(certificates, fh, indent=1, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +223,7 @@ def diff_file(a_path, b_path):
             worst = max(worst, (rel, f"{where} ({x!r} -> {y!r})"))
         else:
             other.append(f"{where} ({x!r} -> {y!r})")
-    text = f"largest relative change {worst[0]:.3g} at {worst[1]}" if worst[1] else "same numbers"
+    text = f"largest relative change {worst[0]:.3g} at {worst[1]}" if worst[1] else "no finite number moved"
     return text + (f"; {len(other)} other values changed, first {other[0]}" if other else "")
 
 
