@@ -302,8 +302,8 @@ def _cyclic_reduction(a):
 
 def _quintic_pieces(x, y):
     """The not-a-knot quintic interpolant through (x, y), with knots [x0]*6,
-    x[3:-3], [x_end]*6, as (edges, [c0, c1, c2]): column j of c_k is the
-    Chebyshev series in xi in [-1, 1] of its k-th derivative on piece j."""
+    x[3:-3], [x_end]*6, as (edges, series): series[:, k, j], zero-padded to 6 rows, is
+    the Chebyshev series in xi in [-1, 1] of its k-th derivative (k < 3) on piece j."""
     n = len(x)
     t = np.concatenate([np.full(6, x[0]), x[3:-3], np.full(6, x[-1])])
     rows = np.r_[0, 3:n - 3, 1, 2, n - 3:n]  # the row at the left end of each piece first
@@ -331,7 +331,10 @@ def _quintic_pieces(x, y):
             coef = (6 - m) * np.diff(coef) / (t[6:n + 6 - m] - t[m:n])
         near = coef[np.arange(n - 5)[:, None] + np.arange(6 - m)]  # the ones nonzero on each piece
         taylor[m] = (near * basis[5 - m][:n - 5]).sum(axis=1) * h**m
-    return t[5:n + 1], [_TAYLOR_TO_CHEB[:6 - k, :6 - k] @ taylor[k:] / h**k for k in range(3)]
+    series = np.zeros((6, 3, n - 5))  # rows past a series' degree stay 0, so its Clenshaw sum is bit-identical
+    for k in range(3):
+        series[:6 - k, k] = _TAYLOR_TO_CHEB[:6 - k, :6 - k] @ taylor[k:] / h**k
+    return t[5:n + 1], series
 
 
 def _require_positive(series, mid, half):
@@ -339,7 +342,7 @@ def _require_positive(series, mid, half):
     where the interpolant reaches f <= 0.  A piece with c0 > sum of |c_k| (k >= 1)
     is positive, as |T_k| <= 1; any other takes its minimum over the piece's ends
     and the real parts in [-1, 1] of the roots of f' there."""
-    f_series, df_series = series[:2]
+    f_series, df_series = series[:, 0], series[:, 1]
     for j in np.flatnonzero(f_series[0] - np.abs(f_series[1:]).sum(axis=0) <= 0):
         roots = chebyshev.chebroots(df_series[:, j]).real
         xi = np.concatenate([[-1.0, 1.0], roots[np.abs(roots) <= 1.0]])
@@ -354,9 +357,10 @@ def from_table(s_samples, f_samples, *, tail_coefficient=None, tail_exponent=Non
     """Tabulated warp profile interpolated by a quintic spline.
 
     The interpolant is the not-a-knot quintic B-spline through the rows,
-    built in O(rows) and kept as Chebyshev series of f, f' and f'' per knot
-    interval.  It has four continuous derivatives, so all curvature
-    quantities are continuous.  It is not shape-preserving: wiggly or
+    built in O(rows) and kept as one array of the Chebyshev series of f, f'
+    and f'' per knot interval, which f, the jet and the positivity proof all
+    read.  It has four continuous derivatives, so all curvature quantities
+    are continuous.  It is not shape-preserving: wiggly or
     coarse data can produce interpolation overshoot, so positivity is
     proven piece by piece and a table whose interpolant reaches f <= 0
     is refused, naming the radius.  Accuracy is limited by the table
@@ -382,28 +386,22 @@ def from_table(s_samples, f_samples, *, tail_coefficient=None, tail_exponent=Non
 
     edges, series = _quintic_pieces(s, fvals)
     mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
-    # f, f' and f'' in one (6, 3, pieces) array for one Clenshaw pass; the zero
-    # rows above the degree of f' and f'' leave their sums bit-identical
-    stacked = np.zeros((6, 3, len(mid)))
-    for k, coef in enumerate(series):
-        stacked[:len(coef), k] = coef
 
     def piece(x):
-        """The piece index and its xi at each radius of x, after one range check."""
+        """The radii x as an array, with the piece index and its xi at each, after one range check."""
+        x = np.asarray(x, float)
         if not np.all((x >= s[0] - 1e-12) & (x <= s[-1] * (1 + 1e-12))):
             raise DomainError(f"tabulated profile defined only on [{s[0]}, {s[-1]}]")
         i = np.searchsorted(edges[1:-1], x.ravel(), side="right")
-        return i, (x.ravel() - mid[i]) / half[i]
+        return x, i, (x.ravel() - mid[i]) / half[i]
 
-    def fn(x):
-        x = np.asarray(x, float)
-        i, xi = piece(x)
-        return _chebyshev_sum(series[0].take(i, axis=1), xi).reshape(x.shape)
+    def fn(x):  # series[:, 0] as the first columns of a view, which take reads without copying the whole array
+        x, i, xi = piece(x)
+        return _chebyshev_sum(series.reshape(6, -1).take(i, axis=1), xi).reshape(x.shape)
 
-    def jet(x):
-        x = np.asarray(x, float)
-        i, xi = piece(x)
-        return tuple(v.reshape(x.shape) for v in _chebyshev_sum(stacked.take(i, axis=2), xi))
+    def jet(x):  # f, f' and f'' in one Clenshaw pass
+        x, i, xi = piece(x)
+        return tuple(v.reshape(x.shape) for v in _chebyshev_sum(series.take(i, axis=2), xi))
 
     _require_positive(series, mid, half)
 
@@ -428,7 +426,7 @@ def load_table_csv(path, **kwargs) -> WarpFunction:
     One np.array call per column applies float() to its fields; only when one
     fails are the rows read again, in file order, for the first bad one."""
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:  # a byte-order mark is not part of the header
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read table {path}: {getattr(exc, 'strerror', None) or exc}") from None

@@ -182,6 +182,10 @@ class PotentialSolution:
             k = int(np.argmax(f))
             raise NumericError(f"{metric.label}: f={f[k]:.3g} at s={s[k]:.3g} passes 2^510 on the tail grid sized "
                                f"for t_max={self.t_max:g} (s0={s0:g}, tail coefficient {metric.tail_coefficient:g})")
+        if not (tail > 0.0).all():  # a panel sum over a spike of f^-2 it does not resolve can go negative
+            k = int(np.argmin(tail > 0.0))
+            raise NumericError(f"{metric.label}: I(s), the integral of f^-2 past s, reads {tail[k]:.3g}, not "
+                               f"positive, at s={s[k]:.6g} on the seed grid; the quadrature does not resolve f there")
         t = np.maximum(np.log(i0 / tail), 0.0)  # at s0 the panel sums may differ from i0 in the last digit
         keep = np.concatenate([[True], np.diff(t) > 1e-13])
         t, s, tail, f, df = t[keep], s[keep], tail[keep], f[keep], df[keep]

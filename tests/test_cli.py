@@ -825,6 +825,36 @@ def test_table_field_past_the_csv_limit_is_a_usage_error(tmp_path, capsys, comma
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["solve", "refute", "verify"])
+def test_table_whose_seed_integral_is_not_positive_exits_2_naming_the_radius(tmp_path, capsys, command):
+    # one row scaled by 1.6e-3 spikes f^-2 beyond what the panels resolve, and their sums
+    # read I <= 0 at seed knots beside it; the log of such an I escaped as a RuntimeWarning
+    s = np.geomspace(0.02, 9e4, 300)
+    f = 1.5 * s**0.63
+    f[280] *= 1.6e-3
+    path = _write(tmp_path / "t.csv", "s,f\n" + "".join(f"{a:.17g},{b:.17g}\n" for a, b in zip(s, f)))
+    argv = [command, "--kind", "user_table", "--param", f"path={path}", "--s0", "1"]
+    assert cli.main(argv if command == "verify" else argv + ["--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("precondition failure: ") and "not positive, at s=34098.2 on the seed grid" in err, err
+
+
+def test_table_with_a_byte_order_mark_reads_as_without(tmp_path):
+    # a CSV saved with a UTF-8 byte-order mark was refused: "expected CSV header 's,f'"
+    s = np.geomspace(0.1, 1e4, 300)
+    text = "s,f\n" + "".join(f"{a:.17g},{a ** 0.8:.17g}\n" for a in s)
+    written = []
+    for name, encoding in (("plain", "utf-8"), ("bom", "utf-8-sig")):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "t.csv").write_text(text, encoding=encoding)
+        assert cli.main(["refute", "--kind", "user_table", "--param", f"path={tmp_path / name / 't.csv'}",
+                         "--out-dir", str(tmp_path / name / "out")]) == 0
+        written.append((tmp_path / name / "out" / "refutation.json").read_bytes())
+    assert (tmp_path / "bom" / "t.csv").read_bytes().startswith(b"\xef\xbb\xbf")
+    assert written[0] == written[1]
+
+
 def test_table_refutation_bytes_match_separate_series(tmp_path, monkeypatch):
     # three tables shaped like the benchmark's: power laws on log-spaced rows from 0.1;
     # the certificate is the same when the jet sums f, f' and f'' one series at a time

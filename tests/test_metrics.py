@@ -601,9 +601,9 @@ def test_table_reproduces_quintic_polynomial():
 def test_table_spline_is_c4_at_interior_knots():
     s = np.geomspace(0.5, 50.0, 60)
     f = s**0.8 * (1.0 + 0.1 * np.sin(3.0 * np.log(s)))
-    edges, (c0, _, _) = pl.metrics._quintic_pieces(s, f)
+    edges, series = pl.metrics._quintic_pieces(s, f)
     half = 0.5 * np.diff(edges)
-    coef = c0
+    coef = series[:, 0]
     for k in range(5):  # f, f', f'', f''', f'''' from both sides of each interior knot
         left = np.polynomial.chebyshev.chebval(1.0, coef)[:-1]
         right = np.polynomial.chebyshev.chebval(-1.0, coef)[1:]
@@ -725,11 +725,12 @@ def test_table_dip_between_rows_names_the_radius():
 
 
 def _per_series(edges, series, x):
-    """The series of f, f' and f'' at x by three Clenshaw sums, one per series."""
+    """The series[:, k] of f, f' and f'' at x by one Clenshaw sum each, over its own 6 - k rows."""
     x = np.asarray(x, float)
     i = np.searchsorted(edges[1:-1], x.ravel(), side="right")
     xi = (x.ravel() - 0.5 * (edges[i] + edges[i + 1])) / (0.5 * (edges[i + 1] - edges[i]))
-    return tuple(pl.quadrature._chebyshev_sum(c.take(i, axis=1), xi).reshape(x.shape) for c in series)
+    return tuple(pl.quadrature._chebyshev_sum(series[:6 - k, k].take(i, axis=1), xi).reshape(x.shape)
+                 for k in range(series.shape[1]))
 
 
 def test_table_jet_is_bit_identical_to_separate_series():
@@ -764,8 +765,8 @@ def test_table_positivity_matches_a_dense_sample_of_each_piece():
         else:
             f = s**0.8 * (1.0 + rng.uniform(0.6, 0.999) * np.sin(rng.uniform(2.0, 20.0) * np.log(s)))
         edges, series = pl.metrics._quintic_pieces(s, f)
-        dense = np.polynomial.chebyshev.chebval(xi, series[0]).min()
-        scan = _per_series(edges, series[:1], np.linspace(s[0], s[-1], 4096))[0].min()
+        dense = np.polynomial.chebyshev.chebval(xi, series[:, 0]).min()
+        scan = _per_series(edges, series[:, :1], np.linspace(s[0], s[-1], 4096))[0].min()
         try:
             pl.from_table(s, f)
             accepted = True

@@ -21,13 +21,20 @@ path, and every command in process through ``pinchlab.cli.main``:
   and beta in [0.53, 1]; Schwarzschild m log-uniform in [0.1, 10]; blend
   s_cap in [0.05, 1.5] and a width log-uniform in
   [0.02, min(3, 2.9 cot s_cap)]; and s0 log-uniform in [1e-3, 10], t_max
-  log-uniform in [0.1, 8] and epsilon in [0.01, 1/3].
+  log-uniform in [0.1, 8] and epsilon in [0.01, 1/3]; and ``refute`` on
+  each of 300 seeded user tables (``fuzz_tables``), whose certificates are
+  also a golden file, keyed by table.
 
-It prints, for each golden file, "identical" or the largest relative change
-|a - b| / max(|a|, |b|) over its numbers and where it occurs; and each census
+A command that raises out of ``cli.main`` is recorded as exit code 1 with
+the first line "ExceptionType: message".  The script prints, for each
+golden file, "identical" or the largest relative change
+|a - b| / max(|a|, |b|) over its numbers and where it occurs, with how many
+numbers moved out of how many (and, for a file of certificates, how many
+certificates moved and how many changed their conclusion); each census
 input or golden command whose exit code, first stderr line or FAIL set
-changed.  Both trees run this checkout's copy of the script and of the
-probe list, so they see the same inputs.
+changed; and the ``src/`` line count of both trees.  Both trees run this
+checkout's copy of the script and of the probe list, so they see the same
+inputs.
 """
 
 from __future__ import annotations
@@ -54,6 +61,10 @@ EPSILONS = (0.1, 0.2, 1.0 / 3.0)
 BOX_SEEDS, BOX_DRAWS = (0, 1, 2), 150
 #: seeds of the ``refute_grid`` pools, 120 scenarios each
 POOL_SEEDS = (1, 2, 3)
+FUZZ_SEED, FUZZ_TABLES = 29, 300
+FUZZ_FAMILIES = ("smooth", "noisy", "ripple", "spike", "linear")
+#: golden files of certificates by op or table; their diff also counts moved certificates and conclusions
+CERTIFICATE_FILES = tuple(f"refute_grid-seed{seed}.json" for seed in POOL_SEEDS) + ("table_fuzz.json",)
 
 
 def tables():
@@ -75,12 +86,48 @@ def tables():
 # One tree: run every command and record what it wrote and said
 # ---------------------------------------------------------------------------
 
+def fuzz_tables():
+    """(name, s column, f column, s0) of each of the ``FUZZ_TABLES`` seeded fuzz tables, the families taken
+    in turn.  Each is a power law f = c s^beta, c log-uniform in [0.25, 4] and beta in [0.53, 1], on 20 to
+    900 rows from s log-uniform in [0.01, 1] to s log-uniform in [1e2, 1e5], log-spaced but for the linear
+    family; noisy tables multiply f by log-normal noise of sigma log-uniform in [1e-4, 0.1], ripple tables
+    by 1 + a sin(k log s) with a in [0.01, 0.5] and k in [1, 40], and spike tables one row by a factor
+    log-uniform in [1e-3, 10].  s0 is log-uniform over the first quarter of the table's log-range."""
+    import numpy as np
+
+    rng = np.random.default_rng(FUZZ_SEED)
+    log_uniform = lambda lo, hi: math.exp(rng.uniform(math.log(lo), math.log(hi)))
+    out = []
+    for k in range(FUZZ_TABLES):
+        family = FUZZ_FAMILIES[k % len(FUZZ_FAMILIES)]
+        rows, lo, hi = int(rng.integers(20, 901)), log_uniform(0.01, 1.0), log_uniform(1e2, 1e5)
+        s = np.linspace(lo, hi, rows) if family == "linear" else lo * (hi / lo) ** (np.arange(rows) / (rows - 1))
+        f = log_uniform(0.25, 4.0) * s ** rng.uniform(0.53, 1.0)
+        if family == "noisy":
+            f *= np.exp(rng.normal(0.0, log_uniform(1e-4, 0.1), rows))
+        elif family == "ripple":
+            f *= 1.0 + rng.uniform(0.01, 0.5) * np.sin(rng.uniform(1.0, 40.0) * np.log(s))
+        elif family == "spike":
+            f[rng.integers(rows)] *= log_uniform(1e-3, 10.0)
+        out.append((f"{k:03d}-{family}", s, f, repr(log_uniform(lo, lo * (hi / lo) ** 0.25))))
+    return out
+
+
+def _write_table(path, s, f):
+    with open(path, "w") as fh:
+        fh.write("s,f\n" + "".join(f"{a:.17g},{b:.17g}\n" for a, b in zip(s, f)))
+
+
 def _run(cli, argv):
-    """``cli.main(argv)`` in process: (exit code, first stderr line, sorted FAIL rows)."""
-    out, err = io.StringIO(), io.StringIO()
+    """``cli.main(argv)`` in process: (exit code, first stderr line, sorted FAIL rows).  An exception
+    that escapes ``main`` is recorded as exit code 1 with first line "ExceptionType: message"."""
+    out, err, escaped = io.StringIO(), io.StringIO(), None
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
-    first = (err.getvalue().splitlines() or [""])[0]
+        try:
+            code = cli.main(argv)
+        except Exception as exc:  # an escaped exception is an outcome to compare, not the end of the run
+            code, escaped = 1, f"{type(exc).__name__}: {exc}"
+    first = ((escaped or err.getvalue()).splitlines() or [""])[0]
     fails = sorted(line.split()[1] for line in out.getvalue().splitlines() if line.startswith("FAIL"))
     return {"argv": " ".join(argv), "code": code, "first": first, "fails": fails}
 
@@ -124,8 +171,7 @@ def produce(out):
     scenarios = [(f"{kind}-s0={s0}", ["--kind", kind, "--s0", s0]) for kind, s0 in itertools.product(KINDS, S0S)]
     os.mkdir("tables")
     for name, s, f, s0s in tables():
-        with open(f"tables/{name}.csv", "w") as fh:
-            fh.write("s,f\n" + "".join(f"{a:.17g},{b:.17g}\n" for a, b in zip(s, f)))
+        _write_table(f"tables/{name}.csv", s, f)
         scenarios += [(f"table-{name}-s0={s0}", ["--kind", "user_table", "--param", f"path=tables/{name}.csv",
                                                  "--s0", s0]) for s0 in s0s]
     golden = []
@@ -147,6 +193,7 @@ def produce(out):
         for flags in box_draws(seed):
             census += [_run(cli, [command, *flags, "--out-dir", "box"]) for command in ("solve", "refute")]
             census.append(_run(cli, ["verify", *flags, "--suite", "all"]))
+    census += table_fuzz(cli)
     with open("runs.json", "w") as fh:
         json.dump({"golden": golden, "census": census}, fh)
 
@@ -170,6 +217,23 @@ def refute_grid_pools():
                 certificates[op.key] = f"{type(exc).__name__}: {exc}"
         with open(f"golden/refute_grid-seed{seed}.json", "w") as fh:
             json.dump(certificates, fh, indent=1, sort_keys=True)
+
+
+def table_fuzz(cli):
+    """``refute`` each fuzz table at its s0 and return the runs; write the certificates that the runs
+    wrote, by table name, to ``golden/table_fuzz.json``."""
+    os.mkdir("fuzz")
+    runs, certificates = [], {}
+    for name, s, f, s0 in fuzz_tables():
+        _write_table(f"fuzz/{name}.csv", s, f)
+        runs.append(_run(cli, ["refute", "--kind", "user_table", "--param", f"path=fuzz/{name}.csv",
+                               "--s0", s0, "--out-dir", f"fuzz/{name}"]))
+        written = Path(f"fuzz/{name}/refutation.json")
+        if written.is_file():
+            certificates[name] = json.loads(written.read_text())
+    with open("golden/table_fuzz.json", "w") as fh:
+        json.dump(certificates, fh, indent=1, sort_keys=True)
+    return runs
 
 
 # ---------------------------------------------------------------------------
@@ -207,24 +271,51 @@ def _is_number(v):
 
 
 def diff_file(a_path, b_path):
-    """"identical", or the largest relative change between two output files and where it occurs."""
+    """"identical", or the largest relative change between two output files and where it occurs, and how
+    many of the numbers moved; for a file of ``CERTIFICATE_FILES``, also how many certificates moved and
+    how many of them changed their conclusion."""
     if a_path.read_bytes() == b_path.read_bytes():
         return "identical"
-    a, b = dict(_leaves(_load(a_path))), dict(_leaves(_load(b_path)))
+    docs = _load(a_path), _load(b_path)
+    a, b = (dict(_leaves(doc)) for doc in docs)
     if a.keys() != b.keys():
-        return f"layout changed: {len(a.keys() ^ b.keys())} entries in one file only"
-    worst, other = (0.0, None), []
-    for where in a:
-        x, y = a[where], b[where]
-        if x == y or (_is_number(x) and _is_number(y) and math.isnan(x) and math.isnan(y)):
-            continue
-        if _is_number(x) and _is_number(y) and math.isfinite(x) and math.isfinite(y):
-            rel = abs(x - y) / max(abs(x), abs(y))
-            worst = max(worst, (rel, f"{where} ({x!r} -> {y!r})"))
-        else:
-            other.append(f"{where} ({x!r} -> {y!r})")
-    text = f"largest relative change {worst[0]:.3g} at {worst[1]}" if worst[1] else "no finite number moved"
-    return text + (f"; {len(other)} other values changed, first {other[0]}" if other else "")
+        text = f"layout changed: {len(a.keys() ^ b.keys())} entries in one file only"
+    else:
+        worst, other, numbers, moved = (0.0, None), [], 0, 0
+        for where in a:
+            x, y = a[where], b[where]
+            numbers += _is_number(x)
+            if x == y or (_is_number(x) and _is_number(y) and math.isnan(x) and math.isnan(y)):
+                continue
+            moved += _is_number(x)
+            if _is_number(x) and _is_number(y) and math.isfinite(x) and math.isfinite(y):
+                rel = abs(x - y) / max(abs(x), abs(y))
+                worst = max(worst, (rel, f"{where} ({x!r} -> {y!r})"))
+            else:
+                other.append(f"{where} ({x!r} -> {y!r})")
+        text = f"largest relative change {worst[0]:.3g} at {worst[1]}" if worst[1] else "no finite number moved"
+        text += f"; {moved} of {numbers} numbers moved"
+        text += f"; {len(other)} other values changed, first {other[0]}" if other else ""
+    if a_path.name in CERTIFICATE_FILES:
+        text += "; " + _certificates_moved(*docs)
+    return text
+
+
+def _certificates_moved(a, b):
+    """How many of the certificates of a and b, by key, moved, and how many changed their conclusion.  A
+    pool op that raised has its exception, a string, in place of a certificate; a fuzz run that wrote no
+    certificate has no key."""
+    conclusion = lambda c: c.get("conclusion") if isinstance(c, dict) else c
+    same = lambda x, y: json.dumps(x, sort_keys=True) == json.dumps(y, sort_keys=True)  # NaN equals NaN
+    keys = a.keys() | b.keys()
+    moved = [k for k in keys if not same(a.get(k), b.get(k))]
+    changed = sum(conclusion(a.get(k)) != conclusion(b.get(k)) for k in moved)
+    return f"{len(moved)} of {len(keys)} certificates moved, {changed} changed conclusion"
+
+
+def src_lines(root):
+    """The line count of the Python files under ``root/src``."""
+    return sum(len(path.read_text().splitlines()) for path in Path(root, "src").rglob("*.py"))
 
 
 def _tree_of(rev, dest):
@@ -275,6 +366,7 @@ def main(argv=None):
             codes = sorted({r["code"] for r in runs[1][part]})
             tally = ", ".join(f"{sum(r['code'] == c for r in runs[1][part])} x {c}" for c in codes)
             print(f"{part} runs: {len(runs[1][part])} ({tally} in this checkout), {moved} moved")
+        print(f"src/ lines: {src_lines(tree)} at {rev}, {src_lines(REPO)} in this checkout")
 
 
 if __name__ == "__main__":
