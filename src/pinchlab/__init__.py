@@ -9,7 +9,7 @@ boundary Willmore energy) fails for a given profile.
 """
 
 from .asymptotics import (coarea_check, decay_check, holder_chain_check,
-                          judge, li_yau_fit, refute, series_pinching)
+                          judge, li_yau_fit, refute, series_pinching, sweep)
 from .config import ScenarioConfig
 from .errors import (DomainError, NonparabolicityError, NumericError,
                      PinchLabError, UsageError)

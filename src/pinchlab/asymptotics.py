@@ -253,19 +253,27 @@ class RefutationReport:
         }
 
 
-def refute(domain: ExteriorDomain, config: Optional[ScenarioConfig] = None) -> RefutationReport:
-    """Solve the exterior potential on ``domain``, make its verdicts and ``judge`` them.
+def sweep(profiles, s0s, epsilons, config: ScenarioConfig) -> list[RefutationReport]:
+    """The ``RefutationReport`` of each profile x s0 x epsilon, in that order: one solve and
+    series per (profile, s0), one growth fit per profile after its first solve, and per epsilon
+    the ``series_pinching`` and ``decay_check`` that ``judge`` combines.  Reads t_max, n_samples
+    and growth_window from ``config`` and hands it on to ``judge``; its epsilon is not read."""
+    reports = []
+    for metric in profiles:
+        growth = None
+        for s0 in s0s:
+            sol = PotentialSolution(ExteriorDomain(metric, s0), t_max=config.t_max)
+            series = build_series(sol, n=config.n_samples)
+            growth = growth or windowed_growth(metric, config.growth_window)
+            reports += [judge(sol, series, series_pinching(series, eps), decay_check(series, eps), growth, config)
+                        for eps in epsilons]
+    return reports
 
-    Reads t_max, n_samples, epsilon and growth_window for the solve, the
-    series, the two epsilon verdicts and the growth fit, and hands
-    ``config``, a default ScenarioConfig when omitted, on to ``judge``.
-    """
+
+def refute(domain: ExteriorDomain, config: Optional[ScenarioConfig] = None) -> RefutationReport:
+    """The one-scenario ``sweep``: ``domain`` at the epsilon of ``config``, by default a ScenarioConfig()."""
     config = config or ScenarioConfig()
-    sol = PotentialSolution(domain, t_max=config.t_max)
-    series = build_series(sol, n=config.n_samples)
-    growth = windowed_growth(domain.metric, config.growth_window)
-    return judge(sol, series, series_pinching(series, config.epsilon), decay_check(series, config.epsilon),
-                 growth, config)
+    return sweep([domain.metric], [domain.s0], [config.epsilon], config)[0]
 
 
 def judge(sol: PotentialSolution, series: FunctionalSeries, pinch: PinchReport, decay: DecayFit,
@@ -312,11 +320,8 @@ def judge(sol: PotentialSolution, series: FunctionalSeries, pinch: PinchReport, 
 
     failures = []
     if not pinch.passed:
-        witness = pinch.first_failure_s
-        failures.append(
-            "pinching fails (margin min %.4g, witness s = %.6g)"
-            % (pinch.eps_star_min, witness if witness is not None else float("nan"))
-        )
+        failures.append("pinching fails (margin min %.4g, witness s = %.6g)"
+                        % (pinch.eps_star_min, pinch.first_failure_s))
     if not growth_pass:
         failures.append(
             "growth fails (alpha = %.4g <= 4/3)" % alpha

@@ -129,6 +129,7 @@ def cmd_refute(cfg: ScenarioConfig) -> int:
 
 
 def cmd_sweep(cfg: ScenarioConfig) -> int:
+    """Write ``asymptotics.sweep`` over the config's 'sweep' grid to sweep.csv and sweep.json."""
     if not cfg.sweep:
         raise UsageError("sweep requires a config file with a 'sweep' section")
     kinds = cfg.sweep.get("kind", [cfg.metric_kind])
@@ -136,18 +137,8 @@ def cmd_sweep(cfg: ScenarioConfig) -> int:
     # the whole grid and every metric are checked before the first solve
     for kind, s0, eps in itertools.product(kinds, s0s, epsilons):
         cfg.with_overrides(metric_kind=kind, s0=s0, epsilon=eps).validate()
-    built = {k: metrics.build_metric(k, cfg.metric_params if k == cfg.metric_kind else {}) for k in kinds}
-
-    runs = []
-    for kind in kinds:
-        growth = None  # fitted once per kind, after its first solve and series as in refute
-        for s0 in s0s:
-            sol = potential.PotentialSolution(potential.ExteriorDomain(built[kind], s0), t_max=cfg.t_max)
-            series = functionals.build_series(sol, n=cfg.n_samples)
-            growth = growth or asymptotics.windowed_growth(built[kind], cfg.growth_window)
-            runs += [((kind, s0, eps), asymptotics.judge(sol, series, asymptotics.series_pinching(series, eps),
-                                                         asymptotics.decay_check(series, eps), growth, cfg))
-                     for eps in epsilons]
+    built = [metrics.build_metric(k, cfg.metric_params if k == cfg.metric_kind else {}) for k in kinds]
+    runs = list(zip(itertools.product(kinds, s0s, epsilons), asymptotics.sweep(built, s0s, epsilons, cfg)))
 
     csv_path = os.path.join(_out_dir(cfg), "sweep.csv")
     with _writing(csv_path), open(csv_path, "w", newline="") as fh:

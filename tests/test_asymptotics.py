@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import itertools
 import json
 import math
 import sys
@@ -372,6 +373,23 @@ def test_judge_combines_the_verdicts_it_is_given(monkeypatch, metric, s0):
         report = asymptotics.judge(sol, series, pinch, decay, growth, config)
     assert report.pinching is pinch
     assert report.to_json_dict() == asymptotics.refute(domain, config).to_json_dict()
+
+
+def test_sweep_reports_each_cell_as_its_refute_from_one_solve_per_profile_and_s0(monkeypatch):
+    profiles, s0s, epsilons = [pl.cone(0.5), pl.power_law(1.0, 0.8)], [0.5, 2.0], [0.05, 0.2, 1.0 / 3.0]
+    config = ScenarioConfig(t_max=4.0, n_samples=501)
+    solves, fits, init, growth_fit = [], [], pl.PotentialSolution.__init__, asymptotics.growth_fit
+    with monkeypatch.context() as patch:
+        patch.setattr(pl.PotentialSolution, "__init__", lambda self, *a, **k: solves.append(a) or init(self, *a, **k))
+        patch.setattr(asymptotics, "growth_fit", lambda *args: fits.append(args) or growth_fit(*args))
+        reports = asymptotics.sweep(profiles, s0s, epsilons, config)
+    assert (len(reports), len(solves), len(fits)) == (12, 4, 2)
+    cells = list(itertools.product(profiles, s0s, epsilons))
+    assert [(r.metric_label, r.s0, r.pinching.epsilon_requested) for r in reports] == \
+        [(metric.label, s0, eps) for metric, s0, eps in cells]
+    for report, (metric, s0, eps) in zip(reports, cells):
+        single = asymptotics.refute(pl.ExteriorDomain(metric, s0), config.with_overrides(epsilon=eps))
+        assert json.dumps(report.to_json_dict()) == json.dumps(single.to_json_dict())
 
 
 @pytest.mark.parametrize("metric, s0", [(pl.power_law(1.0, 0.8), 1.0),

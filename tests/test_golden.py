@@ -1,8 +1,9 @@
 """``tools/golden.py``: ``diff_file``, ``_leaves`` and ``src_lines`` on small output pairs and trees,
-``_run`` on a stub ``cli`` and the seeded fuzz tables."""
+``_run`` and ``run_changes`` on stub ``cli``s, and the seeded fuzz tables and grids A and B."""
 
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -95,7 +96,35 @@ def test_an_exception_that_escapes_main_is_recorded_as_exit_1():
 
     assert golden._run(Cli, ["verify", "--kind", "power"]) == {
         "argv": "verify --kind power", "code": 1, "first": "RuntimeWarning: invalid value encountered in log",
-        "fails": ["power/w_equation"]}
+        "last": "RuntimeWarning: invalid value encountered in log", "fails": ["power/w_equation"]}
+
+
+def test_a_run_whose_cause_moved_behind_the_same_warning_is_moved():
+    def cli(cause):
+        class Cli:
+            @staticmethod
+            def main(argv):
+                print("pinchlab.potential: tail cut at s=1e4", file=sys.stderr)
+                print(f"precondition failure: {cause}", file=sys.stderr)
+                return 2
+        return Cli
+
+    was = golden._run(cli("radial harmonic identity violated"), ["refute"])
+    now = golden._run(cli("the level map did not converge"), ["refute"])
+    assert was["first"] == now["first"] == "pinchlab.potential: tail cut at s=1e4"
+    assert golden.run_changes(was, was) == []
+    assert golden.run_changes(was, now) == [
+        "last 'precondition failure: radial harmonic identity violated' -> "
+        "'precondition failure: the level map did not converge'"]
+
+
+def test_grids_a_and_b_hold_105_and_800_argument_lists():
+    grid_a, grid_b = golden.grid_a(), golden.grid_b()
+    assert (len(grid_a), len(grid_b)) == (105, 800)
+    assert {argv[0] for argv in grid_a} == {"refute"}
+    assert sum(argv[0] == "solve" for argv in grid_b) == 400
+    assert all(argv[argv.index("--n-samples") + 1] == "101" for argv in grid_b)
+    assert len({" ".join(argv) for argv in grid_a + grid_b}) == 905
 
 
 def test_src_lines_counts_the_python_files_under_src(tmp_path):

@@ -23,15 +23,18 @@ path, and every command in process through ``pinchlab.cli.main``:
   [0.02, min(3, 2.9 cot s_cap)]; and s0 log-uniform in [1e-3, 10], t_max
   log-uniform in [0.1, 8] and epsilon in [0.01, 1/3]; and ``refute`` on
   each of 300 seeded user tables (``fuzz_tables``), whose certificates are
-  also a golden file, keyed by table.
+  also a golden file, keyed by table; and the extreme-scale grids ``grid_a``
+  (105 ``refute`` runs) and ``grid_b`` (800 ``refute`` and ``solve`` runs),
+  whose files are not compared.
 
 A command that raises out of ``cli.main`` is recorded as exit code 1 with
-the first line "ExceptionType: message".  The script prints, for each
+first and last line "ExceptionType: message".  The script prints, for each
 golden file, "identical" or the largest relative change
 |a - b| / max(|a|, |b|) over its numbers and where it occurs, with how many
 numbers moved out of how many (and, for a file of certificates, how many
 certificates moved and how many changed their conclusion); each census
-input or golden command whose exit code, first stderr line or FAIL set
+input or golden command whose exit code, first or last stderr line (the
+last names the cause where a log warning comes first) or FAIL set
 changed; and the ``src/`` line count of both trees.  Both trees run this
 checkout's copy of the script and of the probe list, so they see the same
 inputs.
@@ -119,17 +122,52 @@ def _write_table(path, s, f):
 
 
 def _run(cli, argv):
-    """``cli.main(argv)`` in process: (exit code, first stderr line, sorted FAIL rows).  An exception
-    that escapes ``main`` is recorded as exit code 1 with first line "ExceptionType: message"."""
+    """``cli.main(argv)`` in process: (exit code, first and last stderr line, sorted FAIL rows).  An
+    exception that escapes ``main`` is recorded as exit code 1 with first and last line
+    "ExceptionType: message"."""
     out, err, escaped = io.StringIO(), io.StringIO(), None
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = cli.main(argv)
         except Exception as exc:  # an escaped exception is an outcome to compare, not the end of the run
             code, escaped = 1, f"{type(exc).__name__}: {exc}"
-    first = ((escaped or err.getvalue()).splitlines() or [""])[0]
+    lines = (escaped or err.getvalue()).splitlines() or [""]
     fails = sorted(line.split()[1] for line in out.getvalue().splitlines() if line.startswith("FAIL"))
-    return {"argv": " ".join(argv), "code": code, "first": first, "fails": fails}
+    return {"argv": " ".join(argv), "code": code, "first": lines[0], "last": lines[0] if escaped else lines[-1],
+            "fails": fails}
+
+
+def _profile(kind, *params):
+    return ["--kind", kind, *itertools.chain.from_iterable(("--param", p) for p in params)]
+
+
+def grid_a():
+    """The 105 ``refute`` argument lists of grid A: the 5 catalog kinds at their defaults, power
+    c in {1e52, 1e100, 1e154, 1e160, 1e300, 1e-80}, Schwarzschild m in {1e100, 1e300} and cone
+    a in {1e-60, 1e-100}, each with no flag, with ``--s0`` in {1e104, 1e200, 1e300} and with
+    ``--t-max`` in {180, 400, 1e4}."""
+    profiles = ([_profile(kind) for kind in KINDS]
+                + [_profile("power", f"c={c}") for c in ("1e52", "1e100", "1e154", "1e160", "1e300", "1e-80")]
+                + [_profile("schwarzschild", f"m={m}") for m in ("1e100", "1e300")]
+                + [_profile("cone", f"a={a}") for a in ("1e-60", "1e-100")])
+    flags = ([[]] + [["--s0", s0] for s0 in ("1e104", "1e200", "1e300")]
+             + [["--t-max", t_max] for t_max in ("180", "400", "1e4")])
+    return [["refute", *profile, *flag, "--out-dir", "grids"] for profile in profiles for flag in flags]
+
+
+def grid_b():
+    """The 800 argument lists of grid B, ``refute`` and ``solve`` each with ``--n-samples 101``: flat,
+    cone a in {0.6, 1e-100}, power at its defaults, at beta=0.55 and at c in {1e100, 1e153, 1e-100},
+    Schwarzschild and the blend, each at s0 in {1e-300, 1e-200, 1e-100, 1e-20, 1, 1e50, 1e150, 1e300}
+    and t_max in {8, 100, 300, 500, 1e4}."""
+    profiles = ([_profile("flat"), _profile("cone", "a=0.6"), _profile("cone", "a=1e-100"), _profile("power"),
+                 _profile("power", "beta=0.55")]
+                + [_profile("power", f"c={c}") for c in ("1e100", "1e153", "1e-100")]
+                + [_profile("schwarzschild"), _profile("sphere_cap_blend")])
+    s0s = ("1e-300", "1e-200", "1e-100", "1e-20", "1", "1e50", "1e150", "1e300")
+    return [[command, *profile, "--s0", s0, "--t-max", t_max, "--n-samples", "101", "--out-dir", "grids"]
+            for profile, s0, t_max in itertools.product(profiles, s0s, ("8", "100", "300", "500", "1e4"))
+            for command in ("refute", "solve")]
 
 
 def box_draws(seed):
@@ -152,10 +190,9 @@ def box_draws(seed):
             params = {"s_cap": s_cap, "blend_width": log_uniform(0.02, min(3.0, 2.9 / math.tan(s_cap)))}
         else:
             params = {}
-        flags = ["--kind", kind, *itertools.chain.from_iterable(("--param", f"{k}={float(v)!r}")
-                                                                for k, v in params.items())]
-        draws.append(flags + ["--s0", repr(log_uniform(1e-3, 10.0)), "--t-max", repr(log_uniform(0.1, 8.0)),
-                              "--epsilon", repr(rng.uniform(0.01, 1.0 / 3.0))])
+        draws.append(_profile(kind, *(f"{k}={float(v)!r}" for k, v in params.items()))
+                     + ["--s0", repr(log_uniform(1e-3, 10.0)), "--t-max", repr(log_uniform(0.1, 8.0)),
+                        "--epsilon", repr(rng.uniform(0.01, 1.0 / 3.0))])
     return draws
 
 
@@ -194,6 +231,7 @@ def produce(out):
             census += [_run(cli, [command, *flags, "--out-dir", "box"]) for command in ("solve", "refute")]
             census.append(_run(cli, ["verify", *flags, "--suite", "all"]))
     census += table_fuzz(cli)
+    census += [_run(cli, argv) for argv in grid_a() + grid_b()]
     with open("runs.json", "w") as fh:
         json.dump({"golden": golden, "census": census}, fh)
 
@@ -313,6 +351,13 @@ def _certificates_moved(a, b):
     return f"{len(moved)} of {len(keys)} certificates moved, {changed} changed conclusion"
 
 
+def run_changes(was, now):
+    """"field old -> new" for each field of two records of one run that differs: exit code, first and last
+    stderr line, or FAIL set."""
+    return [f"{key} {was[key]!r} -> {now[key]!r}" for key in ("code", "first", "last", "fails")
+            if was[key] != now[key]]
+
+
 def src_lines(root):
     """The line count of the Python files under ``root/src``."""
     return sum(len(path.read_text().splitlines()) for path in Path(root, "src").rglob("*.py"))
@@ -358,8 +403,7 @@ def main(argv=None):
         for part in ("golden", "census"):
             moved = 0
             for was, now in zip(runs[0][part], runs[1][part]):
-                changes = [f"{key} {was[key]!r} -> {now[key]!r}" for key in ("code", "first", "fails")
-                           if was[key] != now[key]]
+                changes = run_changes(was, now)
                 if changes:
                     moved += 1
                     print(f"moved: {was['argv']}: " + "; ".join(changes))
