@@ -8,7 +8,7 @@ hypotheses (Ricci pinching, superquadratic volume growth, sub-16pi
 boundary Willmore energy) fails for a given profile.
 """
 
-from .asymptotics import (coarea_check, decay_check, holder_chain_check,
+from .asymptotics import (Scenario, coarea_check, decay_check, holder_chain_check,
                           judge, li_yau_fit, refute, series_pinching, sweep)
 from .config import ScenarioConfig
 from .errors import (DomainError, NonparabolicityError, NumericError,

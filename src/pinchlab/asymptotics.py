@@ -16,6 +16,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -167,16 +168,6 @@ def series_pinching(series: FunctionalSeries, epsilon) -> PinchReport:
     return check_pinching(series.metric, epsilon, series.s[i:], series.eps_star[i:])
 
 
-def windowed_growth(metric, growth_window) -> GrowthReport:
-    """Growth fit over the window, its top clipped to the domain end and its
-    bottom to at most 1/50 of the top, which must lie past the domain start."""
-    r_hi = min(float(growth_window[1]), metric.domain_end)
-    if not r_hi / 50.0 > metric.domain_start:
-        raise DomainError(f"{metric.label}: the growth fit needs radii down to r_hi/50 = {r_hi / 50.0:.4g}, "
-                          f"below the profile's start s={metric.domain_start:g}")
-    return growth_fit(metric, min(float(growth_window[0]), r_hi / 50.0), r_hi)
-
-
 def _json_floats(values):
     """A float, or a 1-d float sequence as a list of floats, for JSON: +-inf as "inf" and "-inf",
     and None as None."""
@@ -253,20 +244,43 @@ class RefutationReport:
         }
 
 
+class Scenario:
+    """A profile's exterior potential from s0 with its level series and its volume growth,
+    sized by ``config``: ``sol`` solved to t_max, ``series`` of ``levels()`` levels, and
+    ``growth`` fitted over growth_window when first read."""
+
+    def __init__(self, metric, s0, config: ScenarioConfig):
+        self.metric, self.config = metric, config
+        self.sol = PotentialSolution(ExteriorDomain(metric, s0), t_max=config.t_max)
+        self.series = build_series(self.sol, n=self.levels())
+
+    def levels(self) -> int:
+        return self.config.n_samples
+
+    @cached_property
+    def growth(self) -> GrowthReport:
+        """Growth fit over the window, its top clipped to the domain end and its
+        bottom to at most 1/50 of the top, which must lie past the domain start."""
+        metric, (r_lo, r_hi) = self.metric, self.config.growth_window
+        r_hi = min(float(r_hi), metric.domain_end)
+        if not r_hi / 50.0 > metric.domain_start:
+            raise DomainError(f"{metric.label}: the growth fit needs radii down to r_hi/50 = {r_hi / 50.0:.4g}, "
+                              f"below the profile's start s={metric.domain_start:g}")
+        return growth_fit(metric, min(float(r_lo), r_hi / 50.0), r_hi)
+
+
 def sweep(profiles, s0s, epsilons, config: ScenarioConfig) -> list[RefutationReport]:
-    """The ``RefutationReport`` of each profile x s0 x epsilon, in that order: one solve and
-    series per (profile, s0), one growth fit per profile after its first solve, and per epsilon
-    the ``series_pinching`` and ``decay_check`` that ``judge`` combines.  Reads t_max, n_samples
-    and growth_window from ``config`` and hands it on to ``judge``; its epsilon is not read."""
+    """The ``RefutationReport`` of each profile x s0 x epsilon, in that order: one ``Scenario``
+    per (profile, s0), whose growth is fitted once per profile after its first solve, and per
+    epsilon the ``series_pinching`` and ``decay_check`` that ``judge`` combines.  Reads t_max,
+    n_samples and growth_window from ``config`` and hands it on to ``judge``; its epsilon is not read."""
     reports = []
     for metric in profiles:
         growth = None
         for s0 in s0s:
-            sol = PotentialSolution(ExteriorDomain(metric, s0), t_max=config.t_max)
-            series = build_series(sol, n=config.n_samples)
-            growth = growth or windowed_growth(metric, config.growth_window)
-            reports += [judge(sol, series, series_pinching(series, eps), decay_check(series, eps), growth, config)
-                        for eps in epsilons]
+            sc = Scenario(metric, s0, config)
+            growth = sc.growth = growth or sc.growth
+            reports += [judge(sc, series_pinching(sc.series, eps), decay_check(sc.series, eps)) for eps in epsilons]
     return reports
 
 
@@ -276,14 +290,14 @@ def refute(domain: ExteriorDomain, config: Optional[ScenarioConfig] = None) -> R
     return sweep([domain.metric], [domain.s0], [config.epsilon], config)[0]
 
 
-def judge(sol: PotentialSolution, series: FunctionalSeries, pinch: PinchReport, decay: DecayFit,
-          growth: GrowthReport, config: ScenarioConfig) -> RefutationReport:
-    """Combine the verdicts made on a solved potential and evaluate the closing comparison.
+def judge(sc: Scenario, pinch: PinchReport, decay: DecayFit) -> RefutationReport:
+    """Combine the verdicts made on a scenario and evaluate the closing comparison.
 
-    Takes ``series_pinching`` and ``decay_check`` of ``series`` at one
-    epsilon, and reads chain_points and t_max from ``config``.  t_max bounds
-    the chain when its exponent is 7 or more, also where ``sol`` ends below it.
+    Takes ``series_pinching`` and ``decay_check`` of ``sc.series`` at one
+    epsilon, and reads chain_points and t_max from ``sc.config``.  t_max bounds
+    the chain when its exponent is 7 or more, also where ``sc.sol`` ends below it.
     """
+    sol, series, growth, config = sc.sol, sc.series, sc.growth, sc.config
     growth_pass = growth.alpha_fit > ALPHA_THRESHOLD
     boundary = boundary_willmore(sol)
 

@@ -54,14 +54,6 @@ def _out_dir(cfg) -> str:
     return cfg.out_dir
 
 
-def _summary_growth(metric, cfg):
-    try:
-        rep = asymptotics.windowed_growth(metric, cfg.growth_window)
-        return rep.alpha_fit, rep.avr
-    except DomainError:
-        return None, None
-
-
 def cmd_catalog(args) -> int:
     if args.json:
         doc = {"kinds": {
@@ -82,28 +74,29 @@ def cmd_catalog(args) -> int:
 
 def cmd_solve(cfg: ScenarioConfig) -> int:
     metric = metrics.build_metric(cfg.metric_kind, cfg.metric_params)
-    domain = potential.ExteriorDomain(metric, cfg.s0)
-    sol = potential.PotentialSolution(domain, t_max=cfg.t_max)
-    series = functionals.build_series(sol, n=cfg.n_samples)
+    sc = asymptotics.Scenario(metric, cfg.s0, cfg)
     csv_path = os.path.join(_out_dir(cfg), "series.csv")
     with _writing(csv_path):
-        series.to_csv(csv_path)
-    alpha, avr = _summary_growth(metric, cfg)
-    bw = functionals.boundary_willmore(sol)
+        sc.series.to_csv(csv_path)
+    try:
+        alpha, avr = sc.growth.alpha_fit, sc.growth.avr
+    except DomainError:
+        alpha = avr = None
+    bw = functionals.boundary_willmore(sc.sol)
     summary = {
         "config": dataclasses.asdict(cfg),
         "metric": metric.label,
-        "ncap": sol.ncap,
+        "ncap": sc.sol.ncap,
         "alpha_fit": alpha,
         "avr": avr,
         "boundary_willmore": bw.value,
         "boundary_below_16pi": bw.below_threshold,
-        "t_max": sol.t_max,
+        "t_max": sc.sol.t_max,
         "files": {"series": "series.csv"},
     }
     json_path = os.path.join(cfg.out_dir, "summary.json")
     _write_json(json_path, summary)
-    print(f"{metric.label} s0={cfg.s0:g}: ncap={sol.ncap:.12g} "
+    print(f"{metric.label} s0={cfg.s0:g}: ncap={sc.sol.ncap:.12g} "
           f"alpha_fit={'n/a' if alpha is None else f'{alpha:.6g}'} "
           f"boundary_willmore={bw.value:.12g}")
     print(f"wrote {csv_path} and {json_path}")
@@ -119,8 +112,7 @@ def cmd_verify(cfg: ScenarioConfig, json_out=None) -> int:
 
 def cmd_refute(cfg: ScenarioConfig) -> int:
     metric = metrics.build_metric(cfg.metric_kind, cfg.metric_params)
-    domain = potential.ExteriorDomain(metric, cfg.s0)
-    report = asymptotics.refute(domain, cfg)
+    report = asymptotics.refute(potential.ExteriorDomain(metric, cfg.s0), cfg)
     path = os.path.join(_out_dir(cfg), "refutation.json")
     _write_json(path, report.to_json_dict())
     print(f"{metric.label} s0={cfg.s0:g}: {report.conclusion}")

@@ -97,23 +97,17 @@ def _run_check(name, check: Check, *args) -> SuiteResult:
 # Scenario bundles
 # ---------------------------------------------------------------------------
 
-class _Scenario:
-    """A metric with its solved potential, its dense series, where the identity rows read
-    their levels (``interior_levels``), and the reports that several checks read."""
+class _Scenario(asymptotics.Scenario):
+    """``asymptotics.Scenario`` at the suite's level spacing, with the grids the identity rows
+    read (``curvature_grid``, ``interior_levels``) and the reports that several checks read."""
 
-    def __init__(self, metric, cfg: ScenarioConfig):
-        self.metric = metric
-        self.cfg = cfg
-        # sol.t_max, not cfg.t_max: a table may end below the requested level
-        self.sol = potential.PotentialSolution(potential.ExteriorDomain(metric, float(cfg.s0)),
-                                               t_max=min(cfg.t_max, 5.0))
-        n = max(2001, int(round(self.sol.t_max / SUITE_DT)) + 1)
-        self.series = functionals.build_series(self.sol, n=n)
-        self.s_window = self.series.s[[asymptotics.pinching_window(self.series), -1]]
+    def levels(self) -> int:
+        # sol.t_max, not config.t_max: a table may end below the requested level
+        return max(2001, round(self.sol.t_max / SUITE_DT) + 1)
 
     def curvature_grid(self, n=200):
-        lo = max(self.s_window[0] * 0.5, 1e-3, self.metric.domain_start)
-        return log_grid(lo, self.s_window[1], n)
+        lo, hi = self.series.s[[asymptotics.pinching_window(self.series), -1]]
+        return log_grid(max(lo * 0.5, 1e-3, self.metric.domain_start), hi, n)
 
     def interior_levels(self, n=25):
         """Indices of the n series levels nearest 5% .. 95% of t_max."""
@@ -125,11 +119,11 @@ class _Scenario:
 
     @cached_property
     def pinching(self):
-        return asymptotics.series_pinching(self.series, self.cfg.epsilon)
+        return asymptotics.series_pinching(self.series, self.config.epsilon)
 
     @cached_property
     def decay(self):
-        return asymptotics.decay_check(self.series, self.cfg.epsilon)
+        return asymptotics.decay_check(self.series, self.config.epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +220,7 @@ def _decay_estimate(sc):
 
 
 def _refutation_soundness(sc):
-    growth = asymptotics.windowed_growth(sc.metric, sc.cfg.growth_window)
-    rep = asymptotics.judge(sc.sol, sc.series, sc.pinching, sc.decay, growth, sc.cfg)
+    rep = asymptotics.judge(sc, sc.pinching, sc.decay)
     return Reading(None, None, not rep.conclusion.startswith("CONTRADICTION"), rep.conclusion)
 
 
@@ -301,10 +294,10 @@ def run_verify(cfg: ScenarioConfig, stream=None):
         catalog = [(cfg.metric_kind, metrics.build_metric(cfg.metric_kind, cfg.metric_params))]
     else:
         catalog = metrics.default_catalog()
-    want = cfg.suite
+    want, capped = cfg.suite, cfg.with_overrides(t_max=min(cfg.t_max, 5.0))
     results = []
     for name, metric in catalog:
-        sc = _Scenario(metric, cfg)
+        sc = _Scenario(metric, float(cfg.s0), capped)
         for check in SCENARIO_CHECKS:
             if want in (check.suite, "all") and check.kind in (None, metric.kind):
                 results.append(_run_check(f"{name}/{check.name}", check, sc))

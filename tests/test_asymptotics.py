@@ -353,16 +353,39 @@ def test_refute_chain_evaluation_crosses():
     assert report.crossing_t is not None
     i = int(np.searchsorted(report.chain_t, report.crossing_t))
     assert report.chain_lhs[i] > report.chain_rhs[i]
+    # crossing_t is the first chain point past the crossing, not a later one
+    before = report.chain_t < report.crossing_t
+    assert before.any() and not np.any(report.chain_lhs[before] > report.chain_rhs[before])
+
+
+def test_refute_power_keeps_a_dense_margin_curve():
+    report = asymptotics.refute(pl.ExteriorDomain(pl.power_law(1.0, 0.8), 1.0), ScenarioConfig())
+    assert 300 <= len(report.pinching.margin_s) <= 400  # 335 radii at MARGIN_POINTS = 400
+
+
+@pytest.mark.parametrize("beta, passes", [(0.665, False), (0.667, True)])
+def test_growth_verdict_turns_at_alpha_four_thirds(beta, passes):
+    # alpha_fit = 2 beta reads 1.330 and 1.334, on either side of 4/3
+    report = asymptotics.refute(pl.ExteriorDomain(pl.power_law(1.0, beta), 1.0), ScenarioConfig())
+    assert report.growth.alpha_fit == pytest.approx(2.0 * beta, abs=1e-3)
+    assert report.growth_pass == passes
+    assert ("growth fails (alpha = " in report.conclusion) == (not passes)
+
+
+@pytest.mark.parametrize("beta", [0.9, 0.95])
+def test_refute_reaches_the_closing_branch_when_every_verdict_passes(beta):
+    report = asymptotics.refute(pl.ExteriorDomain(pl.power_law(1.0, beta), 1.0), ScenarioConfig(epsilon=1e-3))
+    assert report.pinching.passed and report.growth_pass and report.boundary.below_threshold
+    assert report.conclusion.startswith("all hypotheses hold on the sampled window")
+    assert report.conclusion.endswith("chain still fails at t = %.4g (jointly unsatisfiable)" % report.crossing_t)
 
 
 @pytest.mark.parametrize("metric, s0", [(pl.power_law(1.0, 0.8), 1.0), (pl.cone(0.5), 1.0)],
                          ids=["power", "cone"])
 def test_judge_combines_the_verdicts_it_is_given(monkeypatch, metric, s0):
     config, domain = ScenarioConfig(epsilon=0.2), pl.ExteriorDomain(metric, s0)
-    sol = pl.PotentialSolution(domain, t_max=config.t_max)
-    series = pl.build_series(sol, n=config.n_samples)
-    pinch, decay = asymptotics.series_pinching(series, 0.2), asymptotics.decay_check(series, 0.2)
-    growth = asymptotics.windowed_growth(metric, config.growth_window)
+    sc = pl.Scenario(metric, s0, config)
+    pinch, decay = asymptotics.series_pinching(sc.series, 0.2), asymptotics.decay_check(sc.series, 0.2)
 
     def forbidden(*args):
         raise AssertionError("judge made a verdict it was given")
@@ -370,7 +393,7 @@ def test_judge_combines_the_verdicts_it_is_given(monkeypatch, metric, s0):
     with monkeypatch.context() as patch:
         patch.setattr(asymptotics, "series_pinching", forbidden)
         patch.setattr(asymptotics, "decay_check", forbidden)
-        report = asymptotics.judge(sol, series, pinch, decay, growth, config)
+        report = asymptotics.judge(sc, pinch, decay)
     assert report.pinching is pinch
     assert report.to_json_dict() == asymptotics.refute(domain, config).to_json_dict()
 

@@ -275,8 +275,8 @@ def test_verify_makes_each_verdict_once_per_scenario(monkeypatch):
 
 
 def test_verify_samples_each_scenario_series_at_the_suite_spacing(monkeypatch):
-    levels, build = [], functionals.build_series
-    monkeypatch.setattr(functionals, "build_series", lambda sol, n: levels.append(n) or build(sol, n=n))
+    levels, build = [], asymptotics.build_series
+    monkeypatch.setattr(asymptotics, "build_series", lambda sol, n: levels.append(n) or build(sol, n=n))
     _, code = run_verify(ScenarioConfig(suite="all"), stream=io.StringIO())
     assert code == 0
     assert levels == [5001] * 5  # t_max 5 at SUITE_DT = 1e-3
@@ -321,6 +321,14 @@ def test_refute_cone_certificate(tmp_path, capsys):
     assert doc["pinching"]["pass"] is False
     assert doc["growth"]["pass"] is True
     assert doc["boundary_willmore"]["value"] == pytest.approx(4 * math.pi)
+
+
+@pytest.mark.parametrize("command", ["solve", "refute"])
+def test_solve_and_refute_build_one_scenario(tmp_path, monkeypatch, command):
+    solves, fits, growth_fit = counting_builds(monkeypatch), [], asymptotics.growth_fit
+    monkeypatch.setattr(asymptotics, "growth_fit", lambda *args: fits.append(args) or growth_fit(*args))
+    assert cli.main([command, "--kind", "power", "--out-dir", str(tmp_path)]) == 0
+    assert (len(solves), len(fits)) == (1, 1)
 
 
 # ---------------------------------------------------------------------------

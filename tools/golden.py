@@ -11,7 +11,10 @@ path, and every command in process through ``pinchlab.cli.main``:
 - the golden set: the 5 catalog kinds x s0 in {0.5, 1, 3} and the 4
   ``tables()``, each with ``solve --t-max 8 --n-samples 2001``, ``refute``
   and ``verify --suite all --json-out``; a 45-scenario ``sweep`` over the
-  5 kinds and 3 s0 with epsilon in {0.1, 0.2, 1/3}; and the certificates
+  5 kinds and 3 s0 with epsilon in {0.1, 0.2, 1/3}; a 6-scenario
+  ``sweep-closing`` of power beta 0.9 at s0 in {0.5, 1, 3} and epsilon in
+  {1e-3, 1e-2}, whose certificates all reach the closing branch ("all
+  hypotheses hold on the sampled window"); and the certificates
   of the benchmark's ``refute_grid`` pools for ``POOL_SEEDS``, one file a
   pool, from ``perfbench/workloads.py`` (imported, never written);
 - the census: the 61 ``verify`` inputs of ``tests/test_verify_probe.py``,
@@ -217,9 +220,13 @@ def produce(out):
                               "--out-dir", f"golden/solve-{name}"]),
                    _run(cli, ["refute", *flags, "--out-dir", f"golden/refute-{name}"]),
                    _run(cli, ["verify", *flags, "--suite", "all", "--json-out", f"golden/verify-{name}.json"])]
-    with open("sweep_config.json", "w") as fh:
-        json.dump({"sweep": {"kind": list(KINDS), "s0": [float(s) for s in S0S], "epsilon": list(EPSILONS)}}, fh)
-    golden.append(_run(cli, ["sweep", "--config", "sweep_config.json", "--out-dir", "golden/sweep"]))
+    sweeps = {"sweep": {"sweep": {"kind": list(KINDS), "s0": [float(s) for s in S0S], "epsilon": list(EPSILONS)}},
+              "sweep-closing": {"metric": {"kind": "power", "params": {"beta": 0.9}},
+                                "sweep": {"s0": [0.5, 1.0, 3.0], "epsilon": [0.001, 0.01]}}}
+    for name, doc in sweeps.items():
+        with open(f"{name}_config.json", "w") as fh:
+            json.dump(doc, fh)
+        golden.append(_run(cli, ["sweep", "--config", f"{name}_config.json", "--out-dir", f"golden/{name}"]))
     refute_grid_pools()
 
     spec = importlib.util.spec_from_file_location("verify_probe", REPO / "tests" / "test_verify_probe.py")
