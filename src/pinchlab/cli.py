@@ -126,9 +126,6 @@ def cmd_sweep(cfg: ScenarioConfig) -> int:
         raise UsageError("sweep requires a config file with a 'sweep' section")
     kinds = cfg.sweep.get("kind", [cfg.metric_kind])
     s0s, epsilons = cfg.sweep.get("s0", [cfg.s0]), cfg.sweep.get("epsilon", [cfg.epsilon])
-    # the whole grid and every metric are checked before the first solve
-    for kind, s0, eps in itertools.product(kinds, s0s, epsilons):
-        cfg.with_overrides(metric_kind=kind, s0=s0, epsilon=eps).validate()
     built = [metrics.build_metric(k, cfg.metric_params if k == cfg.metric_kind else {}) for k in kinds]
     runs = list(zip(itertools.product(kinds, s0s, epsilons), asymptotics.sweep(built, s0s, epsilons, cfg)))
 
@@ -215,13 +212,12 @@ def _config_from_args(args) -> ScenarioConfig:
         params = base
     elif args.kind is not None and args.kind != cfg.metric_kind:
         params = {}
-    cfg = cfg.with_overrides(
+    return cfg.with_overrides(
         metric_kind=getattr(args, "kind", None),
         metric_params=params,
         suite=getattr(args, "suite", None),
         **{key: getattr(args, key, None) for key, _, _ in _SCENARIO_FLAGS},
     )
-    return cfg.validate()
 
 
 def main(argv=None) -> int:

@@ -82,7 +82,7 @@ _CONVERTERS = {
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Everything a scenario run needs, with reproducible defaults.
+    """Everything a scenario run needs, with reproducible defaults, checked at construction.
 
     The pinching constant must lie in (0, 1/3]: tracing Ric >= eps R g
     forces eps <= 1/3 wherever the scalar curvature is positive, so
@@ -101,8 +101,11 @@ class ScenarioConfig:
     suite: str = "all"
     sweep: Optional[dict] = None
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self) -> "ScenarioConfig":
-        """Reject out-of-range values, including NaN and inf, as usage errors."""
+        """Reject out-of-range values, including NaN and inf, as usage errors; run at construction."""
         if not math.isfinite(self.s0):
             raise UsageError(f"s0 must be finite, got {self.s0}")
         if not 0.0 < self.epsilon <= 1.0 / 3.0 + 1e-12:

@@ -2,6 +2,7 @@ import dataclasses
 import io
 import itertools
 import json
+import logging
 import math
 import sys
 
@@ -378,6 +379,26 @@ def test_refute_reaches_the_closing_branch_when_every_verdict_passes(beta):
     assert report.pinching.passed and report.growth_pass and report.boundary.below_threshold
     assert report.conclusion.startswith("all hypotheses hold on the sampled window")
     assert report.conclusion.endswith("chain still fails at t = %.4g (jointly unsatisfiable)" % report.crossing_t)
+
+
+def closing_scenario_past_the_float_range(monkeypatch):
+    """Power beta 0.9 at s0 = 1, epsilon = 1e-3, where every verdict passes, with the growth fit's
+    volume constant set to 1e300: kappa passes the float range and the chain keeps no point."""
+    growth_fit = asymptotics.growth_fit
+    monkeypatch.setattr(asymptotics, "growth_fit",
+                        lambda *args: dataclasses.replace(growth_fit(*args), c_vol_fit=1e300))
+    return pl.ExteriorDomain(pl.power_law(1.0, 0.9), 1.0), ScenarioConfig(epsilon=1e-3)
+
+
+def test_judge_names_inputs_with_no_failing_verdict_and_no_crossing(monkeypatch, caplog):
+    domain, config = closing_scenario_past_the_float_range(monkeypatch)
+    with caplog.at_level(logging.ERROR, logger=asymptotics.__name__):
+        report = asymptotics.refute(domain, config)
+    assert report.pinching.passed and report.growth_pass and report.boundary.below_threshold
+    assert (report.chain_kappa, len(report.chain_t), report.crossing_t) == (math.inf, 0, None)
+    assert report.conclusion == "CONTRADICTION - inconsistent inputs"
+    assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
+        (logging.ERROR, "power(c=1, beta=0.9) s0=1: refutation found no failing hypothesis and no chain crossing")]
 
 
 @pytest.mark.parametrize("metric, s0", [(pl.power_law(1.0, 0.8), 1.0), (pl.cone(0.5), 1.0)],

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import pinchlab as pl
 import pinchlab.asymptotics as asymptotics
 import pinchlab.cli as cli
 import pinchlab.functionals as functionals
@@ -21,7 +23,9 @@ from pinchlab.config import SUITES, ScenarioConfig
 from pinchlab.errors import UsageError
 from pinchlab.verify import Check, SuiteResult, _run_check, run_verify
 
+from test_asymptotics import closing_scenario_past_the_float_range
 from test_metrics import _per_series
+from test_potential import RIPPLE_F, RIPPLE_S
 
 
 def _no_bare_constant(name):
@@ -323,6 +327,14 @@ def test_refute_cone_certificate(tmp_path, capsys):
     assert doc["boundary_willmore"]["value"] == pytest.approx(4 * math.pi)
 
 
+def test_refute_exits_1_on_a_contradiction(tmp_path, monkeypatch, capsys):
+    closing_scenario_past_the_float_range(monkeypatch)
+    argv = ["refute", "--kind", "power", "--param", "beta=0.9", "--epsilon", "1e-3", "--out-dir", str(tmp_path)]
+    assert cli.main(argv) == 1
+    assert "CONTRADICTION - inconsistent inputs" in capsys.readouterr().out
+    assert read_json(tmp_path / "refutation.json")["conclusion"] == "CONTRADICTION - inconsistent inputs"
+
+
 @pytest.mark.parametrize("command", ["solve", "refute"])
 def test_solve_and_refute_build_one_scenario(tmp_path, monkeypatch, command):
     solves, fits, growth_fit = counting_builds(monkeypatch), [], asymptotics.growth_fit
@@ -454,6 +466,42 @@ def test_cli_flags_override_config(tmp_path, capsys):
     assert summary["config"]["s0"] == 1.0
     assert summary["config"]["metric_kind"] == "cone"
     assert summary["ncap"] == pytest.approx(0.25, rel=1e-8)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("epsilon", 5.0, "epsilon must lie in (0, 1/3], got 5.0"),
+    ("chain_points", 1_500_000, "chain_points must lie in [2, 1000000], got 1500000"),
+    ("chain_points", math.nan, "chain_points must lie in [2, 1000000], got nan"),
+    ("n_samples", 2, "n_samples must lie in [3, 1000000], got 2"),
+    ("suite", "x", f"unknown suite 'x'; valid: {', '.join(SUITES)}"),
+], ids=["epsilon", "chain_points", "chain_points_nan", "n_samples", "suite"])
+def test_config_out_of_range_is_usage_error_at_construction(tmp_path, monkeypatch, capsys, key, value, message):
+    with pytest.raises(UsageError) as exc:
+        ScenarioConfig(**{key: value})
+    assert str(exc.value) == message
+    if value == value:  # the CLI says the same of a file that holds the value; a NaN count fails there as not whole
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps({key: value}))
+        assert cli.main(["refute", "--config", "cfg.json"]) == 64
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+
+
+def test_config_file_is_checked_before_flags_override_it(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({"epsilon": 0.9}))
+    assert cli.main(["refute", "--config", "cfg.json", "--epsilon", "0.2"]) == 64
+    assert capsys.readouterr().err == "usage error: epsilon must lie in (0, 1/3], got 0.9\n"
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+@pytest.mark.parametrize("s0s, epsilons, named", [([1.0], [0.9], "epsilon must lie in (0, 1/3], got 0.9"),
+                                                  ([1.0, math.nan], [0.1], "s0 must be finite, got nan")],
+                         ids=["epsilon", "s0"])
+def test_library_sweep_checks_its_grid_before_the_first_solve(monkeypatch, s0s, epsilons, named):
+    solves = counting_builds(monkeypatch)
+    with pytest.raises(UsageError, match=re.escape(named)):
+        pl.sweep([pl.flat_space()], s0s, epsilons, ScenarioConfig())
+    assert solves == []
 
 
 _EVERY_KEY = {
@@ -793,6 +841,13 @@ def test_user_table_through_cli(tmp_path):
     assert code == 0
     summary = read_json(tmp_path / "summary.json")
     assert summary["ncap"] == pytest.approx(1.0, rel=1e-6)
+
+
+def test_solve_exits_2_on_a_table_too_rough_for_the_solve(tmp_path):
+    table = tmp_path / "ripple.csv"
+    table.write_text("s,f\n" + "".join(f"{a:.17g},{b:.17g}\n" for a, b in zip(RIPPLE_S.tolist(), RIPPLE_F.tolist())))
+    argv = ["solve", "--kind", "user_table", "--param", f"path={table}", "--out-dir", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
 
 
 def test_refute_user_table_leaves_scipy_unimported(tmp_path):

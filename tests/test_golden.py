@@ -145,3 +145,14 @@ def test_fuzz_tables_are_seeded_and_each_s0_lies_inside_its_table():
         assert (np.diff(s) > 0).all() and s[0] <= float(s0) <= s[-1], name
     again = golden.fuzz_tables()
     assert all(a[0] == b[0] and a[3] == b[3] and (a[2] == b[2]).all() for a, b in zip(tables, again))
+
+
+def test_config_census_rejects_every_bad_document_as_a_usage_error(tmp_path, monkeypatch):
+    import pinchlab.cli as cli
+
+    monkeypatch.chdir(tmp_path)
+    runs = golden.config_census(cli)
+    assert len(runs) == len(golden.config_documents()) == 25
+    assert [run["code"] for run in runs] == [64] * 24 + [0]  # the last document is the valid one
+    assert all(run["last"].startswith("usage error: ") for run in runs[:-1])
+    assert runs[-2]["last"] == "usage error: epsilon must lie in (0, 1/3], got 0.9"  # under --epsilon 0.2

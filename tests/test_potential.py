@@ -194,6 +194,18 @@ def test_level_map_non_convergence_raises():
         sol.s_of_t(5.0)
 
 
+#: a table whose ripple, of wavelength 0.157, is shorter than the rows' spacing above s ~ 4
+RIPPLE_S = np.geomspace(0.1, 1e4, 300)
+RIPPLE_F = RIPPLE_S ** 0.8 * (1.0 + 0.3 * np.sin(40.0 * RIPPLE_S))
+
+
+@pytest.mark.parametrize("s0", [1.0, 3.0])
+def test_harmonic_check_rejects_a_table_too_rough_for_the_solve(s0):
+    # flux residuals 1.25e-4 (s0 = 1) and 1.16e-4 (s0 = 3) against 1e-6; the type is the contract
+    with pytest.raises(NumericError):
+        pl.PotentialSolution(pl.ExteriorDomain(pl.from_table(RIPPLE_S, RIPPLE_F), s0))
+
+
 def test_harmonic_check_stencil_stays_off_blend_breakpoints():
     # a level at s = 1.3438 whose stencil, 2% of s wide, would straddle
     # both blend breakpoints 1.3573 and 1.3757 (flux residual 1.49e-6)

@@ -28,7 +28,9 @@ path, and every command in process through ``pinchlab.cli.main``:
   each of 300 seeded user tables (``fuzz_tables``), whose certificates are
   also a golden file, keyed by table; and the extreme-scale grids ``grid_a``
   (105 ``refute`` runs) and ``grid_b`` (800 ``refute`` and ``solve`` runs),
-  whose files are not compared.
+  whose files are not compared; and the 25 ``config_documents()``, each
+  through ``refute --config`` (``sweep --config`` where it has a sweep
+  section).
 
 A command that raises out of ``cli.main`` is recorded as exit code 1 with
 first and last line "ExceptionType: message".  The script prints, for each
@@ -173,6 +175,37 @@ def grid_b():
             for command in ("refute", "solve")]
 
 
+def config_documents():
+    """(config document, extra flags) of the config-path census: the 15 malformed inputs of
+    ``tests/test_cli.py::test_malformed_input_is_usage_error``, one out-of-range value per checked
+    key and sweep axis, a file value out of range under a flag that overrides it, and one valid
+    document."""
+    malformed = [({"s0": "abc"}, []), ({"s0": None}, []), ({"n_samples": "x"}, []), ({"n_samples": math.nan}, []),
+                 ({"chain_points": math.inf}, []), ({"n_samples": 1e30}, []), ({"growth_window": ["a", 2]}, []),
+                 ({"metric": {"kind": "flat", "params": [1]}}, []), ({"metric": {"kind": "flat", "params": None}}, []),
+                 ({"sweep": {"s0": ["a"]}}, []), ({}, ["--kind", "power", "--param", "beta=x"]),
+                 ({}, ["--kind", "user_table", "--param", "path=t.csv", "--param", "tail_exponent=abc"]),
+                 ({}, ["--kind", "user_table", "--param", "path=3"]), ({"out_dir": None}, []),
+                 ({"sweep": {"s0": []}}, [])]
+    out_of_range = [{"epsilon": 0.5}, {"n_samples": 2}, {"chain_points": 2e6}, {"t_max": 0},
+                    {"growth_window": [2, 1]}, {"suite": "x"}, {"sweep": {"epsilon": [0.5]}},
+                    {"sweep": {"s0": [math.nan]}}]
+    return (malformed + [(doc, []) for doc in out_of_range] + [({"epsilon": 0.9}, ["--epsilon", "0.2"]),
+            ({"metric": {"kind": "cone", "params": {"a": 0.5}}, "epsilon": 0.2}, [])])
+
+
+def config_census(cli):
+    """Run each of ``config_documents()`` from its own file under ``configs/`` and return the runs."""
+    os.mkdir("configs")
+    runs = []
+    for k, (doc, flags) in enumerate(config_documents()):
+        path = f"configs/config{k:02d}.json"
+        with open(path, "w") as fh:
+            json.dump({"out_dir": f"configs/out{k:02d}", **doc}, fh)
+        runs.append(_run(cli, ["sweep" if "sweep" in doc else "refute", "--config", path, *flags]))
+    return runs
+
+
 def box_draws(seed):
     """The scenario flags of ``BOX_DRAWS`` seeded draws from the random box."""
     import numpy as np
@@ -239,6 +272,7 @@ def produce(out):
             census.append(_run(cli, ["verify", *flags, "--suite", "all"]))
     census += table_fuzz(cli)
     census += [_run(cli, argv) for argv in grid_a() + grid_b()]
+    census += config_census(cli)
     with open("runs.json", "w") as fh:
         json.dump({"golden": golden, "census": census}, fh)
 
