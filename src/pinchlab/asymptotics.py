@@ -13,6 +13,7 @@ the user insists all of them hold on the sampled window.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -274,8 +275,8 @@ def sweep(profiles, s0s, epsilons, config: ScenarioConfig) -> list[RefutationRep
     per (profile, s0), whose growth is fitted once per profile after its first solve, and per
     epsilon the ``series_pinching`` and ``decay_check`` that ``judge`` combines.  Reads t_max,
     n_samples and growth_window from ``config`` and hands it on to ``judge``; its epsilon is not read."""
-    # each (s0, epsilon) cell is a valid config, or a UsageError before the first solve
-    [config.with_overrides(s0=s0, epsilon=eps) for s0 in s0s for eps in epsilons]
+    for s0, eps in itertools.product(s0s, epsilons):  # a valid config per cell, or a UsageError before any solve
+        config.with_overrides(s0=s0, epsilon=eps)
     reports = []
     for metric in profiles:
         growth = None

@@ -207,9 +207,8 @@ def _config_from_args(args) -> ScenarioConfig:
     cfg = ScenarioConfig.from_file(args.config) if getattr(args, "config", None) else ScenarioConfig()
     params = None
     if getattr(args, "param", None):
-        base = dict(cfg.metric_params) if (args.kind is None or args.kind == cfg.metric_kind) else {}
-        base.update(dict(_parse_param(p) for p in args.param))
-        params = base
+        base = cfg.metric_params if (args.kind is None or args.kind == cfg.metric_kind) else {}
+        params = {**base, **dict(_parse_param(p) for p in args.param)}
     elif args.kind is not None and args.kind != cfg.metric_kind:
         params = {}
     return cfg.with_overrides(

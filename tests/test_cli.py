@@ -24,6 +24,7 @@ from pinchlab.errors import UsageError
 from pinchlab.verify import Check, SuiteResult, _run_check, run_verify
 
 from test_asymptotics import closing_scenario_past_the_float_range
+from test_golden import golden
 from test_metrics import _per_series
 from test_potential import RIPPLE_F, RIPPLE_S
 
@@ -536,24 +537,7 @@ def test_config_file_matches_equivalent_flags(tmp_path, capsys):
     assert summaries[0] == summaries[1]
 
 
-@pytest.mark.parametrize("doc, flags, named", [
-    ({"s0": "abc"}, [], "s0"),
-    ({"s0": None}, [], "s0"),
-    ({"n_samples": "x"}, [], "n_samples"),
-    ({"n_samples": math.nan}, [], "n_samples"),
-    ({"chain_points": math.inf}, [], "chain_points"),
-    ({"n_samples": 1e30}, [], "n_samples"),
-    ({"growth_window": ["a", 2]}, [], "growth_window"),
-    ({"metric": {"kind": "flat", "params": [1]}}, [], "metric"),
-    ({"metric": {"kind": "flat", "params": None}}, [], "metric"),
-    ({"sweep": {"s0": ["a"]}}, [], "sweep axis 's0'"),
-    ({}, ["--kind", "power", "--param", "beta=x"], "'beta'"),
-    ({}, ["--kind", "user_table", "--param", "path=t.csv", "--param", "tail_exponent=abc"],
-     "'tail_exponent'"),
-    ({}, ["--kind", "user_table", "--param", "path=3"], "table 3"),
-    ({"out_dir": None}, [], "out_dir"),
-    ({"sweep": {"s0": []}}, [], "sweep axis 's0'"),
-])
+@pytest.mark.parametrize("doc, flags, named", golden.MALFORMED)
 def test_malformed_input_is_usage_error(tmp_path, monkeypatch, capsys, doc, flags, named):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "cfg.json").write_text(json.dumps({"out_dir": "out", **doc}))

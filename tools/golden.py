@@ -175,18 +175,33 @@ def grid_b():
             for command in ("refute", "solve")]
 
 
+#: (config document, extra flags, what the usage error names) of each malformed input; the table of
+#: ``tests/test_cli.py::test_malformed_input_is_usage_error``
+MALFORMED = (
+    ({"s0": "abc"}, [], "s0"),
+    ({"s0": None}, [], "s0"),
+    ({"n_samples": "x"}, [], "n_samples"),
+    ({"n_samples": math.nan}, [], "n_samples"),
+    ({"chain_points": math.inf}, [], "chain_points"),
+    ({"n_samples": 1e30}, [], "n_samples"),
+    ({"growth_window": ["a", 2]}, [], "growth_window"),
+    ({"metric": {"kind": "flat", "params": [1]}}, [], "metric"),
+    ({"metric": {"kind": "flat", "params": None}}, [], "metric"),
+    ({"sweep": {"s0": ["a"]}}, [], "sweep axis 's0'"),
+    ({}, ["--kind", "power", "--param", "beta=x"], "'beta'"),
+    ({}, ["--kind", "user_table", "--param", "path=t.csv", "--param", "tail_exponent=abc"],
+     "'tail_exponent'"),
+    ({}, ["--kind", "user_table", "--param", "path=3"], "table 3"),
+    ({"out_dir": None}, [], "out_dir"),
+    ({"sweep": {"s0": []}}, [], "sweep axis 's0'"),
+)
+
+
 def config_documents():
-    """(config document, extra flags) of the config-path census: the 15 malformed inputs of
-    ``tests/test_cli.py::test_malformed_input_is_usage_error``, one out-of-range value per checked
-    key and sweep axis, a file value out of range under a flag that overrides it, and one valid
-    document."""
-    malformed = [({"s0": "abc"}, []), ({"s0": None}, []), ({"n_samples": "x"}, []), ({"n_samples": math.nan}, []),
-                 ({"chain_points": math.inf}, []), ({"n_samples": 1e30}, []), ({"growth_window": ["a", 2]}, []),
-                 ({"metric": {"kind": "flat", "params": [1]}}, []), ({"metric": {"kind": "flat", "params": None}}, []),
-                 ({"sweep": {"s0": ["a"]}}, []), ({}, ["--kind", "power", "--param", "beta=x"]),
-                 ({}, ["--kind", "user_table", "--param", "path=t.csv", "--param", "tail_exponent=abc"]),
-                 ({}, ["--kind", "user_table", "--param", "path=3"]), ({"out_dir": None}, []),
-                 ({"sweep": {"s0": []}}, [])]
+    """(config document, extra flags) of the config-path census: the 15 ``MALFORMED`` inputs, one
+    out-of-range value per checked key and sweep axis, a file value out of range under a flag that
+    overrides it, and one valid document."""
+    malformed = [(doc, flags) for doc, flags, _ in MALFORMED]
     out_of_range = [{"epsilon": 0.5}, {"n_samples": 2}, {"chain_points": 2e6}, {"t_max": 0},
                     {"growth_window": [2, 1]}, {"suite": "x"}, {"sweep": {"epsilon": [0.5]}},
                     {"sweep": {"s0": [math.nan]}}]

@@ -1,6 +1,6 @@
 """Mutation census: which one-line faults tier-1 and ``verify --suite all`` catch.
 
-    python tools/mutants.py [--rev REV] [--only NAME ...]
+    python tools/mutants.py [--rev REV]
 
 The script unpacks ``REV`` (default HEAD) with ``git archive`` into a
 temporary directory, so the checkout is never edited.  It first runs the
@@ -31,7 +31,7 @@ import tempfile
 import time
 from pathlib import Path
 
-REPO = Path(__file__).resolve().parent.parent
+from golden import _tree_of
 
 #: (name, file under src/pinchlab, old text, new text)
 MUTANTS = (
@@ -95,20 +95,16 @@ def _env(tree):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--rev", default="HEAD", help="git revision to mutate (default HEAD)")
-    parser.add_argument("--only", nargs="+", metavar="NAME", help="run these mutants only")
     args = parser.parse_args(argv)
-    mutants = [m for m in MUTANTS if not args.only or m[0] in args.only]
     with tempfile.TemporaryDirectory(prefix="mutants-") as tree:
-        archive = subprocess.run(["git", "-C", str(REPO), "archive", args.rev], check=True,
-                                 stdout=subprocess.PIPE).stdout
-        subprocess.run(["tar", "-x", "-C", tree], input=archive, check=True)
+        _tree_of(args.rev, tree)
         start = time.perf_counter()
         baseline = tier1(tree), verify(tree)
         if baseline != (None, None):
             sys.exit(f"{args.rev} itself fails: tier-1 {baseline[0]}; verify {baseline[1]}")
         print(f"{args.rev} unmutated: tier-1 and verify pass ({time.perf_counter() - start:.0f} s)")
         caught = 0
-        for name, module, old, new in mutants:
+        for name, module, old, new in MUTANTS:
             path = Path(tree, "src", "pinchlab", module)
             source = path.read_text()
             if source.count(old) != 1:
@@ -121,8 +117,8 @@ def main(argv=None):
             caught += by != (None, None)
             print(f"{name:<34} tier-1: {by[0] or 'passed'}; verify: {by[1] or 'passed'}"
                   + ("" if by != (None, None) else "; SURVIVED"), flush=True)
-        print(f"{caught} of {len(mutants)} mutants caught in {time.perf_counter() - start:.0f} s")
-        return 0 if caught == len(mutants) else 1
+        print(f"{caught} of {len(MUTANTS)} mutants caught in {time.perf_counter() - start:.0f} s")
+        return 0 if caught == len(MUTANTS) else 1
 
 
 if __name__ == "__main__":
