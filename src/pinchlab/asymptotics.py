@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional
 
@@ -263,11 +263,11 @@ class Scenario:
         """Growth fit over the window, its top clipped to the domain end and its
         bottom to at most 1/50 of the top, which must lie past the domain start."""
         metric, (r_lo, r_hi) = self.metric, self.config.growth_window
-        r_hi = min(float(r_hi), metric.domain_end)
+        r_hi = min(r_hi, metric.domain_end)
         if not r_hi / 50.0 > metric.domain_start:
             raise DomainError(f"{metric.label}: the growth fit needs radii down to r_hi/50 = {r_hi / 50.0:.4g}, "
                               f"below the profile's start s={metric.domain_start:g}")
-        return growth_fit(metric, min(float(r_lo), r_hi / 50.0), r_hi)
+        return growth_fit(metric, min(r_lo, r_hi / 50.0), r_hi)
 
 
 def sweep(profiles, s0s, epsilons, config: ScenarioConfig) -> list[RefutationReport]:
@@ -276,7 +276,7 @@ def sweep(profiles, s0s, epsilons, config: ScenarioConfig) -> list[RefutationRep
     epsilon the ``series_pinching`` and ``decay_check`` that ``judge`` combines.  Reads t_max,
     n_samples and growth_window from ``config`` and hands it on to ``judge``; its epsilon is not read."""
     for s0, eps in itertools.product(s0s, epsilons):  # a valid config per cell, or a UsageError before any solve
-        config.with_overrides(s0=s0, epsilon=eps)
+        replace(config, s0=s0, epsilon=eps)
     reports = []
     for metric in profiles:
         growth = None
@@ -327,7 +327,7 @@ def judge(sc: Scenario, pinch: PinchReport, decay: DecayFit) -> RefutationReport
             hi = min(max(2.0 * t_star_est, 4.0), 90.0)
         else:
             hi = min(3.0 * config.t_max, 90.0)
-        chain_t = log_grid(min(0.25, hi / 50.0), hi, int(config.chain_points))
+        chain_t = log_grid(min(0.25, hi / 50.0), hi, config.chain_points)
         # where the right side leaves the float range, the left stays below e^630 (t <= 90): no crossing is lost
         chain_t = chain_t[log_kappa + exponent * chain_t < log_max]
         chain_lhs = np.expm1(7.0 * chain_t)

@@ -42,7 +42,7 @@ def _text(name, value) -> str:
 
 
 def _window(name, value) -> tuple:
-    if not (isinstance(value, list) and len(value) == 2):
+    if not (isinstance(value, (list, tuple)) and len(value) == 2):
         raise UsageError(f"{name} must be [r_lo, r_hi], got {value!r}")
     return tuple(number(f"{name} entry", v) for v in value)
 
@@ -58,7 +58,9 @@ def _metric(name, value) -> tuple:
 _SWEEP_AXES = {"kind": _text, "s0": number, "epsilon": number}
 
 
-def _sweep(name, value) -> dict:
+def _sweep(name, value) -> Optional[dict]:
+    if value is None:  # no sweep section
+        return None
     if not isinstance(value, dict):
         raise UsageError(f"{name} must be a JSON object of parameter lists, got {value!r}")
     for axis, values in value.items():
@@ -71,12 +73,21 @@ def _sweep(name, value) -> dict:
             for axis, values in value.items()}
 
 
-#: config-file key -> converter(key, value), which returns the typed value or raises
-#: a UsageError naming the key and the bad value; "metric" sets metric_kind and metric_params
-_CONVERTERS = {
-    "metric": _metric, "s0": number, "epsilon": number, "t_max": number,
-    "n_samples": _count, "growth_window": _window, "chain_points": _count,
-    "out_dir": _text, "suite": _text, "sweep": _sweep,
+#: ScenarioConfig field -> (convert, holds, message): ``convert(field, value)`` returns the typed
+#: value or raises a UsageError naming the field and the value, ``holds`` tests the typed value's
+#: range, and ``message.format(value)`` says why it fails.  build_metric checks the metric fields.
+_FIELDS = {
+    "s0": (number, math.isfinite, "s0 must be finite, got {}"),
+    "epsilon": (number, lambda v: 0.0 < v <= 1.0 / 3.0 + 1e-12, "epsilon must lie in (0, 1/3], got {}"),
+    "t_max": (number, lambda v: 0 < v < math.inf, "t_max must be positive and finite, got {}"),
+    "n_samples": (_count, lambda v: 3 <= v <= MAX_POINTS,
+                  f"n_samples must lie in [3, {MAX_POINTS}], got {{}}"),
+    "growth_window": (_window, lambda w: 0 < w[0] < w[1] < math.inf, "bad growth window {}"),
+    "chain_points": (_count, lambda v: 2 <= v <= MAX_POINTS,
+                     f"chain_points must lie in [2, {MAX_POINTS}], got {{}}"),
+    "out_dir": (_text, lambda v: True, ""),
+    "suite": (_text, SUITES.__contains__, "unknown suite {!r}; valid: " + ", ".join(SUITES)),
+    "sweep": (_sweep, lambda v: True, ""),
 }
 
 
@@ -105,26 +116,13 @@ class ScenarioConfig:
         self.validate()
 
     def validate(self) -> "ScenarioConfig":
-        """Reject out-of-range values, including NaN and inf, as usage errors; run at construction."""
-        if not math.isfinite(self.s0):
-            raise UsageError(f"s0 must be finite, got {self.s0}")
-        if not 0.0 < self.epsilon <= 1.0 / 3.0 + 1e-12:
-            raise UsageError(
-                f"epsilon must lie in (0, 1/3], got {self.epsilon}"
-            )
-        if not 0 < self.t_max < math.inf:
-            raise UsageError(f"t_max must be positive and finite, got {self.t_max}")
-        if not 3 <= self.n_samples <= MAX_POINTS:
-            raise UsageError(f"n_samples must lie in [3, {MAX_POINTS}], got {self.n_samples}")
-        lo, hi = self.growth_window
-        if not 0 < lo < hi < math.inf:
-            raise UsageError(f"bad growth window {self.growth_window}")
-        if self.suite not in SUITES:
-            raise UsageError(
-                f"unknown suite {self.suite!r}; valid: {', '.join(SUITES)}"
-            )
-        if not 2 <= self.chain_points <= MAX_POINTS:
-            raise UsageError(f"chain_points must lie in [2, {MAX_POINTS}], got {self.chain_points}")
+        """Convert each field by its ``_FIELDS`` rule and keep the typed value; a value of the
+        wrong type or out of range, NaN and inf included, is a usage error.  Runs at construction."""
+        for name, (convert, holds, message) in _FIELDS.items():
+            value = convert(name, getattr(self, name))
+            if not holds(value):
+                raise UsageError(message.format(value))
+            object.__setattr__(self, name, value)  # frozen: the typed value replaces the given one
         return self
 
     @classmethod
@@ -138,15 +136,12 @@ class ScenarioConfig:
             raise UsageError(f"config {path} is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise UsageError(f"config {path} must be a JSON object")
-        unknown = set(doc) - set(_CONVERTERS)
-        if unknown:
-            raise UsageError(
-                f"unknown config key(s) {sorted(unknown)}; valid: {sorted(_CONVERTERS)}"
-            )
-        kwargs = {key: _CONVERTERS[key](key, value) for key, value in doc.items()}
-        if "metric" in kwargs:
-            kwargs["metric_kind"], kwargs["metric_params"] = kwargs.pop("metric")
-        return cls(**kwargs)
+        keys = {"metric", *_FIELDS}
+        if not set(doc) <= keys:
+            raise UsageError(f"unknown config key(s) {sorted(set(doc) - keys)}; valid: {sorted(keys)}")
+        if "metric" in doc:
+            doc["metric_kind"], doc["metric_params"] = _metric("metric", doc.pop("metric"))
+        return cls(**doc)
 
     def with_overrides(self, **kwargs) -> "ScenarioConfig":
         """Apply non-None overrides (CLI flags beat config-file values)."""

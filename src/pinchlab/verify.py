@@ -297,7 +297,7 @@ def run_verify(cfg: ScenarioConfig, stream=None):
     want, capped = cfg.suite, cfg.with_overrides(t_max=min(cfg.t_max, 5.0))
     results = []
     for name, metric in catalog:
-        sc = _Scenario(metric, float(cfg.s0), capped)
+        sc = _Scenario(metric, cfg.s0, capped)
         for check in SCENARIO_CHECKS:
             if want in (check.suite, "all") and check.kind in (None, metric.kind):
                 results.append(_run_check(f"{name}/{check.name}", check, sc))

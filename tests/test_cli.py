@@ -472,7 +472,7 @@ def test_cli_flags_override_config(tmp_path, capsys):
 @pytest.mark.parametrize("key, value, message", [
     ("epsilon", 5.0, "epsilon must lie in (0, 1/3], got 5.0"),
     ("chain_points", 1_500_000, "chain_points must lie in [2, 1000000], got 1500000"),
-    ("chain_points", math.nan, "chain_points must lie in [2, 1000000], got nan"),
+    ("chain_points", math.nan, "chain_points must be a whole number, got nan"),
     ("n_samples", 2, "n_samples must lie in [3, 1000000], got 2"),
     ("suite", "x", f"unknown suite 'x'; valid: {', '.join(SUITES)}"),
 ], ids=["epsilon", "chain_points", "chain_points_nan", "n_samples", "suite"])
@@ -480,11 +480,32 @@ def test_config_out_of_range_is_usage_error_at_construction(tmp_path, monkeypatc
     with pytest.raises(UsageError) as exc:
         ScenarioConfig(**{key: value})
     assert str(exc.value) == message
-    if value == value:  # the CLI says the same of a file that holds the value; a NaN count fails there as not whole
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "cfg.json").write_text(json.dumps({key: value}))
-        assert cli.main(["refute", "--config", "cfg.json"]) == 64
-        assert capsys.readouterr().err == f"usage error: {message}\n"
+    monkeypatch.chdir(tmp_path)  # the CLI says the same of a file that holds the value
+    (tmp_path / "cfg.json").write_text(json.dumps({key: value}))
+    assert cli.main(["refute", "--config", "cfg.json"]) == 64
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("n_samples", 100.5, "n_samples must be a whole number, got {!r}"),
+    ("chain_points", 20.5, "chain_points must be a whole number, got {!r}"),
+    ("s0", "abc", "s0 must be a number, got {!r}"),
+    ("s0", True, "s0 must be a number, got {!r}"),
+    ("growth_window", (1.0,), "growth_window must be [r_lo, r_hi], got {!r}"),
+    ("out_dir", 3, "out_dir must be a string, got {!r}"),
+    ("epsilon", None, "epsilon must be a number, got {!r}"),
+], ids=["n_samples_fraction", "chain_points_fraction", "s0_text", "s0_bool", "growth_window_short",
+        "out_dir_number", "epsilon_none"])
+def test_config_of_the_wrong_type_is_usage_error_at_construction(tmp_path, monkeypatch, capsys, key, value, message):
+    for build in (lambda: ScenarioConfig(**{key: value}),
+                  lambda: dataclasses.replace(ScenarioConfig(), **{key: value})):
+        with pytest.raises(UsageError) as exc:
+            build()
+        assert str(exc.value) == message.format(value)
+    monkeypatch.chdir(tmp_path)  # a file holding the value (a tuple as a list) gets the same message
+    (tmp_path / "cfg.json").write_text(json.dumps({key: value}))
+    assert cli.main(["refute", "--config", "cfg.json"]) == 64
+    assert capsys.readouterr().err == f"usage error: {message.format(json.loads(json.dumps(value)))}\n"
 
 
 def test_config_file_is_checked_before_flags_override_it(tmp_path, monkeypatch, capsys):
@@ -496,8 +517,9 @@ def test_config_file_is_checked_before_flags_override_it(tmp_path, monkeypatch, 
 
 
 @pytest.mark.parametrize("s0s, epsilons, named", [([1.0], [0.9], "epsilon must lie in (0, 1/3], got 0.9"),
-                                                  ([1.0, math.nan], [0.1], "s0 must be finite, got nan")],
-                         ids=["epsilon", "s0"])
+                                                  ([1.0, math.nan], [0.1], "s0 must be finite, got nan"),
+                                                  ([1.0], [None], "epsilon must be a number, got None")],
+                         ids=["epsilon", "s0", "epsilon_none"])
 def test_library_sweep_checks_its_grid_before_the_first_solve(monkeypatch, s0s, epsilons, named):
     solves = counting_builds(monkeypatch)
     with pytest.raises(UsageError, match=re.escape(named)):

@@ -1,4 +1,5 @@
-"""I(s) against an independent 30-digit reference, for profiles with no closed form.
+"""I(s) and the level radius s(t) against an independent 30-digit reference, for
+profiles with no closed form.
 
 The reference integrates f^-2 with mpmath's tanh-sinh rule at 30 digits,
 f itself evaluated in double, on segments between the query radii, the
@@ -50,6 +51,9 @@ def _benchmark_table():
 #: error grows like s / usable_hi; measured at s0 = 1, t_max = 8 (worst over the 25 radii):
 #: blend 1.84e-11 at usable_hi, Schwarzschild 1.28e-11 at usable_hi, the table 1.23e-14
 #: (its law is exact, so only roundoff is left), and 6.7e-16 and 8.9e-16 at s0.
+#: The error in a level t = log(I(s0)/I(s(t))) is that of I(s(t))/I(s0), so the same bound holds
+#: at s(t); measured worst over 25 levels on [0, t_max]: blend 2.44e-12 and Schwarzschild 2.51e-12
+#: at t = 8, the table 2.26e-14 (its t_max is 5.53, where the table ends).
 CASES = {
     "sphere_cap_blend": (lambda: pl.build_metric("sphere_cap_blend"), 5e-15, 1e-10),
     "schwarzschild": (lambda: pl.build_metric("schwarzschild"), 5e-15, 1e-10),
@@ -64,4 +68,17 @@ def test_tail_integral_matches_a_30_digit_reference(name):
     radii = np.geomspace(sol.s0, sol._integ.usable_hi, 25)
     err = np.abs(sol.tail(radii) / reference_tail(sol.metric, list(radii)) - 1.0)
     bound = floor + slope * radii / radii[-1]
+    assert np.all(err <= bound), (err / bound).max()
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_level_radius_matches_a_30_digit_reference(name):
+    make, floor, slope = CASES[name]
+    sol = pl.PotentialSolution(pl.ExteriorDomain(make(), 1.0))
+    t = np.linspace(0.0, sol.t_max, 25)
+    s = sol.s_of_t(t)
+    assert s[0] == sol.s0
+    ref = reference_tail(sol.metric, list(s))
+    err = np.abs(t - np.log(ref[0] / ref))
+    bound = floor + slope * s / sol._integ.usable_hi
     assert np.all(err <= bound), (err / bound).max()

@@ -59,6 +59,8 @@ MUTANTS = (
      "return 0"),
     ("config_unchecked_at_construction", "config.py", "    def __post_init__(self):\n        self.validate()\n\n",
      ""),
+    ("count_truncates_fractions", "config.py", "if isinstance(value, float) and value.is_integer():",
+     "if isinstance(value, float) and math.isfinite(value):"),
 )
 
 
