@@ -24,7 +24,7 @@ import numpy as np
 
 from . import metrics
 from .config import ScenarioConfig
-from .errors import DomainError, NumericError
+from .errors import DomainError, NumericError, UsageError
 from .functionals import (FOUR_PI, SIXTEEN_PI, BoundaryWillmore, FunctionalSample,
                           FunctionalSeries, boundary_willmore, build_series)
 from .metrics import GrowthReport, PinchReport, check_pinching, growth_fit, volume_ball
@@ -275,6 +275,8 @@ def sweep(profiles, s0s, epsilons, config: ScenarioConfig) -> list[RefutationRep
     per (profile, s0), whose growth is fitted once per profile after its first solve, and per
     epsilon the ``series_pinching`` and ``decay_check`` that ``judge`` combines.  Reads t_max,
     n_samples and growth_window from ``config`` and hands it on to ``judge``; its epsilon is not read."""
+    if not (len(s0s) and len(epsilons) and all(isinstance(m, metrics.WarpFunction) for m in profiles)):
+        raise UsageError(f"sweep needs WarpFunction profiles, an s0 and an epsilon, got {profiles}, {s0s}, {epsilons}")
     for s0, eps in itertools.product(s0s, epsilons):  # a valid config per cell, or a UsageError before any solve
         replace(config, s0=s0, epsilon=eps)
     reports = []

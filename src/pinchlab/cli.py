@@ -41,7 +41,7 @@ def _writing(path):
 
 def _write_json(path, obj):
     with _writing(path), open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True, default=os.fspath)  # a table path may be a pathlib.Path
         fh.write("\n")
 
 
@@ -56,18 +56,15 @@ def _out_dir(cfg) -> str:
 
 def cmd_catalog(args) -> int:
     if args.json:
-        doc = {"kinds": {
-            kind: {
-                "description": entry["description"],
-                "params": {p: {"default": d, "doc": doc_} for p, (d, doc_) in entry["params"].items()},
-            } for kind, entry in metrics.CATALOG.items()
-        }}
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        doc = {kind: {"description": entry["description"],
+                      "params": {p: {"default": d, "doc": doc_} for p, (d, *_, doc_) in entry["params"].items()}}
+               for kind, entry in metrics.CATALOG.items()}
+        print(json.dumps({"kinds": doc}, indent=2, sort_keys=True))
         return 0
     print(f"{len(metrics.CATALOG)} metric kinds:")
     for kind, entry in metrics.CATALOG.items():
         print(f"  {kind:<18} {entry['description']}")
-        for p, (default, doc) in entry["params"].items():
+        for p, (default, *_, doc) in entry["params"].items():
             print(f"      {p:<16} default={default!r:<8} {doc}")
     return 0
 

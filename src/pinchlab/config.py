@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -47,15 +48,22 @@ def _window(name, value) -> tuple:
     return tuple(number(f"{name} entry", v) for v in value)
 
 
-def _metric(name, value) -> tuple:
-    """(kind, params); build_metric checks the params against the catalog."""
-    if not (isinstance(value, dict) and "kind" in value and set(value) <= {"kind", "params"}
-            and isinstance(value.get("params", {}), dict)):
-        raise UsageError(f'{name} must be {{"kind": ..., "params": {{...}}}}, got {value!r}')
-    return _text(f"{name} kind", value["kind"]), dict(value.get("params", {}))
+def catalog_kind(name, kind, params={}) -> str:
+    """``kind``; a usage error unless it is a ``metrics.CATALOG`` key and ``params`` a mapping of parameters
+    it knows.  The rule of a config's metric fields, of each kind on its sweep axis and of ``build_metric``."""
+    from .metrics import CATALOG  # here, not at the top: metrics imports this module
+    if _text(name, kind) not in CATALOG:
+        raise UsageError(f"unknown metric kind {kind!r}; valid kinds: {', '.join(sorted(CATALOG))}")
+    rules = CATALOG[kind]["params"]
+    if not isinstance(params, Mapping):
+        raise UsageError(f"metric_params must be a mapping of parameter names to values, got {params!r}")
+    if not params.keys() <= rules.keys():
+        raise UsageError(f"unknown parameter(s) {sorted(params.keys() - rules.keys(), key=str)} for metric "
+                         f"{kind!r}; valid: {sorted(rules)}")
+    return kind
 
 
-_SWEEP_AXES = {"kind": _text, "s0": number, "epsilon": number}
+_SWEEP_AXES = {"kind": catalog_kind, "s0": number, "epsilon": number}
 
 
 def _sweep(name, value) -> Optional[dict]:
@@ -75,7 +83,7 @@ def _sweep(name, value) -> Optional[dict]:
 
 #: ScenarioConfig field -> (convert, holds, message): ``convert(field, value)`` returns the typed
 #: value or raises a UsageError naming the field and the value, ``holds`` tests the typed value's
-#: range, and ``message.format(value)`` says why it fails.  build_metric checks the metric fields.
+#: range, and ``message.format(value)`` says why it fails.  ``catalog_kind`` checks the metric fields.
 _FIELDS = {
     "s0": (number, math.isfinite, "s0 must be finite, got {}"),
     "epsilon": (number, lambda v: 0.0 < v <= 1.0 / 3.0 + 1e-12, "epsilon must lie in (0, 1/3], got {}"),
@@ -116,8 +124,9 @@ class ScenarioConfig:
         self.validate()
 
     def validate(self) -> "ScenarioConfig":
-        """Convert each field by its ``_FIELDS`` rule and keep the typed value; a value of the
-        wrong type or out of range, NaN and inf included, is a usage error.  Runs at construction."""
+        """Check the metric fields by ``catalog_kind``, kept as given, and convert each other field by its
+        ``_FIELDS`` rule, kept typed; a wrong type or range, NaN and inf included, is a usage error."""
+        catalog_kind("metric_kind", self.metric_kind, self.metric_params)
         for name, (convert, holds, message) in _FIELDS.items():
             value = convert(name, getattr(self, name))
             if not holds(value):
@@ -139,8 +148,11 @@ class ScenarioConfig:
         keys = {"metric", *_FIELDS}
         if not set(doc) <= keys:
             raise UsageError(f"unknown config key(s) {sorted(set(doc) - keys)}; valid: {sorted(keys)}")
-        if "metric" in doc:
-            doc["metric_kind"], doc["metric_params"] = _metric("metric", doc.pop("metric"))
+        if "metric" in doc:  # split into the metric fields, which ``catalog_kind`` checks
+            metric = doc.pop("metric")
+            if not (isinstance(metric, dict) and "kind" in metric and set(metric) <= {"kind", "params"}):
+                raise UsageError(f'metric must be {{"kind": ..., "params": {{...}}}}, got {metric!r}')
+            doc["metric_kind"], doc["metric_params"] = metric["kind"], metric.get("params", {})
         return cls(**doc)
 
     def with_overrides(self, **kwargs) -> "ScenarioConfig":

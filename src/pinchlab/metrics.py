@@ -24,6 +24,7 @@ import csv
 import io
 import logging
 import math
+import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Mapping, Optional, Tuple
@@ -31,7 +32,7 @@ from typing import Callable, Mapping, Optional, Tuple
 import numpy as np
 from numpy.polynomial import chebyshev
 
-from .config import number
+from .config import catalog_kind, number
 from .errors import DomainError, NumericError, UsageError
 from .quadrature import PanelQuadrature, _chebyshev_sum, lin_grid, log_grid, panel_edges
 from .stencils import FIRST, first_from, nodes, second_from
@@ -132,9 +133,7 @@ def cone(slope: float) -> WarpFunction:
     The vertex s = 0 is a conical singularity (excluded from the domain),
     but the ball volume integral converges so volumes are measured from 0.
     """
-    a = float(slope)
-    if not 0 < a <= 1:
-        raise UsageError(f"cone slope must lie in (0, 1], got {a}")
+    a = parameter("cone", "a", slope)
     return WarpFunction("cone", lambda s: a * s, lambda s: (a * s, np.full_like(s, a), np.zeros_like(s)),
                         params={"a": a}, tail_coefficient=a, tail_exponent=1.0)
 
@@ -146,10 +145,7 @@ def power_law(coefficient: float, exponent: float) -> WarpFunction:
     like s^-2 while the scalar curvature decays like s^-2*beta, so the
     pinching margin tends to zero at infinity.
     """
-    c = float(coefficient)
-    b = float(exponent)
-    if not (0 < c < math.inf and 0 < b < math.inf):
-        raise UsageError("power-law warp needs positive finite coefficient and exponent")
+    c, b = parameter("power", "c", coefficient), parameter("power", "beta", exponent)
     return WarpFunction(
         "power", lambda s: c * s ** b,
         lambda s: (c * s ** b, c * b * s ** (b - 1.0), c * b * (b - 1.0) * s ** (b - 2.0)),
@@ -176,9 +172,7 @@ def schwarzschild_slice(mass: float) -> WarpFunction:
     which makes the slice scalar-flat: R = -4m/r^3 + 4m/r^3 = 0.  The jet
     inverts each radius once and reads f' and f'' off that r.
     """
-    m = float(mass)
-    if not 0 < m < math.inf:
-        raise UsageError(f"schwarzschild mass must be positive and finite, got {m}")
+    m = parameter("schwarzschild", "m", mass)
     sqrt2m = math.sqrt(2.0 * m)
 
     two_m = 2.0 * m
@@ -235,12 +229,8 @@ def sphere_cap_blend(cap_radius: float, blend_width: float) -> WarpFunction:
 
     Asymptotic slope: B = cos(cap_radius) - (w/3) sin(cap_radius) > 0.
     """
-    sc = float(cap_radius)
-    w = float(blend_width)
-    if not 0 < sc < math.pi / 2:
-        raise UsageError(f"cap radius must lie in (0, pi/2), got {sc}")
-    if not 0 < w < math.inf:
-        raise UsageError(f"blend width must be positive and finite, got {w}")
+    sc = parameter("sphere_cap_blend", "s_cap", cap_radius)
+    w = parameter("sphere_cap_blend", "blend_width", blend_width)
     sin_c, cos_c = math.sin(sc), math.cos(sc)
     slope = cos_c - (w / 3.0) * sin_c
     if slope <= 0:
@@ -381,8 +371,8 @@ def from_table(s_samples, f_samples, *, tail_coefficient=None, tail_exponent=Non
         raise UsageError("table values must be finite")
     if np.any(fvals <= 0) or s[0] < 0:
         raise UsageError("table must have f > 0 and s >= 0")
-    if not all(math.isfinite(v) for v in (tail_coefficient, tail_exponent) if v is not None):
-        raise UsageError("table tail overrides must be finite")
+    tail_coefficient = parameter("user_table", "tail_coefficient", tail_coefficient)
+    tail_exponent = parameter("user_table", "tail_exponent", tail_exponent)
 
     edges, series = _quintic_pieces(s, fvals)
     mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
@@ -420,11 +410,14 @@ def from_table(s_samples, f_samples, *, tail_coefficient=None, tail_exponent=Non
                         tail_coefficient=float(tail_coefficient), tail_exponent=float(tail_exponent))
 
 
-def load_table_csv(path, **kwargs) -> WarpFunction:
-    """Read a `s,f` CSV (header required) into a tabulated warp profile.
+def load_table_csv(path, *, tail_coefficient=None, tail_exponent=None) -> WarpFunction:
+    """Read a `s,f` CSV (header required) into a tabulated warp profile; the arguments are checked first.
 
     One np.array call per column applies float() to its fields; only when one
     fails are the rows read again, in file order, for the first bad one."""
+    path = parameter("user_table", "path", path)
+    tail = {"tail_coefficient": parameter("user_table", "tail_coefficient", tail_coefficient),
+            "tail_exponent": parameter("user_table", "tail_exponent", tail_exponent)}
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:  # a byte-order mark is not part of the header
             text = fh.read()
@@ -452,7 +445,7 @@ def load_table_csv(path, **kwargs) -> WarpFunction:
                 raise UsageError(f"{path}, line {reader.line_num}: expected two "
                                  f"numbers s,f, got {','.join(r)!r}") from None
         raise
-    return from_table(s, fvals, **kwargs)
+    return from_table(s, fvals, **tail)
 
 
 # ---------------------------------------------------------------------------
@@ -578,10 +571,10 @@ def _pinch_margins(ric_rad, ric_tan, scalar):
 
 
 def positive_epsilon(epsilon) -> float:
-    """``epsilon`` as a float; a usage error unless it is positive, NaN included."""
-    if not float(epsilon) > 0:
+    """``epsilon`` as a float; a usage error unless it is a positive number, NaN included."""
+    if not (epsilon := number("pinching constant", epsilon)) > 0:
         raise UsageError(f"pinching constant must be positive, got {epsilon}")
-    return float(epsilon)
+    return epsilon
 
 
 def pinched_where(eps_star, epsilon: float):
@@ -710,68 +703,63 @@ def growth_fit(metric: WarpFunction, r_lo: float, r_hi: float) -> GrowthReport:
 # Catalog
 # ---------------------------------------------------------------------------
 
+_positive = lambda v: 0 < v < math.inf
+_unset_or_finite = lambda v: v is None or math.isfinite(v)
+
+#: kind -> description, ``build`` (the profile from a full parameter map) and per parameter its rule
+#: (default, holds, message, description), which ``parameter`` applies and ``cli catalog`` prints
 CATALOG = {
-    "flat": {
-        "description": "Euclidean space, f(s) = s",
-        "params": {},
-        "build": lambda p: flat_space(),
-    },
-    "cone": {
-        "description": "metric cone f(s) = a*s (Ric >= 0, zero pinching margin)",
-        "params": {"a": (0.5, "opening slope in (0, 1]")},
-        "build": lambda p: cone(p["a"]),
-    },
-    "power": {
-        "description": "power-law warp f(s) = c*s^beta",
-        "params": {"c": (1.0, "tail coefficient > 0"),
-                   "beta": (0.8, "tail exponent; potential solver needs (1/2, 1]")},
-        "build": lambda p: power_law(p["c"], p["beta"]),
-    },
-    "schwarzschild": {
-        "description": "spatial Schwarzschild slice of mass m, arclength from the horizon",
-        "params": {"m": (1.0, "mass > 0")},
-        "build": lambda p: schwarzschild_slice(p["m"]),
-    },
-    "sphere_cap_blend": {
-        "description": "round cap f = sin(s) blended C^2 into a straight cone",
-        "params": {"s_cap": (1.0, "cap radius in (0, pi/2)"),
-                   "blend_width": (0.5, "width of the C^2 transition")},
-        "build": lambda p: sphere_cap_blend(p["s_cap"], p["blend_width"]),
-    },
-    "user_table": {
-        "description": "tabulated profile from a CSV with header s,f (quintic spline)",
-        "params": {"path": (None, "CSV file with columns s,f"),
-                   "tail_coefficient": (None, "override fitted tail coefficient"),
-                   "tail_exponent": (None, "override fitted tail exponent")},
-        "build": None,  # handled in build_metric
-    },
+    "flat": {"description": "Euclidean space, f(s) = s", "build": lambda p: flat_space(), "params": {}},
+    "cone": {"description": "metric cone f(s) = a*s (Ric >= 0, zero pinching margin)",
+             "build": lambda p: cone(p["a"]),
+             "params": {"a": (0.5, lambda a: 0 < a <= 1, "cone slope must lie in (0, 1], got {}",
+                              "opening slope in (0, 1]")}},
+    "power": {"description": "power-law warp f(s) = c*s^beta",
+              "build": lambda p: power_law(p["c"], p["beta"]),
+              "params": {"c": (1.0, _positive, "power-law coefficient c must be positive and finite, got {}",
+                               "tail coefficient > 0"),
+                         "beta": (0.8, _positive, "power-law exponent beta must be positive and finite, got {}",
+                                  "tail exponent; potential solver needs (1/2, 1]")}},
+    "schwarzschild": {"description": "spatial Schwarzschild slice of mass m, arclength from the horizon",
+                      "build": lambda p: schwarzschild_slice(p["m"]),
+                      "params": {"m": (1.0, _positive, "schwarzschild mass must be positive and finite, got {}",
+                                       "mass > 0")}},
+    "sphere_cap_blend": {"description": "round cap f = sin(s) blended C^2 into a straight cone",
+                         "build": lambda p: sphere_cap_blend(p["s_cap"], p["blend_width"]),
+                         "params": {"s_cap": (1.0, lambda s: 0 < s < math.pi / 2,
+                                              "cap radius must lie in (0, pi/2), got {}", "cap radius in (0, pi/2)"),
+                                    "blend_width": (0.5, _positive, "blend width must be positive and finite, got {}",
+                                                    "width of the C^2 transition")}},
+    "user_table": {"description": "tabulated profile from a CSV with header s,f (quintic spline)",
+                   "build": lambda p: load_table_csv(**p),
+                   "params": {"path": (None, lambda p: isinstance(p, (str, os.PathLike)) and os.fspath(p) != "",
+                                       "user_table parameter 'path' must name a CSV file, got {!r}",
+                                       "CSV file with columns s,f"),
+                              "tail_coefficient": (None, _unset_or_finite, "table tail coefficient must be finite, "
+                                                   "got {}", "override fitted tail coefficient"),
+                              "tail_exponent": (None, _unset_or_finite, "table tail exponent must be finite, got {}",
+                                                "override fitted tail exponent")}},
 }
 
 
+def parameter(kind: str, name: str, value):
+    """``value`` of parameter ``name`` of catalog metric ``kind``, converted with ``number`` (a table's path is
+    text, and an unset tail override stays None) and checked by its rule; a usage error names the value."""
+    default, holds, message, _ = CATALOG[kind]["params"][name]
+    if name != "path" and (value is not None or default is not None):
+        value = number(f"parameter {name!r}", value)
+    if not holds(value):
+        raise UsageError(message.format(value))
+    return value
+
+
 def build_metric(kind: str, params: Optional[Mapping] = None) -> WarpFunction:
-    """Instantiate a catalog metric from its name and a parameter map."""
-    if kind not in CATALOG:
-        raise UsageError(
-            f"unknown metric kind {kind!r}; valid kinds: {', '.join(sorted(CATALOG))}"
-        )
-    entry = CATALOG[kind]
-    params = dict(params or {})
-    unknown = set(params) - set(entry["params"])
-    if unknown:
-        raise UsageError(
-            f"unknown parameter(s) {sorted(unknown)} for metric {kind!r}; "
-            f"valid: {sorted(entry['params'])}"
-        )
-    if kind == "user_table":
-        path = params.pop("path", None)
-        if not (isinstance(path, str) and path):
-            raise UsageError(f"user_table parameter 'path' must name a CSV file, got {path!r}")
-        return load_table_csv(path, **{key: number(f"parameter {key!r}", value)
-                                       for key, value in params.items() if value is not None})
-    return entry["build"]({name: number(f"parameter {name!r}", params.get(name, default))
-                           for name, (default, _) in entry["params"].items()})
+    """A catalog metric from its kind and parameters, a missing one at its default; its constructor checks them."""
+    params = {} if params is None else params
+    entry = CATALOG[catalog_kind("kind", kind, params)]
+    return entry["build"]({name: params.get(name, rule[0]) for name, rule in entry["params"].items()})
 
 
 def default_catalog():
     """The five parametric catalog metrics with their default parameters."""
-    return [(kind, build_metric(kind)) for kind, entry in CATALOG.items() if entry["build"]]
+    return [(kind, build_metric(kind)) for kind in CATALOG if kind != "user_table"]

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import number
 from .errors import DomainError, NonparabolicityError, NumericError
 from .metrics import WarpFunction
 from .quadrature import SEED_FRACTIONS, PanelQuadrature, lin_grid, panel_edges
@@ -70,12 +71,13 @@ def _outward(radii, mismatch, s):
 
 @dataclass(frozen=True)
 class ExteriorDomain:
-    """The region outside the boundary sphere {s = s0}."""
+    """The region outside the boundary sphere {s = s0}; s0 is converted with ``number``."""
 
     metric: WarpFunction
     s0: float
 
     def __post_init__(self):
+        object.__setattr__(self, "s0", number("s0", self.s0))  # frozen
         self.metric.require_contains(self.s0)
 
 
@@ -140,11 +142,10 @@ class PotentialSolution:
 
     def __init__(self, domain: ExteriorDomain, t_max: float = 8.0):
         metric = domain.metric
-        s0 = float(domain.s0)
         self.metric = metric
-        self.s0 = s0
+        self.s0 = s0 = domain.s0
         self._s_lo = s0 * (1 - 1e-12) - 1e-300  # the bound tail() checks
-        self.t_max = float(t_max)
+        self.t_max = number("t_max", t_max)
         if not 0 < self.t_max < math.inf:
             raise DomainError(f"t_max must be positive and finite, got {t_max}")
 

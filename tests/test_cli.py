@@ -85,6 +85,52 @@ def test_catalog_json_schema(capsys):
     assert doc["kinds"]["power"]["params"]["beta"]["default"] == 0.8
 
 
+_CATALOG_TEXT = """\
+6 metric kinds:
+  flat               Euclidean space, f(s) = s
+  cone               metric cone f(s) = a*s (Ric >= 0, zero pinching margin)
+      a                default=0.5      opening slope in (0, 1]
+  power              power-law warp f(s) = c*s^beta
+      c                default=1.0      tail coefficient > 0
+      beta             default=0.8      tail exponent; potential solver needs (1/2, 1]
+  schwarzschild      spatial Schwarzschild slice of mass m, arclength from the horizon
+      m                default=1.0      mass > 0
+  sphere_cap_blend   round cap f = sin(s) blended C^2 into a straight cone
+      s_cap            default=1.0      cap radius in (0, pi/2)
+      blend_width      default=0.5      width of the C^2 transition
+  user_table         tabulated profile from a CSV with header s,f (quintic spline)
+      path             default=None     CSV file with columns s,f
+      tail_coefficient default=None     override fitted tail coefficient
+      tail_exponent    default=None     override fitted tail exponent
+"""
+
+_CATALOG_JSON = {"kinds": {
+    "cone": {"description": "metric cone f(s) = a*s (Ric >= 0, zero pinching margin)",
+             "params": {"a": {"default": 0.5, "doc": "opening slope in (0, 1]"}}},
+    "flat": {"description": "Euclidean space, f(s) = s", "params": {}},
+    "power": {"description": "power-law warp f(s) = c*s^beta",
+              "params": {"beta": {"default": 0.8, "doc": "tail exponent; potential solver needs (1/2, 1]"},
+                         "c": {"default": 1.0, "doc": "tail coefficient > 0"}}},
+    "schwarzschild": {"description": "spatial Schwarzschild slice of mass m, arclength from the horizon",
+                      "params": {"m": {"default": 1.0, "doc": "mass > 0"}}},
+    "sphere_cap_blend": {"description": "round cap f = sin(s) blended C^2 into a straight cone",
+                         "params": {"blend_width": {"default": 0.5, "doc": "width of the C^2 transition"},
+                                    "s_cap": {"default": 1.0, "doc": "cap radius in (0, pi/2)"}}},
+    "user_table": {"description": "tabulated profile from a CSV with header s,f (quintic spline)",
+                   "params": {"path": {"default": None, "doc": "CSV file with columns s,f"},
+                              "tail_coefficient": {"default": None, "doc": "override fitted tail coefficient"},
+                              "tail_exponent": {"default": None, "doc": "override fitted tail exponent"}}},
+}}
+
+
+def test_catalog_output_is_pinned(capsys):
+    # the whole text and JSON documents, so that a change to the catalog's rules cannot move them
+    assert cli.main(["catalog"]) == 0
+    assert capsys.readouterr().out == _CATALOG_TEXT
+    assert cli.main(["catalog", "--json"]) == 0
+    assert capsys.readouterr().out == json.dumps(_CATALOG_JSON, indent=2, sort_keys=True) + "\n"
+
+
 def test_unknown_kind_is_usage_error(capsys):
     code = cli.main(["solve", "--kind", "saddle"])
     assert code == 64
@@ -527,6 +573,52 @@ def test_library_sweep_checks_its_grid_before_the_first_solve(monkeypatch, s0s, 
     assert solves == []
 
 
+def _flat_series():
+    return pl.build_series(pl.PotentialSolution(pl.ExteriorDomain(pl.flat_space(), 1.0), t_max=1.0), n=21)
+
+
+def _check_pinching_at(epsilon):
+    series = _flat_series()
+    return pl.check_pinching(series.metric, epsilon, series.s, series.eps_star)
+
+
+#: (call, the text that names its bad value) of each probe of the library boundary
+_BAD_LIBRARY_VALUES = {
+    "power_c_text": (lambda: pl.power_law("a", 0.8), "'a'"),
+    "power_beta_none": (lambda: pl.power_law(1, None), "None"),
+    "power_beta_past_float_range": (lambda: pl.power_law(1, 10**400), str(10**400)),
+    "cone_past_float_range": (lambda: pl.cone(2**1024), str(2**1024)),
+    "cone_bool": (lambda: pl.cone(True), "True"),
+    "schwarzschild_text": (lambda: pl.schwarzschild_slice("1"), "'1'"),
+    "blend_text": (lambda: pl.sphere_cap_blend("1", 0.5), "'1'"),
+    "build_metric_params_list": (lambda: pl.build_metric("power", [1]), "[1]"),
+    "refute_params_list": (lambda: cli.cmd_refute(ScenarioConfig(metric_params=[1])), "[1]"),
+    "domain_s0_text": (lambda: pl.ExteriorDomain(pl.flat_space(), "x"), "'x'"),
+    "scenario_s0_text": (lambda: asymptotics.Scenario(pl.flat_space(), "x", ScenarioConfig()), "'x'"),
+    "solution_t_max_text": (lambda: pl.PotentialSolution(pl.ExteriorDomain(pl.flat_space(), 1.0), t_max="8"),
+                            "'8'"),
+    "config_kind_number": (lambda: ScenarioConfig(metric_kind=3), "3"),
+    "config_kind_unknown": (lambda: ScenarioConfig(metric_kind="nosuch"), "'nosuch'"),
+    "config_params_none": (lambda: ScenarioConfig(metric_params=None), "None"),
+    "config_params_unknown": (lambda: ScenarioConfig(metric_params={"zz": 1}), "zz"),
+    "sweep_profile_name": (lambda: pl.sweep(["flat"], [1.0], [0.1], ScenarioConfig()), "['flat']"),
+    "sweep_no_s0": (lambda: pl.sweep([pl.flat_space()], [], [0.1], ScenarioConfig()), "[]"),
+    "sweep_no_epsilon": (lambda: pl.sweep([pl.flat_space()], [1.0], [], ScenarioConfig()), "[]"),
+    "check_pinching_epsilon_text": (lambda: _check_pinching_at("0.1"), "'0.1'"),
+    "series_pinching_epsilon_text": (lambda: pl.series_pinching(_flat_series(), "0.1"), "'0.1'"),
+    "decay_check_epsilon_none": (lambda: pl.decay_check(_flat_series(), None), "None"),
+}
+
+
+@pytest.mark.parametrize("case", _BAD_LIBRARY_VALUES)
+def test_library_boundary_names_each_bad_value(case):
+    # none may be accepted or escape as a bare TypeError, ValueError, OverflowError or AttributeError
+    call, named = _BAD_LIBRARY_VALUES[case]
+    with pytest.raises((UsageError, pl.DomainError, pl.NumericError)) as exc:
+        call()
+    assert named in str(exc.value)
+
+
 _EVERY_KEY = {
     "metric": {"kind": "power", "params": {"c": 2.0, "beta": 0.9}},
     "s0": 1.5, "epsilon": 0.25, "t_max": 3, "n_samples": 101.0,
@@ -732,6 +824,16 @@ def test_param_path_is_a_file_name(tmp_path, monkeypatch):
     assert cli.main(argv) == 0
     assert read_json(tmp_path / "out" / "summary.json")["config"]["metric_params"] \
         == {"path": "3"}
+
+
+def test_table_path_may_be_a_pathlib_path(tmp_path):
+    # the catalog's path rule takes any os.PathLike, and summary.json writes it as its string
+    s = np.geomspace(0.5, 500.0, 300)
+    _write(tmp_path / "t.csv", "s,f\n" + "".join(f"{a!r},{a!r}\n" for a in s.tolist()))
+    cfg = ScenarioConfig(metric_kind="user_table", metric_params={"path": tmp_path / "t.csv"}, t_max=3.0,
+                         n_samples=101, out_dir=str(tmp_path / "out"))
+    assert cli.cmd_solve(cfg) == 0
+    assert read_json(tmp_path / "out" / "summary.json")["config"]["metric_params"] == {"path": str(tmp_path / "t.csv")}
 
 
 _BAD = st.one_of(st.none(), st.booleans(), st.sampled_from(["", "1.5", "abc"]),

@@ -152,8 +152,8 @@ def test_config_census_rejects_every_bad_document_as_a_usage_error(tmp_path, mon
 
     monkeypatch.chdir(tmp_path)
     runs = golden.config_census(cli)
-    assert len(runs) == len(golden.config_documents()) == 26
-    assert [run["code"] for run in runs] == [64] * 25 + [0]  # the last document is the valid one
+    assert len(runs) == len(golden.config_documents()) == 29
+    assert [run["code"] for run in runs] == [64] * 28 + [0]  # the last document is the valid one
     assert all(run["last"].startswith("usage error: ") for run in runs[:-1])
     assert runs[-2]["last"] == "usage error: epsilon must lie in (0, 1/3], got 0.9"  # under --epsilon 0.2
     assert runs[-3]["last"] == "usage error: epsilon must lie in (0, 1/3], got 0.9"  # before n_samples 2.5

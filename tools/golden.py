@@ -28,7 +28,7 @@ path, and every command in process through ``pinchlab.cli.main``:
   each of 300 seeded user tables (``fuzz_tables``), whose certificates are
   also a golden file, keyed by table; and the extreme-scale grids ``grid_a``
   (105 ``refute`` runs) and ``grid_b`` (800 ``refute`` and ``solve`` runs),
-  whose files are not compared; and the 26 ``config_documents()``, each
+  whose files are not compared; and the 29 ``config_documents()``, each
   through ``refute --config`` (``sweep --config`` where it has a sweep
   section).
 
@@ -199,13 +199,15 @@ MALFORMED = (
 
 def config_documents():
     """(config document, extra flags) of the config-path census: the 15 ``MALFORMED`` inputs, one
-    out-of-range value per checked key and sweep axis, a document with two faults (the first field in
-    ``config._FIELDS`` order is named), a file value out of range under a flag that overrides it, and
-    one valid document."""
+    out-of-range value per checked key and sweep axis, an unknown metric kind, a cone slope out of range
+    and an unknown metric parameter, a document with two faults (the first field in ``config._FIELDS``
+    order is named), a file value out of range under a flag that overrides it, and one valid document."""
     malformed = [(doc, flags) for doc, flags, _ in MALFORMED]
     out_of_range = [{"epsilon": 0.5}, {"n_samples": 2}, {"chain_points": 2e6}, {"t_max": 0},
                     {"growth_window": [2, 1]}, {"suite": "x"}, {"sweep": {"epsilon": [0.5]}},
-                    {"sweep": {"s0": [math.nan]}}, {"epsilon": 0.9, "n_samples": 2.5}]
+                    {"sweep": {"s0": [math.nan]}}, {"metric": {"kind": "nosuch"}},
+                    {"metric": {"kind": "cone", "params": {"a": 2}}},
+                    {"metric": {"kind": "flat", "params": {"zz": 1}}}, {"epsilon": 0.9, "n_samples": 2.5}]
     return (malformed + [(doc, []) for doc in out_of_range] + [({"epsilon": 0.9}, ["--epsilon", "0.2"]),
             ({"metric": {"kind": "cone", "params": {"a": 0.5}}, "epsilon": 0.2}, [])])
 

@@ -61,6 +61,9 @@ MUTANTS = (
      ""),
     ("count_truncates_fractions", "config.py", "if isinstance(value, float) and value.is_integer():",
      "if isinstance(value, float) and math.isfinite(value):"),
+    ("cone_slope_up_to_2", "metrics.py", "lambda a: 0 < a <= 1,", "lambda a: 0 < a <= 2,"),
+    ("metric_kind_unchecked", "config.py", "if _text(name, kind) not in CATALOG:",
+     "if not isinstance(_text(name, kind), str):"),
 )
 
 
