@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from . import metrics
-from .config import ScenarioConfig
+from .config import ScenarioConfig, number
 from .errors import DomainError, NumericError, UsageError
 from .functionals import (FOUR_PI, SIXTEEN_PI, BoundaryWillmore, FunctionalSample,
                           FunctionalSeries, boundary_willmore, build_series)
@@ -110,7 +110,7 @@ def li_yau_fit(at: ExteriorDomain | PotentialSolution, r_lo: float, r_hi: float)
     For a warp tail f ~ c s^beta the exact value 1 - 2 beta is 1 - alpha in terms of the
     volume-growth exponent alpha = 2 beta.  Reads only ``metric`` and ``s0``.
     """
-    r_lo, r_hi = float(r_lo), float(r_hi)
+    r_lo, r_hi = number("r_lo", r_lo), number("r_hi", r_hi)
     if not at.s0 <= r_lo < r_hi:
         raise DomainError(f"bad fit window [{r_lo}, {r_hi}]")
     integ = TailIntegrator(at.metric, at.s0, r_hi)
@@ -275,6 +275,7 @@ def sweep(profiles, s0s, epsilons, config: ScenarioConfig) -> list[RefutationRep
     per (profile, s0), whose growth is fitted once per profile after its first solve, and per
     epsilon the ``series_pinching`` and ``decay_check`` that ``judge`` combines.  Reads t_max,
     n_samples and growth_window from ``config`` and hands it on to ``judge``; its epsilon is not read."""
+    profiles, s0s, epsilons = list(profiles), list(s0s), list(epsilons)  # each axis is read once, a generator too
     if not (len(s0s) and len(epsilons) and all(isinstance(m, metrics.WarpFunction) for m in profiles)):
         raise UsageError(f"sweep needs WarpFunction profiles, an s0 and an epsilon, got {profiles}, {s0s}, {epsilons}")
     for s0, eps in itertools.product(s0s, epsilons):  # a valid config per cell, or a UsageError before any solve

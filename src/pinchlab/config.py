@@ -27,7 +27,7 @@ def number(name, value) -> float:
     raise UsageError(f"{name} must be a number, got {value!r}")
 
 
-def _count(name, value) -> int:
+def count(name, value) -> int:
     """An int, or a float with an integral value, as an int."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
@@ -88,10 +88,10 @@ _FIELDS = {
     "s0": (number, math.isfinite, "s0 must be finite, got {}"),
     "epsilon": (number, lambda v: 0.0 < v <= 1.0 / 3.0 + 1e-12, "epsilon must lie in (0, 1/3], got {}"),
     "t_max": (number, lambda v: 0 < v < math.inf, "t_max must be positive and finite, got {}"),
-    "n_samples": (_count, lambda v: 3 <= v <= MAX_POINTS,
+    "n_samples": (count, lambda v: 3 <= v <= MAX_POINTS,
                   f"n_samples must lie in [3, {MAX_POINTS}], got {{}}"),
     "growth_window": (_window, lambda w: 0 < w[0] < w[1] < math.inf, "bad growth window {}"),
-    "chain_points": (_count, lambda v: 2 <= v <= MAX_POINTS,
+    "chain_points": (count, lambda v: 2 <= v <= MAX_POINTS,
                      f"chain_points must lie in [2, {MAX_POINTS}], got {{}}"),
     "out_dir": (_text, lambda v: True, ""),
     "suite": (_text, SUITES.__contains__, "unknown suite {!r}; valid: " + ", ".join(SUITES)),

@@ -28,6 +28,7 @@ from typing import Optional
 import numpy as np
 
 from . import metrics
+from .config import count
 from .errors import DomainError, NumericError
 from .potential import ExteriorDomain, PotentialSolution
 from .quadrature import lin_grid
@@ -109,7 +110,7 @@ def _fields_at(sol: PotentialSolution, t_arr):
 
 def sample_at(sol: PotentialSolution, t) -> FunctionalSample:
     """Evaluate all level-set functionals at one level, or at an array of levels."""
-    t = np.asarray(t, float)
+    t = metrics.array("level t", t)
     vals = _fields_at(sol, t)
     if t.ndim == 0:
         return FunctionalSample(float(t), *(v[0].item() for v in vals))
@@ -118,12 +119,12 @@ def sample_at(sol: PotentialSolution, t) -> FunctionalSample:
 
 def build_series(sol: PotentialSolution, n: int = 2001) -> FunctionalSeries:
     """Sample the functionals on a uniform level grid [0, sol.t_max]."""
-    if n < 3:
+    if (n := count("n", n)) < 3:
         raise DomainError("series needs at least 3 samples")
-    t = lin_grid(0.0, sol.t_max, int(n))
+    t = lin_grid(0.0, sol.t_max, n)
     series = FunctionalSeries(t, *_fields_at(sol, t), sol.metric, sol.s0)
     if not np.all(series.s[1:] > series.s[:-1]):
-        raise DomainError(f"t_max={sol.t_max:g} is too small for {int(n)} levels: their radii coincide")
+        raise DomainError(f"t_max={sol.t_max:g} is too small for {n} levels: their radii coincide")
     return series
 
 

@@ -577,6 +577,13 @@ def positive_epsilon(epsilon) -> float:
     return epsilon
 
 
+def array(name, value) -> np.ndarray:
+    """A number or an array of numbers (not bools, not strings) as a float array."""
+    if (arr := np.asarray(value)).dtype.kind not in "iuf":
+        raise UsageError(f"{name} must be a number or an array of numbers, got {value!r}")
+    return np.asarray(arr, float)
+
+
 def pinched_where(eps_star, epsilon: float):
     """Where Ric >= eps R g holds, from the margin ``eps_star`` of ``_pinch_margins``.
     For eps > 0 that implies ``ric_ok`` (Ric >= 0): where R > 0, min Ric >= -PINCH_SLACK R
@@ -649,7 +656,7 @@ def volume_ball(metric: WarpFunction, r):
     errs by up to 5e-7 (a/r)^(2 beta + 1) < 5e-7 * 2^-26 = 7.5e-15 relative
     at every r.  The tests check this against the closed form.
     """
-    r_arr = np.atleast_1d(np.asarray(r, float))
+    r_arr = np.atleast_1d(array("ball radius", r))
     if not np.all((metric.domain_start < r_arr) & (r_arr <= metric.domain_end) & np.isfinite(r_arr)):
         raise DomainError(f"ball radius outside domain of {metric.label}")
     # each radius is a panel edge and the grid ends at the largest, so each volume is a sum of whole panels
@@ -683,7 +690,7 @@ def line_fit(x, y) -> Tuple[float, float]:
 
 def growth_fit(metric: WarpFunction, r_lo: float, r_hi: float) -> GrowthReport:
     """Fit the growth exponent to ball volumes at 25 log-spaced radii (``line_fit`` in logs)."""
-    r_lo, r_hi = float(r_lo), float(r_hi)
+    r_lo, r_hi = number("r_lo", r_lo), number("r_hi", r_hi)
     if not metric.domain_start < r_lo < r_hi:
         raise DomainError(f"bad growth window [{r_lo}, {r_hi}]")
     r = log_grid(r_lo, r_hi, 25)

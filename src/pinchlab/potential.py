@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import number
-from .errors import DomainError, NonparabolicityError, NumericError
+from .errors import DomainError, NonparabolicityError, NumericError, UsageError
 from .metrics import WarpFunction
 from .quadrature import SEED_FRACTIONS, PanelQuadrature, lin_grid, panel_edges
 from .stencils import FIRST, first_from, nodes, step
@@ -77,6 +77,8 @@ class ExteriorDomain:
     s0: float
 
     def __post_init__(self):
+        if not isinstance(self.metric, WarpFunction):
+            raise UsageError(f"an ExteriorDomain needs a WarpFunction metric, got {self.metric!r}")
         object.__setattr__(self, "s0", number("s0", self.s0))  # frozen
         self.metric.require_contains(self.s0)
 
@@ -141,6 +143,8 @@ class PotentialSolution:
     """
 
     def __init__(self, domain: ExteriorDomain, t_max: float = 8.0):
+        if not isinstance(domain, ExteriorDomain):
+            raise UsageError(f"a PotentialSolution needs an ExteriorDomain, got {domain!r}")
         metric = domain.metric
         self.metric = metric
         self.s0 = s0 = domain.s0

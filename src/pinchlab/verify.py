@@ -1,10 +1,13 @@
 """Verification suites behind ``pinchlab verify``, as two check tables.
 
-A row names the check and gives a measure function returning a
-``(measured, tol)`` pair, a dict of such pairs keyed by sub-check, or a
-``Reading`` when the verdict is not ``measured <= tol``.  Gated rows add
-a hypothesis gate returning None when the check applies, else
-``(status, reason)``: UNMET keeps the measurement, SKIP drops it.
+A row names the check, a measure function and the row's contract, its
+tolerance: the measure returns the measured value only, a float, a dict of
+floats keyed by sub-check (the row then holds one tolerance per sub-check),
+or a ``Reading``, whose ``ok`` gives the verdict of a row with tolerance
+None.  The two tables are the only place that states a contract, and
+``tests/test_contracts.py`` pins them.  Gated rows add a hypothesis gate
+returning None when the check applies, else ``(status, reason)``: UNMET
+keeps the measurement, SKIP drops it.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import sys
 import time
 from dataclasses import dataclass, fields
 from functools import cached_property, partial
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -44,10 +47,8 @@ class SuiteResult:
     def line(self) -> str:
         meas = "n/a" if self.measured is None else f"{self.measured:.3e}"
         tol = "n/a" if self.tolerance is None else f"{self.tolerance:.0e}"
-        text = f"{self.status:<5} {self.name:<44} measured={meas:<10} tol={tol:<6} ({self.runtime_s:.2f}s)"
-        if self.note:
-            text += f"  [{self.note}]"
-        return text
+        note = f"  [{self.note}]" if self.note else ""
+        return f"{self.status:<5} {self.name:<44} measured={meas:<10} tol={tol:<6} ({self.runtime_s:.2f}s){note}"
 
     def to_json_dict(self) -> dict:
         # runtimes stay out of files so outputs are byte-reproducible; the fields are scalars, so no deep copy
@@ -55,10 +56,9 @@ class SuiteResult:
 
 
 class Reading(NamedTuple):
-    """A measurement with its own verdict; ``ok=None`` means measured <= tol."""
+    """A measurement with a note, or its own verdict; ``ok=None`` means measured <= the row's tol."""
 
     measured: Optional[float]
-    tol: Optional[float]
     ok: Optional[bool] = None
     note: str = ""
 
@@ -69,6 +69,7 @@ class Check(NamedTuple):
     suite: str
     name: str
     measure: Callable
+    tol: Union[float, dict, None]  # one per sub-check of a dict measure; None where the Reading decides
     gate: Optional[Callable] = None
     kind: Optional[str] = None  # run only on this metric kind
 
@@ -78,12 +79,13 @@ def _run_check(name, check: Check, *args) -> SuiteResult:
     unmet = check.gate(*args) if check.gate else None
     value = check.measure(*args)
     runtime = time.perf_counter() - start
+    tol = check.tol
     if isinstance(value, dict):
         # failing sub-checks rank first, so the one reported decides the verdict, a NaN included
-        sub, (measured, tol) = max(value.items(), key=lambda kv: (not kv[1][0] <= kv[1][1], kv[1][0] / kv[1][1]))
-        ok, note = None, (f"worst sub-check: {sub}" if len(value) > 1 else "")
+        sub, measured = max(value.items(), key=lambda kv: (not kv[1] <= tol[kv[0]], kv[1] / tol[kv[0]]))
+        tol, ok, note = tol[sub], None, (f"worst sub-check: {sub}" if len(value) > 1 else "")
     else:
-        measured, tol, ok, note = Reading(*value)
+        measured, ok, note = value if isinstance(value, Reading) else Reading(value)
     if unmet:
         status, note = unmet
         if status == "SKIP":
@@ -133,7 +135,7 @@ class _Scenario(asymptotics.Scenario):
 def _trace_identity(sc):
     p = metrics.curvature_at(sc.metric, sc.curvature_grid())
     resid = np.abs(p.scalar - (p.ric_rad + 2.0 * p.ric_tan)) / np.maximum(1.0, np.abs(p.scalar))
-    return float(resid.max()), 1e-12
+    return float(resid.max())
 
 
 def _curvature_fd_oracle(sc):
@@ -147,7 +149,7 @@ def _curvature_fd_oracle(sc):
     fd = metrics.finite_difference_curvature_oracle(metric, s[keep], h[keep])
     worst = max(np.abs(getattr(exact, k) - getattr(fd, k)).max(initial=0.0)
                 for k in ("k_rad", "k_tan", "ric_rad", "ric_tan", "scalar"))
-    return float(worst), 1e-5
+    return float(worst)
 
 
 def _potential_identities(sc):
@@ -163,17 +165,10 @@ def _potential_identities(sc):
     # u takes values in (0, 1]; uvals[1:] is u(s)
     uvals = sol.u(np.concatenate([[sol.s0], s]))
     return {
-        "harmonic_flux": (float(sol.flux_residual(s, du).max()), 1e-6),  # (f^2 u')' = 0
-        "w_equation": (float(np.abs(resid / (gw * gw)).max()), 1e-6),
-        "gradw_consistency": (float(np.abs(-du / uvals[1:] / gw - 1.0).max()), 1e-9),
-        "u_range": (float(max(uvals.max() - 1.0, -uvals.min(), 0.0)), 1e-12),
-    }
-
-
-def _integral_geometry(sc):
-    return {
-        "coarea": (asymptotics.coarea_check(sc.series, sc.interior_levels()), 1e-4),
-        "holder_saturation": (asymptotics.holder_chain_check(sc.sol, sc.series), 1e-6),
+        "harmonic_flux": float(sol.flux_residual(s, du).max()),  # (f^2 u')' = 0
+        "w_equation": float(np.abs(resid / (gw * gw)).max()),
+        "gradw_consistency": float(np.abs(-du / uvals[1:] / gw - 1.0).max()),
+        "u_range": float(max(uvals.max() - 1.0, -uvals.min(), 0.0)),
     }
 
 
@@ -182,16 +177,14 @@ def _level_roundtrip(sc):
     t, s = sc.series.t[k], sc.series.s[k]
     t_back = sc.sol.w(s)
     s_back = sc.sol.s_of_t(t_back)
-    return float(max(np.abs(t_back - t).max(), np.abs(s_back / s - 1.0).max())), 1e-10
+    return float(max(np.abs(t_back - t).max(), np.abs(s_back / s - 1.0).max()))
 
 
 def _functional_bounds(sc):
     ser = sc.series
     s = ser.s[sc.interior_levels(1)[0]]  # the level 0.05 t_max
-    return {
-        "flux_le_willmore_quarter": (float((ser.F - ser.willmore / 4.0).max()), 1e-9),
-        "ncap_flux_agreement": (float(sc.sol.flux_residual(s, sc.sol.du_stencil(s))), 1e-9),
-    }
+    return {"flux_le_willmore_quarter": float((ser.F - ser.willmore / 4.0).max()),
+            "ncap_flux_agreement": float(sc.sol.flux_residual(s, sc.sol.du_stencil(s)))}
 
 
 def _scalar_flatness(sc):
@@ -199,7 +192,7 @@ def _scalar_flatness(sc):
         scalar = metrics.curvature_at(sc.metric, lin_grid(0.0, 100.0, 400)).scalar
     if not np.all(np.isfinite(scalar)):
         raise NumericError(f"{sc.metric.label}: the horizon curvature, of order 1/m^2, passes the float range")
-    return float(np.abs(scalar).max()), 1e-8
+    return float(np.abs(scalar).max())
 
 
 def _unless(holds, status, reason):
@@ -216,18 +209,18 @@ def _decay_estimate(sc):
     fit = sc.decay
     note = (f"t_tilde={fit.t_tilde:.3g}, constant={fit.decay_constant:.3g}"
             if fit.t_tilde is not None else "")
-    return Reading(fit.decay_rate, None, fit.passed, note)
+    return Reading(fit.decay_rate, fit.passed, note)
 
 
 def _refutation_soundness(sc):
     rep = asymptotics.judge(sc, sc.pinching, sc.decay)
-    return Reading(None, None, not rep.conclusion.startswith("CONTRADICTION"), rep.conclusion)
+    return Reading(None, not rep.conclusion.startswith("CONTRADICTION"), rep.conclusion)
 
 
 def _li_yau_exponent(kind, params, expect):
     domain = potential.ExteriorDomain(metrics.build_metric(kind, params), 1.0)
     slope = asymptotics.li_yau_fit(domain, 10.0, 1000.0)
-    return Reading(abs(slope / expect - 1.0), 2e-2, note=f"expected {expect}")
+    return Reading(abs(slope / expect - 1.0), note=f"expected {expect}")
 
 
 def _small_sphere_willmore():
@@ -239,7 +232,7 @@ def _small_sphere_willmore():
     worst = max(abs(bw.value - SIXTEEN_PI * math.cos(s0) ** 2) for s0, bw in zip(radii, bws))
     if not all(bw.below_threshold for bw in bws) or not bws[0].value > bws[1].value > bws[2].value:
         worst = max(worst, 1.0)
-    return worst, 1e-7
+    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -247,38 +240,39 @@ def _small_sphere_willmore():
 # ---------------------------------------------------------------------------
 
 SCENARIO_CHECKS = (
-    Check("identities", "trace_identity", _trace_identity),
-    Check("identities", "curvature_fd_oracle", _curvature_fd_oracle),
-    Check("identities", "potential_identities", _potential_identities),
-    Check("identities", "capacity_scaling",
-          lambda sc: (functionals.capacity_scaling_check(sc.sol, sc.series), 1e-6)),
-    Check("identities", "integral_geometry", _integral_geometry),
-    Check("identities", "level_roundtrip", _level_roundtrip),
-    Check("identities", "functional_bounds", _functional_bounds),
-    Check("identities", "scalar_flatness", _scalar_flatness, kind="schwarzschild"),
-    Check("monotonicity", "F_monotone", lambda sc: (sc.monotonicity.max_increase, 1e-7),
+    Check("identities", "trace_identity", _trace_identity, 1e-12),
+    Check("identities", "curvature_fd_oracle", _curvature_fd_oracle, 1e-5),
+    Check("identities", "potential_identities", _potential_identities,
+          {"harmonic_flux": 1e-6, "w_equation": 1e-6, "gradw_consistency": 1e-9, "u_range": 1e-12}),
+    Check("identities", "capacity_scaling", lambda sc: functionals.capacity_scaling_check(sc.sol, sc.series), 1e-6),
+    Check("identities", "integral_geometry",
+          lambda sc: {"coarea": asymptotics.coarea_check(sc.series, sc.interior_levels()),
+                      "holder_saturation": asymptotics.holder_chain_check(sc.sol, sc.series)},
+          {"coarea": 1e-4, "holder_saturation": 1e-6}),
+    Check("identities", "level_roundtrip", _level_roundtrip, 1e-10),
+    Check("identities", "functional_bounds", _functional_bounds,
+          {"flux_le_willmore_quarter": 1e-9, "ncap_flux_agreement": 1e-9}),
+    Check("identities", "scalar_flatness", _scalar_flatness, 1e-8, kind="schwarzschild"),
+    Check("monotonicity", "F_monotone", lambda sc: sc.monotonicity.max_increase, 1e-7,
           lambda sc: _unless(sc.monotonicity.hypothesis_met, "UNMET",
                              "Ric >= 0 fails on the window; monotonicity not implied")),
-    Check("monotonicity", "dF_explicit_match",
-          lambda sc: (sc.monotonicity.max_derivative_error, 1e-4)),
-    Check("monotonicity", "G_ode", lambda sc: (functionals.check_G_ode(sc.series), 1e-4)),
-    Check("monotonicity", "G_bounds",
-          lambda sc: (float(np.maximum(-sc.series.G, sc.series.G - sc.series.F).max()), 1e-9),
-          lambda sc: _unless(sc.monotonicity.hypothesis_met, "UNMET",
-                             "Ric >= 0 fails on the window; 0 <= G <= F not implied")),
-    Check("decay", "decay_estimate", _decay_estimate, _decay_gate),
+    Check("monotonicity", "dF_explicit_match", lambda sc: sc.monotonicity.max_derivative_error, 1e-4),
+    Check("monotonicity", "G_ode", lambda sc: functionals.check_G_ode(sc.series), 1e-4),
+    Check("monotonicity", "G_bounds", lambda sc: float(np.maximum(-sc.series.G, sc.series.G - sc.series.F).max()),
+          1e-9, lambda sc: _unless(sc.monotonicity.hypothesis_met, "UNMET",
+                                   "Ric >= 0 fails on the window; 0 <= G <= F not implied")),
+    Check("decay", "decay_estimate", _decay_estimate, None, _decay_gate),
     Check("decay", "genus_zero_pointwise",
-          lambda sc: Reading(sc.decay.max_pointwise_violation, 1e-9,
-                             note=f"{sc.decay.n_pointwise_checked} levels checked"),
-          lambda sc: _unless(sc.decay.n_pointwise_checked, "SKIP", "no pinched levels in the window")),
-    Check("chain", "refutation_soundness", _refutation_soundness),
+          lambda sc: Reading(sc.decay.max_pointwise_violation, note=f"{sc.decay.n_pointwise_checked} levels checked"),
+          1e-9, lambda sc: _unless(sc.decay.n_pointwise_checked, "SKIP", "no pinched levels in the window")),
+    Check("chain", "refutation_soundness", _refutation_soundness, None),
 )
 
 #: checks on fixed catalog metrics, run once per verify pass
 CATALOG_CHECKS = (
-    Check("chain", "power/li_yau_exponent", partial(_li_yau_exponent, "power", {"beta": 0.8}, -0.6)),
-    Check("chain", "flat/li_yau_exponent", partial(_li_yau_exponent, "flat", {}, -1.0)),
-    Check("chain", "sphere_cap_blend/small_sphere_willmore", _small_sphere_willmore),
+    Check("chain", "power/li_yau_exponent", partial(_li_yau_exponent, "power", {"beta": 0.8}, -0.6), 2e-2),
+    Check("chain", "flat/li_yau_exponent", partial(_li_yau_exponent, "flat", {}, -1.0), 2e-2),
+    Check("chain", "sphere_cap_blend/small_sphere_willmore", _small_sphere_willmore, 1e-7),
 )
 
 
@@ -288,8 +282,7 @@ def run_verify(cfg: ScenarioConfig, stream=None):
     The default flat configuration runs the whole default catalog;
     any other metric runs on its own.
     """
-    if stream is None:
-        stream = sys.stdout
+    stream = stream or sys.stdout
     if cfg.metric_kind != "flat" or cfg.metric_params:
         catalog = [(cfg.metric_kind, metrics.build_metric(cfg.metric_kind, cfg.metric_params))]
     else:

@@ -245,7 +245,7 @@ def test_verify_json_row_is_its_fields_without_the_runtime(row):
 
 
 def test_verify_names_a_nan_sub_check():
-    check = Check("identities", "synthetic", lambda: {"a": (1e-9, 1e-6), "b": (math.nan, 1e-6)})
+    check = Check("identities", "synthetic", lambda: {"a": 1e-9, "b": math.nan}, {"a": 1e-6, "b": 1e-6})
     res = _run_check("synthetic", check)
     assert res.status == "FAIL"
     assert math.isnan(res.measured)
@@ -573,8 +573,21 @@ def test_library_sweep_checks_its_grid_before_the_first_solve(monkeypatch, s0s, 
     assert solves == []
 
 
+@pytest.mark.parametrize("axis", [0, 1])
+def test_library_sweep_reads_a_generator_axis_as_the_list_it_yields(axis):
+    # profiles, then s0 values, given once as a list and once as a generator
+    axes = [[pl.flat_space()], [1.0, 2.0], [0.1]]
+    want = [json.dumps(r.to_json_dict()) for r in pl.sweep(*axes, ScenarioConfig(t_max=1.0))]
+    axes[axis] = (item for item in axes[axis])
+    assert [json.dumps(r.to_json_dict()) for r in pl.sweep(*axes, ScenarioConfig(t_max=1.0))] == want
+
+
+def _flat_solution():
+    return pl.PotentialSolution(pl.ExteriorDomain(pl.flat_space(), 1.0), t_max=1.0)
+
+
 def _flat_series():
-    return pl.build_series(pl.PotentialSolution(pl.ExteriorDomain(pl.flat_space(), 1.0), t_max=1.0), n=21)
+    return pl.build_series(_flat_solution(), n=21)
 
 
 def _check_pinching_at(epsilon):
@@ -607,6 +620,13 @@ _BAD_LIBRARY_VALUES = {
     "check_pinching_epsilon_text": (lambda: _check_pinching_at("0.1"), "'0.1'"),
     "series_pinching_epsilon_text": (lambda: pl.series_pinching(_flat_series(), "0.1"), "'0.1'"),
     "decay_check_epsilon_none": (lambda: pl.decay_check(_flat_series(), None), "None"),
+    "growth_fit_window_text": (lambda: pl.growth_fit(pl.flat_space(), "a", 10.0), "'a'"),
+    "li_yau_fit_window_text": (lambda: pl.li_yau_fit(pl.ExteriorDomain(pl.flat_space(), 1.0), "a", 10.0), "'a'"),
+    "volume_ball_radius_text": (lambda: pl.volume_ball(pl.flat_space(), "a"), "'a'"),
+    "sample_at_level_text": (lambda: pl.sample_at(_flat_solution(), "x"), "'x'"),
+    "build_series_n_text": (lambda: pl.build_series(_flat_solution(), n="5"), "'5'"),
+    "domain_metric_name": (lambda: pl.ExteriorDomain("flat", 1.0), "'flat'"),
+    "solution_domain_none": (lambda: pl.PotentialSolution(None), "None"),
 }
 
 

@@ -1,4 +1,4 @@
-"""Mutation census: which one-line faults tier-1 and ``verify --suite all`` catch.
+"""Mutation census: which one-line faults tier-1, ``verify --suite all`` and the headroom ratchet catch.
 
     python tools/mutants.py [--rev REV]
 
@@ -15,9 +15,12 @@ exactly once in its file) with the new text, runs
 and puts the file back.  It prints one line per mutant naming what caught
 it: the first failing test, and the failing ``verify`` rows or the exit
 code ("passed" for a gate that did not), and SURVIVED where neither did.
-It ends with the count of caught mutants and exits 1 if any survived.  The
-whole run takes about 2 minutes on a 2-core x86-64 machine.  It is not part
-of tier-1.  To mutate uncommitted work, stage it and pass
+It also runs the headroom ratchet (``RATCHET``) on its own and says
+whether it alone flags the mutant; the ratchet is part of tier-1, so its
+flag is no extra catch.  It ends with the count of caught mutants and of
+the ratchet's flags, and exits 1 if any mutant survived.  The whole run
+takes about 4 minutes on a 2-core x86-64 machine.  It is not part of
+tier-1.  To mutate uncommitted work, stage it and pass
 ``--rev "$(git stash create)"``.
 """
 
@@ -64,13 +67,17 @@ MUTANTS = (
     ("cone_slope_up_to_2", "metrics.py", "lambda a: 0 < a <= 1,", "lambda a: 0 < a <= 2,"),
     ("metric_kind_unchecked", "config.py", "if _text(name, kind) not in CATALOG:",
      "if not isinstance(_text(name, kind), str):"),
+    ("coarea_tol_1e-3", "verify.py", '"coarea": 1e-4', '"coarea": 1e-3'),
 )
 
+#: the tier-1 test that re-reads each verify row's headroom
+RATCHET = "tests/test_contracts.py::test_headroom_ratchet"
 
-def tier1(tree):
-    """The first failing tier-1 test of ``tree``, or None."""
+
+def tier1(tree, *tests):
+    """The first failing tier-1 test of ``tree``, or of ``tests`` alone where given, or None."""
     run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-                          "--continue-on-collection-errors"], cwd=tree, env=_env(tree),
+                          "--continue-on-collection-errors", *tests], cwd=tree, env=_env(tree),
                          stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
     if run.returncode == 0:
         return None
@@ -108,7 +115,7 @@ def main(argv=None):
         if baseline != (None, None):
             sys.exit(f"{args.rev} itself fails: tier-1 {baseline[0]}; verify {baseline[1]}")
         print(f"{args.rev} unmutated: tier-1 and verify pass ({time.perf_counter() - start:.0f} s)")
-        caught = 0
+        caught = flagged = 0
         for name, module, old, new in MUTANTS:
             path = Path(tree, "src", "pinchlab", module)
             source = path.read_text()
@@ -116,13 +123,16 @@ def main(argv=None):
                 sys.exit(f"{name}: its old text occurs {source.count(old)} times in {module}, not once")
             path.write_text(source.replace(old, new))
             try:
-                by = tier1(tree), verify(tree)
+                by, ratchet = (tier1(tree), verify(tree)), tier1(tree, RATCHET)
             finally:
                 path.write_text(source)
             caught += by != (None, None)
-            print(f"{name:<34} tier-1: {by[0] or 'passed'}; verify: {by[1] or 'passed'}"
+            flagged += ratchet is not None
+            print(f"{name:<34} tier-1: {by[0] or 'passed'}; verify: {by[1] or 'passed'}; "
+                  f"ratchet: {'flagged' if ratchet else 'passed'}"
                   + ("" if by != (None, None) else "; SURVIVED"), flush=True)
-        print(f"{caught} of {len(MUTANTS)} mutants caught in {time.perf_counter() - start:.0f} s")
+        print(f"{caught} of {len(MUTANTS)} mutants caught, {flagged} flagged by the ratchet alone, "
+              f"in {time.perf_counter() - start:.0f} s")
         return 0 if caught == len(MUTANTS) else 1
 
 
